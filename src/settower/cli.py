@@ -33,6 +33,7 @@ from .errors import (
     ExprSyntaxError,
     PrecisionCap,
     SettowerError,
+    SizeLimit,
 )
 from .naturals import pair, parse_nat, unpair
 from .relations import classify, extremal, parse_relation
@@ -305,10 +306,9 @@ def _apply_bin(sym, a, b, prec: int):
         m = _nat_exponent(b)
         if isinstance(a, dy.Dyadic):
             return dy.dy_pow(a, m)
-        acc = dy.ONE
-        for _ in range(m):
-            acc = _apply_bin("*", acc, a, prec)
-        return acc
+        if m == 0:
+            return dy.ONE
+        return re.square_and_multiply(a, m, re.real_mul)
     raise AssertionError(f"unknown operator {sym!r}")
 
 
@@ -358,6 +358,20 @@ def _emit(out, record, fmt: str, plain: str):
         print(plain, file=out)
 
 
+def _decimal(value) -> str:
+    """str() of an int or a Dyadic, refused with SizeLimit when its digits
+    pass the interpreter's int->str limit (which would raise ValueError)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    k = abs(value.man if isinstance(value, dy.Dyadic) else value)
+    # k < 2^(3 * limit) < 10^limit needs no big power of ten to rule out.
+    if limit and k.bit_length() > 3 * limit and k >= 10**limit:
+        raise SizeLimit(
+            f"result has more than {limit} decimal digits, "
+            "the interpreter's limit for printing integers"
+        )
+    return str(value)
+
+
 def _read_source(arg: str) -> str:
     return sys.stdin.read() if arg == "-" else arg
 
@@ -366,22 +380,23 @@ def _cmd_eval(args, out) -> int:
     prec = _check_prec(args.prec)
     value = evaluate(_read_source(args.expr), prec)
     if isinstance(value, dy.Dyadic):
+        text = _decimal(value)
         _emit(
             out,
-            {"exact": True, "kind": "dyadic", "value": str(value)},
+            {"exact": True, "kind": "dyadic", "value": text},
             args.format,
-            str(value),
+            text,
         )
         return 0
     tidy = re.canonicalize(value)
-    lo, hi = re.real_interval(tidy, prec)
+    lo, hi = (_decimal(end) for end in re.real_interval(tidy, prec))
     _emit(
         out,
         {
             "exact": False,
-            "hi": str(hi),
+            "hi": hi,
             "kind": "interval",
-            "lo": str(lo),
+            "lo": lo,
             "precision": prec,
         },
         args.format,
@@ -438,11 +453,12 @@ def _cmd_enum(args, out) -> int:
     if args.what == "pair":
         p, q = parse_nat(args.first), parse_nat(args.second)
         value = pair(p, q)
+        text = _decimal(value)
         _emit(
             out,
             {"kind": "pair", "p": p, "q": q, "value": value},
             args.format,
-            str(value),
+            text,
         )
         return 0
     if args.what == "unpair":
@@ -456,12 +472,12 @@ def _cmd_enum(args, out) -> int:
         )
         return 0
     index = parse_nat(args.first)
-    value = enum_dyadics().forward(index)
+    text = _decimal(enum_dyadics().forward(index))
     _emit(
         out,
-        {"index": index, "kind": "dyadic", "value": str(value)},
+        {"index": index, "kind": "dyadic", "value": text},
         args.format,
-        str(value),
+        text,
     )
     return 0
 

@@ -3,12 +3,13 @@
 Values are triples (sign, mantissa, exponent) denoting sign * m * 2^(-u).
 Canonical form makes equality structural: the mantissa is odd unless the
 exponent is already 0, and zero is the unique (0, 0, 0).  All arithmetic
-is exact big-integer work on a common grid; nothing here rounds.
+is exact big-integer work on a common grid; nothing here rounds except the
+directed divisions div_floor and div_ceil, which round to a stated grid.
 """
 
 from __future__ import annotations
 
-from .errors import BadOrder, ExprSyntaxError, NotANatural
+from .errors import BadOrder, ExprSyntaxError, NonPositiveDivisor, NotANatural
 
 _SIGNS = (-1, 0, 1)
 
@@ -97,10 +98,9 @@ def make(man: int, exp: int, sign: int = 1) -> Dyadic:
         raise ValueError(f"sign must be -1, 0, or 1, got {sign!r}")
     if man == 0 or sign == 0:
         return ZERO
-    while man % 2 == 0 and exp > 0:
-        man //= 2
-        exp -= 1
-    return Dyadic(sign, man, exp)
+    # Strip trailing zero bits in one shift, stopping at exponent 0.
+    shift = min(exp, (man & -man).bit_length() - 1)
+    return Dyadic(sign, man >> shift, exp - shift)
 
 
 def _signed(num: int, exp: int) -> Dyadic:
@@ -118,23 +118,28 @@ ONE = Dyadic(1, 1, 0)
 HALF = Dyadic(1, 1, 1)
 
 
+def _aligned(d: Dyadic, e: Dyadic):
+    """Numerators of d and e on their common grid 2^(-max(u, v)), and that
+    exponent: only the operand with the coarser grid is shifted."""
+    shift = d._exp - e._exp
+    if shift >= 0:
+        return d._sign * d._man, e._sign * e._man << shift, d._exp
+    return d._sign * d._man << -shift, e._sign * e._man, e._exp
+
+
 def compare(d: Dyadic, e: Dyadic) -> int:
     """-1, 0, or 1 as d is below, equal to, or above e.
 
-    Cross-multiplication onto the common grid 2^(-(u+v)) decides without
+    Comparing numerators on the common grid 2^(-max(u, v)) decides without
     any rounding.
     """
-    left = _num(d) << e._exp
-    right = _num(e) << d._exp
-    if left < right:
-        return -1
-    if left > right:
-        return 1
-    return 0
+    left, right, _ = _aligned(d, e)
+    return (left > right) - (left < right)
 
 
 def add(d: Dyadic, e: Dyadic) -> Dyadic:
-    return _signed((_num(d) << e._exp) + (_num(e) << d._exp), d._exp + e._exp)
+    left, right, exp = _aligned(d, e)
+    return _signed(left + right, exp)
 
 
 def neg(d: Dyadic) -> Dyadic:
@@ -189,16 +194,24 @@ def between(d: Dyadic, e: Dyadic) -> Dyadic:
     return _signed(num_d + 1, grid)
 
 
+def _directed(a: Dyadic, b: Dyadic, p: int):
+    # Numerator and denominator of a/b * 2^p, after checking b and p.
+    if b._sign <= 0:
+        raise NonPositiveDivisor(f"directed division needs b > 0, got {b}")
+    _nat(p, "precision")
+    return _num(a) << (b._exp + p), b._man << a._exp
+
+
 def div_floor(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
     """Largest multiple of 2^(-p) that is <= a/b.  Requires b > 0."""
-    assert b._sign > 0
-    return _signed((_num(a) << (b._exp + p)) // (b._man << a._exp), p)
+    num, den = _directed(a, b, p)
+    return _signed(num // den, p)
 
 
 def div_ceil(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
     """Smallest multiple of 2^(-p) that is >= a/b.  Requires b > 0."""
-    assert b._sign > 0
-    return _signed(-((-_num(a) << (b._exp + p)) // (b._man << a._exp)), p)
+    num, den = _directed(a, b, p)
+    return _signed(-(-num // den), p)
 
 
 def exact_div(d: Dyadic, e: Dyadic):

@@ -73,6 +73,10 @@ class EmptyList(SettowerError):
     """Supremum of an empty list is undefined."""
 
 
+class NonPositiveDivisor(SettowerError):
+    """Directed division rounds only for a strictly positive divisor."""
+
+
 class NotBoundedAwayFromZero(SettowerError):
     """Reciprocal needs a positivity witness lo(n0) > 0."""
 

@@ -10,8 +10,13 @@ tag so arithmetic can stay exact along dyadic-only paths.
 
 Guard-bit policy (normative for interoperability):
   * add queries its operands at n+1 and sums endpoints;
-  * mul queries at n+t where t is the smallest natural with
-    hi_x(0) + hi_y(0) <= 2^t, and multiplies endpoints;
+  * mul queries at n+t+1 where t is the smallest natural with
+    hi_x(0) + hi_y(0) <= 2^t, multiplies endpoints, and rounds the lower
+    product down and the upper product up to n+2 fractional bits, so the
+    width stays within 2^(-n-1) + 2^(-n-1) and endpoint sizes follow n,
+    not the size of the expression;
+  * pow_nat squares and multiplies, so x^m is a product DAG of depth
+    O(log m);
   * inverse divides 1 by the swapped endpoints with directed rounding to
     n+2 fractional bits, querying the operand at max(n0, n + 2e + 1) where
     2^(-e) lower-bounds the witness interval's lo.
@@ -123,10 +128,18 @@ def mul(x: CutReal, y: CutReal) -> CutReal:
     def fn(n):
         if not guard:
             guard.append(_mul_guard(x, y))
-        k = n + guard[0]
+        # Endpoint products are within 2^(-n-1) of each other at n + t + 1;
+        # outward rounding onto the 2^(-n-2) grid adds less than 2^(-n-2)
+        # per side.  A floor of a larger value on a finer grid is never
+        # below the floor on a coarser grid, so nesting survives rounding.
+        k = n + guard[0] + 1
         lx, hx = x.query(k)
         ly, hy = y.query(k)
-        return dy.mul(lx, ly), dy.mul(hx, hy)
+        p = n + 2
+        return (
+            dy.div_floor(dy.mul(lx, ly), dy.ONE, p),
+            dy.div_ceil(dy.mul(hx, hy), dy.ONE, p),
+        )
 
     tag = None
     if x.tag is not None and y.tag is not None:
@@ -218,13 +231,25 @@ def inverse(x: CutReal, n0: int) -> CutReal:
     return CutReal(fn)
 
 
+def square_and_multiply(x, m: int, times):
+    """x^m for m >= 1 from O(log m) calls of the product times, so the
+    result is a DAG of depth O(log m) rather than a chain of length m."""
+    acc = None
+    while True:
+        if m & 1:
+            acc = x if acc is None else times(acc, x)
+        m >>= 1
+        if not m:
+            return acc
+        x = times(x, x)
+
+
 def pow_nat(x: CutReal, m: int) -> CutReal:
-    """Iterated product; exponent 0 gives 1."""
+    """x^m by squaring and multiplying with mul; exponent 0 gives ONE_CUT."""
     _nat(m, "exponent")
-    acc = ONE_CUT
-    for _ in range(m):
-        acc = mul(acc, x)
-    return acc
+    if m == 0:
+        return ONE_CUT
+    return square_and_multiply(x, m, mul)
 
 
 class Real:

@@ -189,6 +189,43 @@ def is_dyadic_fraction(fr: Fraction) -> bool:
     return fr.denominator & (fr.denominator - 1) == 0
 
 
+def make_loop(man, exp, sign=1):
+    """Canonical (sign, mantissa, exponent) by halving one bit per pass:
+    the library's original make, kept as the reference for its shift."""
+    if man == 0 or sign == 0:
+        return (0, 0, 0)
+    while man % 2 == 0 and exp > 0:
+        man //= 2
+        exp -= 1
+    return (sign, man, exp)
+
+
+def _triple_of_num(num, exp):
+    return make_loop(-num, exp, -1) if num < 0 else make_loop(num, exp)
+
+
+def add_cross(d, e):
+    """d + e as a triple, worked on the product grid 2^-(u+v)."""
+    num = (d.sign * d.man << e.exp) + (e.sign * e.man << d.exp)
+    return _triple_of_num(num, d.exp + e.exp)
+
+
+def sub_cross(d, e):
+    num = (d.sign * d.man << e.exp) - (e.sign * e.man << d.exp)
+    return _triple_of_num(num, d.exp + e.exp)
+
+
+def compare_cross(d, e):
+    """Order by cross-multiplication onto the grid 2^-(u+v)."""
+    left = d.sign * d.man << e.exp
+    right = e.sign * e.man << d.exp
+    return (left > right) - (left < right)
+
+
+def triple(d):
+    return (d.sign, d.man, d.exp)
+
+
 # ------------------------------------------------------------------- hfsets
 
 
@@ -337,3 +374,12 @@ def assert_cut_invariants(x, upto=40):
 def cut_brackets(x, fr: Fraction, n: int) -> bool:
     lo, hi = x.query(n)
     return to_fraction(lo) <= fr <= to_fraction(hi)
+
+
+def pow_chain(x, m, times, one):
+    """x^m as the linear product chain one * x * ... * x: the reference
+    for powers by squaring (in reals.pow_nat and the CLI's ^)."""
+    acc = one
+    for _ in range(m):
+        acc = times(acc, x)
+    return acc

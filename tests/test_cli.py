@@ -1,9 +1,12 @@
 import io
 import json
 import re as regex
+import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,9 @@ from settower import dyadic as dy
 from settower import reals
 from settower.dyadic import make
 from settower.errors import BadExponent, ExprSyntaxError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 INTERVAL = regex.compile(
     r"^\[(-?\d+(?:/2\^\d+)?), (-?\d+(?:/2\^\d+)?)\]@(\d+)$"
@@ -195,6 +201,145 @@ class TestEvalCommand:
         lo = oracles.to_fraction(dy.parse_dyadic(record["lo"]))
         hi = oracles.to_fraction(dy.parse_dyadic(record["hi"]))
         assert lo <= Fraction(1, 3) <= hi
+
+
+class TestPowers:
+    @pytest.mark.parametrize("m", [1, 2, 5, 64, 100])
+    @pytest.mark.parametrize("base,root", [("inv(3)", 3), ("(0 - inv(3))", -3)])
+    def test_square_and_multiply_matches_linear_chain(self, base, root, m):
+        # The reference multiplies one factor at a time, as ^ used to.
+        want = Fraction(1, root) ** m
+        a = cli.evaluate(base, 30)
+        chain = oracles.pow_chain(
+            a, m, lambda u, v: cli._apply_bin("*", u, v, 30), dy.ONE
+        )
+        got = cli.evaluate(f"{base}^{m}", 30)
+        for value in (got, chain):
+            lo, hi = reals.real_interval(reals.canonicalize(value), 30)
+            assert oracles.to_fraction(lo) <= want <= oracles.to_fraction(hi)
+        side = reals.real_compare_eps(got, chain, 30)
+        assert side is reals.Comparison.INDISTINGUISHABLE
+
+    def test_zeroth_power_stays_exact(self):
+        assert cli.evaluate("inv(3)^0", 30) == dy.ONE
+
+    @pytest.mark.parametrize("prec", [30, 120])
+    @pytest.mark.parametrize("k,m", [(3, 150), (7, 1000)])
+    def test_long_ladders_print_short_endpoints(self, k, m, prec, capsys):
+        code, out, err = run_cli(
+            ["eval", f"inv({k})^{m}", "--prec", str(prec)], capsys
+        )
+        assert (code, err) == (0, "")
+        lo, hi, at = interval_of(out)
+        assert at == prec
+        assert lo <= Fraction(1, k) ** m <= hi
+        assert hi - lo <= Fraction(2, 1 << prec)
+        ends = INTERVAL.match(out.strip()).groups()[:2]
+        assert all(dy.parse_dyadic(e).exp <= prec + 8 for e in ends)
+
+    @pytest.mark.parametrize("prec", [30, 120])
+    def test_deep_ladders_compare(self, prec, capsys):
+        code, out, err = run_cli(
+            ["cmp", "inv(3)^190", "inv(3)^192", "--prec", str(prec)], capsys
+        )
+        assert (code, out, err) == (2, "indistinguishable\n", "")
+
+    @pytest.mark.parametrize(
+        "expr", ["inv(3)^1000", "3/2^40000 * 2^40000"]
+    )
+    def test_large_results_are_fast(self, expr):
+        # Both took seconds when mul did not round and make halved one bit
+        # at a time; now they take milliseconds.
+        start = time.perf_counter()
+        cli.evaluate(expr, 30)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
+class TestDigitLimit:
+    @pytest.mark.parametrize("fmt", ["plain", "json-lines"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", f"2^{4 * DIGIT_LIMIT}"],
+            ["eval", f"inv(3) * 2^{4 * DIGIT_LIMIT}"],
+            ["enum", "pair"]
+            + [d * (DIGIT_LIMIT // 2 + 150) for d in "73"],
+        ],
+    )
+    def test_results_past_the_limit_exit_one(self, argv, fmt, capsys):
+        code, out, err = run_cli(argv + ["--format", fmt], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "digits" in err
+
+    def test_boundary(self, capsys):
+        code, out, _ = run_cli(["eval", f"10^{DIGIT_LIMIT} - 1"], capsys)
+        assert (code, out) == (0, "9" * DIGIT_LIMIT + "\n")
+        code, out, _ = run_cli(["eval", f"10^{DIGIT_LIMIT}"], capsys)
+        assert (code, out) == (1, "")
+
+    def test_limit_is_read_when_printing(self, capsys):
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run_cli(["eval", "2^3000"], capsys)[0] == 1
+            assert run_cli(["eval", "2^2000"], capsys)[0] == 0
+        finally:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)
+
+    def test_no_limit_without_the_interpreter_hook(self, capsys, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run_cli(["eval", "2^15000"], capsys)
+            assert (code, out) == (0, str(2**15000) + "\n")
+        finally:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)
+
+    def test_no_traceback_in_a_process(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from settower.cli import main; "
+                f"raise SystemExit(main(['eval', '2^{4 * DIGIT_LIMIT}']))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+
+def readme_examples():
+    """(argv, stdout) for each `$ settower ...` line in the README's sh blocks."""
+    examples = []
+    for block in regex.findall(r"```sh\n(.*?)```", README.read_text(), regex.S):
+        current = None
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                current = None
+                if line.startswith("$ settower "):
+                    current = (shlex.split(line[len("$ settower "):]), [])
+                    examples.append(current)
+            elif current is not None:
+                current[1].append(line + "\n")
+    return [(argv, "".join(out)) for argv, out in examples]
+
+
+class TestReadmeExamples:
+    def test_inv3_at_sixteen_is_pinned(self):
+        assert (
+            ["eval", "inv(3)", "--prec", "16"],
+            "[87381/2^18, 43691/2^17]@16\n",
+        ) in readme_examples()
+
+    @pytest.mark.parametrize("argv,want", readme_examples())
+    def test_output_matches(self, argv, want, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (out, err) == (want, "")
+        assert code == (2 if want == "indistinguishable\n" else 0)
 
 
 class TestCmpCommand:

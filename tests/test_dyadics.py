@@ -5,7 +5,13 @@ from hypothesis import given, strategies as st
 
 import oracles
 from settower import dyadic as dy
-from settower.errors import BadOrder, ExprSyntaxError, NotANatural
+from settower.errors import (
+    BadOrder,
+    ExprSyntaxError,
+    NonPositiveDivisor,
+    NotANatural,
+    SettowerError,
+)
 from settower.dyadic import HALF, ONE, ZERO, Dyadic, make
 
 dyadics = st.builds(
@@ -15,6 +21,16 @@ dyadics = st.builds(
     st.sampled_from([-1, 1]),
 )
 naturals = st.integers(min_value=0, max_value=500)
+# Mantissas up to ~2^5000 that end in long runs of zero bits, on exponents
+# up to 5000: the shapes where canonicalisation and grid alignment work hardest.
+long_mantissas = st.builds(
+    lambda odd, zeros: odd << zeros,
+    st.integers(min_value=0, max_value=2**2500),
+    st.integers(min_value=0, max_value=2500),
+)
+long_exps = st.integers(min_value=0, max_value=5000)
+signs = st.sampled_from([-1, 0, 1])
+long_dyadics = st.builds(make, long_mantissas, long_exps, st.sampled_from([-1, 1]))
 
 
 def assert_canonical(d):
@@ -52,6 +68,40 @@ class TestMake:
                 make(1, n)
         with pytest.raises(ValueError):
             make(1, 0, 2)
+
+
+class TestKernelAgainstReferences:
+    """The one-shift make and the max-grid add/sub/compare against the
+    halving loop and cross-grid originals kept in oracles, and Fraction."""
+
+    @given(long_mantissas, long_exps, signs)
+    def test_make(self, man, exp, sign):
+        d = make(man, exp, sign)
+        assert_canonical(d)
+        assert oracles.triple(d) == oracles.make_loop(man, exp, sign)
+        assert oracles.to_fraction(d) == Fraction(sign * man, 2**exp)
+
+    def test_make_stops_at_exponent_zero(self):
+        assert make(1 << 100000, 100000) == ONE
+        assert oracles.triple(make(3 << 10, 4)) == (1, 3 << 6, 0)
+
+    @given(long_dyadics, long_dyadics)
+    def test_add_sub(self, d, e):
+        fd, fe = oracles.to_fraction(d), oracles.to_fraction(e)
+        for got, want, value in (
+            (dy.add(d, e), oracles.add_cross(d, e), fd + fe),
+            (dy.sub(d, e), oracles.sub_cross(d, e), fd - fe),
+        ):
+            assert_canonical(got)
+            assert oracles.triple(got) == want
+            assert oracles.to_fraction(got) == value
+
+    @given(long_dyadics, long_dyadics)
+    def test_compare(self, d, e):
+        fd, fe = oracles.to_fraction(d), oracles.to_fraction(e)
+        assert dy.compare(d, e) == oracles.compare_cross(d, e)
+        assert dy.compare(d, e) == (fd > fe) - (fd < fe)
+        assert dy.compare(d, d) == 0
 
 
 class TestCompare:
@@ -218,6 +268,18 @@ class TestDivFloorCeil:
         three = make(3, 0)
         assert dy.div_floor(ONE, three, 4) == make(5, 4)
         assert dy.div_ceil(ONE, three, 4) == make(6, 4)
+
+    @pytest.mark.parametrize("b", [ZERO, make(3, 1, -1)])
+    def test_rejects_non_positive_divisor(self, b):
+        for directed in (dy.div_floor, dy.div_ceil):
+            with pytest.raises(NonPositiveDivisor):
+                directed(ONE, b, 4)
+        assert issubclass(NonPositiveDivisor, SettowerError)
+
+    def test_rejects_negative_precision(self):
+        for directed in (dy.div_floor, dy.div_ceil):
+            with pytest.raises(NotANatural):
+                directed(ONE, make(3, 0), -1)
 
 
 class TestExactDiv:

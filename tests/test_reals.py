@@ -2,7 +2,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from settower import dyadic as dy
@@ -159,6 +159,18 @@ class TestMul:
         oracles.assert_cut_invariants(c, upto=32)
         assert oracles.cut_brackets(c, Fraction(1, 9), 32)
 
+    @given(st.integers(1, 2**40), st.integers(0, 40), st.integers(3, 2**20))
+    @settings(max_examples=40)
+    def test_rounded_product_invariants(self, man, exp, k):
+        # Untagged factors with long endpoints: rounding must keep nesting
+        # and the width bound, and keep every endpoint on the 2^(-n-2) grid.
+        x = inverse(from_dyadic(make(k, 0)), 0)
+        c = mul(from_dyadic(make(man, exp)), x)
+        oracles.assert_cut_invariants(c, upto=40)
+        assert oracles.cut_brackets(c, Fraction(man, 2**exp) / k, 40)
+        for n in (0, 17, 40):
+            assert max(end.exp for end in c.query(n)) <= n + 2
+
     def test_distributes_up_to_tolerance(self):
         x, y, z = inv3(), from_dyadic(HALF), inv3()
         lhs = mul(x, add(y, z))
@@ -268,6 +280,28 @@ class TestPowNat:
     def test_exponent_validated(self):
         with pytest.raises(NotANatural):
             pow_nat(ONE_CUT, -1)
+
+    @given(st.integers(2, 9), st.integers(0, 300))
+    @example(3, 300)
+    @example(7, 300)
+    @settings(max_examples=30)
+    def test_matches_linear_chain_and_fraction(self, k, m):
+        x = inverse(from_dyadic(make(k, 0)), 0)
+        want = Fraction(1, k) ** m
+        got = pow_nat(x, m)
+        oracles.assert_cut_invariants(got, upto=40)
+        assert oracles.cut_brackets(got, want, 40)
+        chain = oracles.pow_chain(x, m, mul, ONE_CUT)
+        assert oracles.cut_brackets(chain, want, 40)
+        assert compare_eps(got, chain, 40) == Comparison.INDISTINGUISHABLE
+
+    def test_endpoints_stay_on_the_query_grid(self):
+        # Rounded products keep endpoint sizes tied to n, not to m.
+        c = pow_nat(inv3(), 1000)
+        for n in (0, 30, 120):
+            lo, hi = c.query(n)
+            assert lo.exp <= n + 2 and hi.exp <= n + 2
+        assert oracles.cut_brackets(c, Fraction(1, 3) ** 1000, 120)
 
 
 class TestSignedReals:
