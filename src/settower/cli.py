@@ -35,7 +35,7 @@ from .errors import (
     SettowerError,
     SizeLimit,
 )
-from .naturals import pair, parse_nat, unpair
+from .naturals import _int_digit_limit, pair, parse_nat, unpair
 from .relations import classify, extremal, parse_relation
 
 PRECISION_CAP = 200
@@ -361,7 +361,7 @@ def _emit(out, record, fmt: str, plain: str):
 def _decimal(value) -> str:
     """str() of an int or a Dyadic, refused with SizeLimit when its digits
     pass the interpreter's int->str limit (which would raise ValueError)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_digit_limit()
     k = abs(value.man if isinstance(value, dy.Dyadic) else value)
     # k < 2^(3 * limit) < 10^limit needs no big power of ten to rule out.
     if limit and k.bit_length() > 3 * limit and k >= 10**limit:

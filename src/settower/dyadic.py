@@ -10,6 +10,7 @@ directed divisions div_floor and div_ceil, which round to a stated grid.
 from __future__ import annotations
 
 from .errors import BadOrder, ExprSyntaxError, NonPositiveDivisor, NotANatural
+from .naturals import _is_decimal
 
 _SIGNS = (-1, 0, 1)
 
@@ -255,18 +256,19 @@ def parse_dyadic(text: str) -> Dyadic:
     if body.startswith(("+", "-")):
         sign = -1 if body[0] == "-" else 1
         body = body[1:]
-    if body.isdigit():
+    if _is_decimal(body):
         return make(int(body), 0, sign)
     if "/2^" in body:
         m_part, u_part = body.split("/2^", 1)
-        if m_part.isdigit() and u_part.isdigit():
+        if _is_decimal(m_part) and _is_decimal(u_part):
             return make(int(m_part), int(u_part), sign)
         raise ExprSyntaxError(f"malformed dyadic literal {text!r}", 0)
     if "." in body:
         int_part, _, frac_part = body.partition(".")
-        if int_part.isdigit() and frac_part.isdigit():
+        digits = int_part + frac_part
+        if int_part and frac_part and _is_decimal(digits):
             k = len(frac_part)
-            n = int(int_part + frac_part)
+            n = int(digits)
             if n % 5**k:
                 raise ExprSyntaxError(
                     f"{text!r} has no finite binary expansion", 0

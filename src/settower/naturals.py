@@ -17,10 +17,11 @@ the first argument into the step function of :func:`recurse`.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from typing import Callable, TypeVar
 
-from .errors import NotANatural, Underflow
+from .errors import NotANatural, SizeLimit, Underflow
 
 T = TypeVar("T")
 
@@ -122,9 +123,31 @@ def recurse(seed: T, step: Callable[[T], T]) -> Callable[[int], T]:
     return _Recursion(seed, step)
 
 
+def _int_digit_limit() -> int:
+    """The interpreter's int<->str digit limit; 0 where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether text is a nonempty run of ASCII digits, checked before int().
+
+    int() also reads other Unicode digits, and raises ValueError past the
+    interpreter's digit limit; such a run raises SizeLimit here instead.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return False
+    limit = _int_digit_limit()
+    if limit and len(text) > limit:
+        raise SizeLimit(
+            f"input has more than {limit} decimal digits, "
+            "the interpreter's limit for reading integers"
+        )
+    return True
+
+
 def parse_nat(text: str) -> int:
-    """Decimal string to natural; the inverse of ``str``."""
+    """Decimal string of ASCII digits to natural; the inverse of ``str``."""
     stripped = text.strip()
-    if not stripped.isdigit():
+    if not _is_decimal(stripped):
         raise NotANatural(f"not a decimal natural: {text!r}")
     return int(stripped)

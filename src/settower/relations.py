@@ -2,9 +2,19 @@
 
 A Relation is a set of atom pairs between two explicit carriers.  Carriers
 keep their input order so reports, partitions, and constructed orderings
-come out deterministic.  Everything here is definition-driven: each
-operation computes the defining set condition directly, and the test suite
-re-derives the same conditions with independent brute force.
+come out deterministic.  Property checks work on bit rows (bit j of row i
+is the pair (atom i, atom j)) and stay polynomial by two equivalences of
+finite order theory; the test suite re-derives every answer from the
+subset-quantified definitions by independent brute force.
+
+* A transitive relation on a finite carrier gives every nonempty subset a
+  minimum exactly when it is connective: pairs need minima, and a minimum
+  m of A is related to a new atom z one way or the other, so by
+  transitivity m or z is a minimum of A + {z}.
+* A transitive relation has the least-upper-bound property exactly when
+  every bounded-above pair has a supremum: the upper bounds of A + {z} are
+  those of {sup A, z}, since an atom bounds A exactly when it is sup A or
+  lies above it.
 
 Convention for products: compose(V, U) is the relation VU whose pairs are
 (x, z) with (x, y) in U and (y, z) in V for some y.  V and U read right to
@@ -13,7 +23,6 @@ left, as with function composition.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, fields
 
 from .errors import (
@@ -28,13 +37,6 @@ from .errors import (
     ParseError,
     UnknownAtom,
 )
-
-# Exhaustive subset checks stop being feasible past 2^12 subsets; larger
-# carriers fall back to a deterministic sample (documented, seeded).
-MIN_PROPERTY_EXHAUSTIVE_LIMIT = 12
-_SAMPLE_SUBSETS = 4096
-_SAMPLE_SEED = 0x5E77
-
 
 class Carrier:
     """Ordered finite list of distinct opaque atoms."""
@@ -263,71 +265,50 @@ def co_image(r: Relation, atoms) -> frozenset:
     return acc
 
 
-def _has_minimum(pairs, subset) -> bool:
-    return any(
-        all(y == x or (x, y) in pairs for y in subset)
-        for x in subset
-    )
+def _rows(r: Relation):
+    """Bit rows of an endorelation: bit j of rows[i] is the pair (atom i, atom j)."""
+    carrier = _require_endo(r)
+    index = carrier._index
+    rows = [0] * len(carrier)
+    for x, y in r.pairs:
+        rows[index[x]] |= 1 << index[y]
+    return rows
 
 
-def _minimum_property(pairs, atoms) -> bool:
-    """Every nonempty subset has a minimum under the restricted relation.
+def _columns(rows):
+    """Column masks of bit rows: bit i of cols[j] is bit j of rows[i]."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
 
-    Exhaustive up to 2^MIN_PROPERTY_EXHAUSTIVE_LIMIT subsets; beyond that a
-    fixed-seed sample of subsets plus all singletons and pairs is checked,
-    so the answer stays deterministic (though only a sound approximation
-    from above: a reported False is always a counterexample).
-    """
-    n = len(atoms)
-    if n <= MIN_PROPERTY_EXHAUSTIVE_LIMIT:
-        for mask in range(1, 1 << n):
-            subset = [atoms[i] for i in range(n) if mask >> i & 1]
-            if not _has_minimum(pairs, subset):
-                return False
-        return True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not _has_minimum(pairs, (atoms[i], atoms[j])):
-                return False
-    rng = random.Random(_SAMPLE_SEED)
-    for _ in range(_SAMPLE_SUBSETS):
-        k = rng.randint(1, n)
-        subset = rng.sample(atoms, k)
-        if not _has_minimum(pairs, subset):
-            return False
-    return True
+
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def classify(r: Relation) -> PropertyReport:
-    carrier = _require_endo(r)
-    atoms = carrier.atoms
-    p = r.pairs
+    rows = _rows(r)
+    cols = _columns(rows)
+    n = len(rows)
+    full = (1 << n) - 1
 
-    reflexive = all((a, a) in p for a in atoms)
-    antireflexive = not any((a, a) in p for a in atoms)
-    symmetric = all((y, x) in p for x, y in p)
-    antisymmetric = all(x == y or (y, x) not in p for x, y in p)
-    succ = {}
-    for x, y in p:
-        succ.setdefault(x, set()).add(y)
-    transitive = all(
-        z in succ.get(x, ())
-        for x, ys in succ.items()
-        for y in ys
-        for z in succ.get(y, ())
-    )
-    connective = all(
-        x == y or (x, y) in p or (y, x) in p for x in atoms for y in atoms
-    )
+    loops = [row >> i & 1 for i, row in enumerate(rows)]
+    reflexive = all(loops)
+    antireflexive = not any(loops)
+    symmetric = rows == cols
+    antisymmetric = all(rows[i] & cols[i] & ~(1 << i) == 0 for i in range(n))
+    transitive = all(rows[j] & ~row == 0 for row in rows for j in _bits(row))
+    connective = all(rows[i] | cols[i] | 1 << i == full for i in range(n))
     # X x X = R^-1 R: every two points have a common successor.
-    directive = all(
-        any((x, y) in p and (z, y) in p for y in atoms)
-        for x in atoms
-        for z in atoms
-    )
+    directive = all(rows[x] & rows[z] for x in range(n) for z in range(x, n))
 
     ordering = transitive and antisymmetric
-    well = ordering and _minimum_property(p, atoms)
     return PropertyReport(
         reflexive=reflexive,
         antireflexive=antireflexive,
@@ -343,7 +324,8 @@ def classify(r: Relation) -> PropertyReport:
         direction=reflexive and transitive and directive,
         equivalence=reflexive and symmetric and transitive,
         total_ordering=ordering and connective,
-        well_ordering=well,
+        # Minimum property of a transitive relation = connectivity.
+        well_ordering=ordering and connective,
     )
 
 
@@ -367,31 +349,22 @@ def equivalence_partition(r: Relation):
 def preorder_closure(r: Relation) -> Relation:
     """Smallest transitive relation containing r (union of all powers)."""
     carrier = _require_endo(r)
-    idx = {a: i for i, a in enumerate(carrier.atoms)}
-    rows = [0] * len(carrier)
-    for x, y in r.pairs:
-        rows[idx[x]] |= 1 << idx[y]
+    rows = _rows(r)
     changed = True
     while changed:
         changed = False
         for i in range(len(rows)):
             acc = rows[i]
-            scan = acc
-            while scan:
-                j = (scan & -scan).bit_length() - 1
+            for j in _bits(acc):
                 acc |= rows[j]
-                scan &= scan - 1
             if acc != rows[i]:
                 rows[i] = acc
                 changed = True
     atoms = carrier.atoms
-    out = set()
-    for i, row in enumerate(rows):
-        while row:
-            j = (row & -row).bit_length() - 1
-            out.add((atoms[i], atoms[j]))
-            row &= row - 1
-    return Relation.on(carrier, out)
+    return Relation.on(
+        carrier,
+        ((atoms[i], atoms[j]) for i, row in enumerate(rows) for j in _bits(row)),
+    )
 
 
 def antisymmetrize(r: Relation):
@@ -439,11 +412,9 @@ def _maxima_of(pairs, members) -> frozenset:
 
 def extremal(r: Relation, atoms) -> Extremal:
     carrier = _require_endo(r)
-    a_set = []
-    for a in atoms:
+    a_set = list(dict.fromkeys(atoms))
+    for a in a_set:
         carrier.index(a)
-        if a not in a_set:
-            a_set.append(a)
     p = r.pairs
 
     upper = frozenset(
@@ -472,31 +443,36 @@ def extremal(r: Relation, atoms) -> Extremal:
     )
 
 
+def _pairs_have_joins(rows) -> bool:
+    """Whether every pair of atoms with a common upper bound has a least one,
+    reading bit rows with the diagonal added: an atom bounds itself."""
+    up = [row | 1 << i for i, row in enumerate(rows)]
+    joined = set()
+    for i, up_i in enumerate(up):
+        for up_j in up[i + 1:]:
+            u = up_i & up_j
+            if u and u not in joined:
+                if not any(u & ~up[k] == 0 for k in _bits(u)):
+                    return False
+                joined.add(u)
+    return True
+
+
 def lub_property_check(r: Relation) -> bool:
     """Whether every nonempty bounded-above subset has a supremum.
 
-    The dual statement (bounded-below subsets have infima) is provably
-    equivalent for transitive relations; both directions are computed and
-    cross-checked here before one answer is returned.
+    For a transitive relation this holds exactly when every bounded-above
+    pair has one (a singleton is its own supremum), since the upper bounds
+    of A + {z} are those of {sup A, z}; so the check is O(n^2) pairs on bit
+    rows for any carrier size.  The dual statement (bounded-below pairs
+    have infima) is provably equivalent; both are computed, on rows and on
+    columns, and cross-checked before one answer is returned.
     """
-    carrier = _require_endo(r)
     if not classify(r).pre_ordering:
         raise NotPreordering("least-upper-bound check needs a transitive relation")
-    atoms = carrier.atoms
-    n = len(atoms)
-    if n > MIN_PROPERTY_EXHAUSTIVE_LIMIT:
-        raise CarrierMismatch(
-            f"exhaustive bound check limited to {MIN_PROPERTY_EXHAUSTIVE_LIMIT} atoms"
-        )
-    lub = True
-    glb = True
-    for mask in range(1, 1 << n):
-        subset = [atoms[i] for i in range(n) if mask >> i & 1]
-        ext = extremal(r, subset)
-        if ext.upper_bounds and not ext.suprema:
-            lub = False
-        if ext.lower_bounds and not ext.infima:
-            glb = False
+    rows = _rows(r)
+    lub = _pairs_have_joins(rows)
+    glb = _pairs_have_joins(_columns(rows))
     assert lub == glb, "least-upper-bound and greatest-lower-bound disagree"
     return lub
 
@@ -589,24 +565,15 @@ def check_independence(system) -> IndependenceReport:
 
 
 def order_type_finite(r: Relation):
-    """Rank isomorphism of a finite well-ordering onto 0..n-1."""
+    """Rank isomorphism of a finite well-ordering onto 0..n-1: an atom's
+    rank is the number of its strict predecessors."""
     carrier = _require_endo(r)
     if not classify(r).well_ordering:
         raise NotWellOrdering("order type requires a well-ordering")
-    remaining = list(carrier)
-    iso = {}
-    rank = 0
-    p = r.pairs
-    while remaining:
-        front = [
-            x for x in remaining
-            if all(y == x or (x, y) in p for y in remaining)
-        ]
-        assert len(front) == 1, "well-ordering must have a unique minimum"
-        iso[front[0]] = rank
-        remaining.remove(front[0])
-        rank += 1
-    return len(iso), iso
+    by_rank = [None] * len(carrier)
+    for i, col in enumerate(_columns(_rows(r))):
+        by_rank[(col & ~(1 << i)).bit_count()] = carrier.atoms[i]
+    return len(by_rank), {a: rank for rank, a in enumerate(by_rank)}
 
 
 def parse_relation(text: str) -> Relation:

@@ -67,6 +67,38 @@ def min_property_oracle(atoms, pairs):
     )
 
 
+def lub_oracle(atoms, pairs):
+    """Every nonempty subset with an upper bound has a supremum, checked on
+    every subset from the definitions."""
+    atoms = list(atoms)
+    for subset in subsets_of(atoms):
+        if not subset:
+            continue
+        upper = [
+            x for x in atoms if all(y == x or (y, x) in pairs for y in subset)
+        ]
+        if upper and not any(
+            all(y == x or (x, y) in pairs for y in upper) for x in upper
+        ):
+            return False
+    return True
+
+
+def order_type_oracle(atoms, pairs):
+    """Ranks of a finite well-ordering, peeling off the minimum each round."""
+    remaining = list(atoms)
+    iso = {}
+    while remaining:
+        front = [
+            x for x in remaining
+            if all(y == x or (x, y) in pairs for y in remaining)
+        ]
+        assert len(front) == 1, "well-ordering must have a unique minimum"
+        iso[front[0]] = len(iso)
+        remaining.remove(front[0])
+    return len(iso), iso
+
+
 def product_oracle(first_pairs, second_pairs):
     """Pairs (x, z) with an intermediate y: first runs first."""
     return frozenset(

@@ -295,21 +295,60 @@ class TestDigitLimit:
         finally:
             sys.set_int_max_str_digits(DIGIT_LIMIT)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "7" * (DIGIT_LIMIT + 700)],
+            ["eval", "1." + "5" * (DIGIT_LIMIT + 700)],
+            ["enum", "unpair", "7" * (DIGIT_LIMIT + 700)],
+        ],
+        ids=["eval-int", "eval-decimal", "enum-unpair"],
+    )
+    def test_inputs_past_the_limit_exit_one(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "digits" in err
+        assert_no_traceback_in_a_process(argv)
+
     def test_no_traceback_in_a_process(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from settower.cli import main; "
-                f"raise SystemExit(main(['eval', '2^{4 * DIGIT_LIMIT}']))",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("error:")
-        assert "Traceback" not in proc.stderr
+        assert_no_traceback_in_a_process(["eval", f"2^{4 * DIGIT_LIMIT}"])
+
+
+def assert_no_traceback_in_a_process(argv):
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"from settower.cli import main; raise SystemExit(main({argv!r}))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+class TestNonAsciiDigits:
+    # Superscript two, Arabic-Indic three and fullwidth two all pass
+    # str.isdigit(), and int() reads the last two; only ASCII digits are
+    # decimal input.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum", "unpair", "\u00b2"],
+            ["eval", "\u00b2"],
+            ["eval", "\u0663+1"],
+            ["enum", "dyadic", "1\uff12"],
+        ],
+        ids=["unpair-superscript", "eval-superscript", "eval-arabic-indic", "dyadic-fullwidth"],
+    )
+    def test_exit_one(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert_no_traceback_in_a_process(argv)
 
 
 def readme_examples():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from settower.errors import (
     NonPositiveDivisor,
     NotANatural,
     SettowerError,
+    SizeLimit,
 )
 from settower.dyadic import HALF, ONE, ZERO, Dyadic, make
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 dyadics = st.builds(
     make,
     st.integers(min_value=0, max_value=2**20),
@@ -320,10 +323,30 @@ class TestParseAndFormat:
     def test_literals(self, text, expected):
         assert dy.parse_dyadic(text) == expected
 
-    @pytest.mark.parametrize("bad", ["0.1", "2.3", "x", "", "1/3", "3/2^", "1.2.3"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "0.1", "2.3", "x", "", "1/3", "3/2^", "1.2.3",
+            "\u00b2", "\u0663", "1.\u0663", "\u0663/2^1", "1/2^\uff12",
+        ],
+    )
     def test_rejects_non_dyadics(self, bad):
         with pytest.raises(ExprSyntaxError):
             dy.parse_dyadic(bad)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
+    def test_digit_limit(self):
+        half = DIGIT_LIMIT // 2 + 1
+        assert dy.parse_dyadic("1" * DIGIT_LIMIT) == make(int("1" * DIGIT_LIMIT), 0)
+        for text in (
+            "7" * (DIGIT_LIMIT + 1),
+            "-1." + "5" * DIGIT_LIMIT,
+            # Each part is short enough; the digits read together are not.
+            "1" * half + "." + "5" * half,
+            "1/2^" + "1" * (DIGIT_LIMIT + 1),
+        ):
+            with pytest.raises(SizeLimit):
+                dy.parse_dyadic(text)
 
     @given(dyadics)
     def test_str_roundtrip(self, d):

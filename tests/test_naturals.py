@@ -1,11 +1,13 @@
+import sys
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from settower import naturals as nat
-from settower.errors import NotANatural, Underflow
+from settower.errors import NotANatural, SizeLimit, Underflow
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 small = st.integers(min_value=0, max_value=200)
 big = st.integers(min_value=0, max_value=10**30)
 
@@ -172,7 +174,27 @@ class TestParse:
         assert nat.parse_nat("42") == 42
         assert nat.parse_nat("  007 ") == 7
 
-    @pytest.mark.parametrize("bad", ["-3", "x", "1.5", ""])
+    @pytest.mark.parametrize("bad", ["-3", "x", "1.5", "", "\u00b2", "\u0663", "1\uff12"])
     def test_rejects_non_naturals(self, bad):
+        # Superscript two, Arabic-Indic three and fullwidth two all pass
+        # str.isdigit(), and int() reads the last two; only ASCII is decimal.
         with pytest.raises(NotANatural):
             nat.parse_nat(bad)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
+    def test_digit_limit(self):
+        assert nat.parse_nat("9" * DIGIT_LIMIT) == 10**DIGIT_LIMIT - 1
+        for text in ("9" * (DIGIT_LIMIT + 1), "0" * DIGIT_LIMIT + "1"):
+            with pytest.raises(SizeLimit):
+                nat.parse_nat(text)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
+    def test_digit_limit_is_read_when_parsing(self):
+        # 640 is the lowest limit the interpreter lets anyone set.
+        sys.set_int_max_str_digits(640)
+        try:
+            assert nat.parse_nat("9" * 640) == 10**640 - 1
+            with pytest.raises(SizeLimit):
+                nat.parse_nat("9" * 641)
+        finally:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)

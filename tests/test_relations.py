@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +34,65 @@ relations_abc = pair_sets.map(lambda p: Relation.on(ABC, p))
 
 def transitive_abc():
     return relations_abc.map(rel.preorder_closure)
+
+
+@st.composite
+def arbitrary_upto6(draw):
+    atoms = "abcdef"[: draw(st.integers(0, 6))]
+    pairs = draw(st.frozensets(st.tuples(*[st.sampled_from(atoms)] * 2))) \
+        if atoms else frozenset()
+    return Relation.on(Carrier(atoms), pairs)
+
+
+@st.composite
+def chains_upto6(draw):
+    """Total orders with some loops, so that well-orderings come up often."""
+    order = draw(st.permutations("abcdef"[: draw(st.integers(0, 6))]))
+    loops = draw(st.sets(st.sampled_from(order))) if order else set()
+    return Relation.on(
+        Carrier(sorted(order)),
+        [(x, y) for i, x in enumerate(order) for y in order[i + 1:]]
+        + [(x, x) for x in loops],
+    )
+
+
+# Arbitrary relations on up to six atoms, their preorder closures, and chains.
+relations_upto6 = st.one_of(
+    arbitrary_upto6(),
+    arbitrary_upto6().map(rel.preorder_closure),
+    chains_upto6(),
+)
+
+
+def chain_pairs(atoms, weak):
+    n = len(atoms)
+    return [
+        (atoms[i], atoms[j])
+        for i in range(n)
+        for j in range(i if weak else i + 1, n)
+    ]
+
+
+def tree_pairs(atoms):
+    """A rooted tree with the root on top: a[i] lies below a[(i - 1) // 2]
+    and all of its ancestors.  Every bounded pair has a join."""
+    pairs = set()
+    for i in range(1, len(atoms)):
+        j = i
+        while j:
+            j = (j - 1) // 2
+            pairs.add((atoms[i], atoms[j]))
+    return pairs
+
+
+def random_poset_pairs(atoms, seed):
+    """Closure of a seeded random DAG whose edges go up the atom list."""
+    rng = random.Random(seed)
+    edges = [
+        (x, y) for i, x in enumerate(atoms) for y in atoms[i + 1:]
+        if rng.random() < 0.2
+    ]
+    return oracles.closure_oracle(atoms, edges)
 
 
 class TestCarrier:
@@ -269,6 +331,17 @@ class TestClassify:
             report = rel.classify(Relation.on(ABC, pairs))
             assert report.well_ordering == report.total_ordering
 
+    @given(relations_upto6)
+    @settings(max_examples=400)
+    def test_matches_oracles_up_to_six_atoms(self, r):
+        report = rel.classify(r).as_dict()
+        atoms = r.carrier.atoms
+        for name, value in oracles.props_oracle(atoms, r.pairs).items():
+            assert report[name] == value
+        assert report["well_ordering"] == (
+            report["ordering"] and oracles.min_property_oracle(atoms, r.pairs)
+        )
+
     @given(relations_abc, st.permutations(["x", "y", "z"]))
     def test_invariant_under_relabeling(self, r, names):
         table = dict(zip("abc", names))
@@ -443,14 +516,45 @@ class TestLubPropertyCheck:
         with pytest.raises(NotPreordering):
             rel.lub_property_check(Relation.on(ABC, [("a", "b"), ("b", "c")]))
 
-    def test_rejects_large_carriers(self):
-        atoms = [f"a{i}" for i in range(13)]
-        chain = Relation.on(
-            Carrier(atoms),
-            ((atoms[i], atoms[j]) for i in range(13) for j in range(i, 13)),
-        )
-        with pytest.raises(CarrierMismatch):
-            rel.lub_property_check(chain)
+    @pytest.mark.parametrize(
+        "n,make",
+        [
+            (13, lambda atoms: chain_pairs(atoms, weak=True)),
+            (16, lambda atoms: chain_pairs(atoms, weak=False)),
+            (13, tree_pairs),
+            (16, tree_pairs),
+            (13, lambda atoms: random_poset_pairs(atoms, 13)),
+            (16, lambda atoms: random_poset_pairs(atoms, 16)),
+        ],
+        ids=["chain13", "strict-chain16", "tree13", "tree16", "poset13", "poset16"],
+    )
+    def test_large_carriers_match_oracle(self, n, make):
+        # No size cap: past twelve atoms the answer is still exact.
+        atoms = [f"a{i:02}" for i in range(n)]
+        pairs = frozenset(make(atoms))
+        want = oracles.lub_oracle(atoms, pairs)
+        assert rel.lub_property_check(Relation.on(Carrier(atoms), pairs)) is want
+
+    @given(relations_upto6)
+    @settings(max_examples=400)
+    def test_matches_oracle_up_to_six_atoms(self, r):
+        atoms = r.carrier.atoms
+        if not oracles.props_oracle(atoms, r.pairs)["transitive"]:
+            with pytest.raises(NotPreordering):
+                rel.lub_property_check(r)
+            return
+        want = oracles.lub_oracle(atoms, r.pairs)
+        # The dual property, read off the inverse, agrees.
+        assert oracles.lub_oracle(atoms, oracles.inverse_oracle(r.pairs)) == want
+        assert rel.lub_property_check(r) is want
+
+    def test_two_hundred_atom_chain_is_fast(self):
+        atoms = [f"a{i}" for i in range(200)]
+        chain = Relation.on(Carrier(atoms), chain_pairs(atoms, weak=True))
+        start = time.perf_counter()
+        assert rel.classify(chain).well_ordering
+        assert rel.lub_property_check(chain) is True
+        assert time.perf_counter() - start < 1.0
 
     @given(transitive_abc())
     @settings(max_examples=60)
@@ -586,6 +690,16 @@ class TestOrderTypeFinite:
     def test_rejects_non_well_orderings(self):
         with pytest.raises(NotWellOrdering):
             rel.order_type_finite(Relation.on(ABC, [("a", "b"), ("b", "a")]))
+
+    @given(relations_upto6)
+    @settings(max_examples=400)
+    def test_matches_peel_loop_up_to_six_atoms(self, r):
+        if not rel.classify(r).well_ordering:
+            with pytest.raises(NotWellOrdering):
+                rel.order_type_finite(r)
+            return
+        want = oracles.order_type_oracle(r.carrier.atoms, r.pairs)
+        assert rel.order_type_finite(r) == want
 
 
 class TestParseRelation:
