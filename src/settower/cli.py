@@ -35,7 +35,7 @@ from .errors import (
     SettowerError,
     SizeLimit,
 )
-from .naturals import _int_digit_limit, pair, parse_nat, unpair
+from .naturals import _int_digit_limit, _is_decimal, pair, parse_nat, unpair
 from .relations import classify, extremal, parse_relation
 
 PRECISION_CAP = 200
@@ -482,6 +482,20 @@ def _cmd_enum(args, out) -> int:
     return 0
 
 
+def _precision_arg(text: str) -> int:
+    """--prec as ASCII digits after an optional "-"; int() alone would also
+    take " 7 ", "+7", "1_0" and non-ASCII digits.  The range is checked by
+    _check_prec, so -1 and 9999 end there with exit status 1."""
+    digits = text[1:] if text.startswith("-") else text
+    try:
+        ok = _is_decimal(digits)
+    except SizeLimit:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="settower",
@@ -492,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument(
             "--prec",
-            type=int,
+            type=_precision_arg,
             default=DEFAULT_PRECISION,
             help=f"working precision in bits (default {DEFAULT_PRECISION}, "
             f"cap {PRECISION_CAP})",

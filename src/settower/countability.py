@@ -21,7 +21,9 @@ from .errors import (
     NotOrdering,
 )
 from .naturals import pair, unpair
-from .relations import Carrier, Relation, classify
+# classify is not called here; it stays bound for callers that import it
+# from this module.
+from .relations import Carrier, Relation, _is_ordering, classify  # noqa: F401
 
 
 class Enumeration:
@@ -205,7 +207,7 @@ def zorn_max_finite(r: Relation):
     carrier = r.carrier
     if len(carrier) == 0:
         raise EmptyCarrier("no atoms to maximize over")
-    if not classify(r).ordering:
+    if not _is_ordering(r):
         raise NotOrdering("weak-maximum search needs an ordering")
     p = r.pairs
 

@@ -19,7 +19,16 @@ Guard-bit policy (normative for interoperability):
     O(log m);
   * inverse divides 1 by the swapped endpoints with directed rounding to
     n+2 fractional bits, querying the operand at max(n0, n + 2e + 1) where
-    2^(-e) lower-bounds the witness interval's lo.
+    2^(-e) lower-bounds the witness interval's lo;
+  * exact zeros fold when a node is built.  ZERO_CUT, which from_dyadic(0)
+    returns, is the exact zero: mul with it and _posdiff(ZERO_CUT, b) are
+    ZERO_CUT; add with it, _posdiff(a, ZERO_CUT) and real_abs of a pair
+    with a ZERO_CUT side are the other operand shifted one bit,
+    n -> y.query(n + 1), with its tag.  The general nodes return the same
+    endpoints at every precision, so no answer changes; only a tag None
+    may become the node's exact value.  A zero tag alone does not fold:
+    real_abs of a pair with equal nonzero tags is tagged 0, but its upper
+    endpoints are positive.
 
 Signed values are pairs (pos, neg) standing for pos - neg; canonicalize
 shifts the pair so the smaller component is within 2^(-n) of zero at every
@@ -83,11 +92,7 @@ class CutReal:
         return f"CutReal({format_interval(self, 10)})"
 
 
-def from_dyadic(d: dy.Dyadic) -> CutReal:
-    """Embed a binary fraction: intervals [d - 2^(-n-1) clamped at 0, d]."""
-    if d.sign < 0:
-        raise NegativeInput(f"cut embedding needs d >= 0, got {d}")
-
+def _embed(d: dy.Dyadic) -> CutReal:
     def fn(n):
         lo = dy.sub(d, dy.make(1, n + 1))
         if lo.sign < 0:
@@ -97,11 +102,31 @@ def from_dyadic(d: dy.Dyadic) -> CutReal:
     return CutReal(fn, tag=d)
 
 
-ZERO_CUT = from_dyadic(dy.ZERO)
-ONE_CUT = from_dyadic(dy.ONE)
+ZERO_CUT = _embed(dy.ZERO)
+ONE_CUT = _embed(dy.ONE)
+
+
+def from_dyadic(d: dy.Dyadic) -> CutReal:
+    """Embed a binary fraction: intervals [d - 2^(-n-1) clamped at 0, d].
+    Zero embeds as ZERO_CUT itself, so it folds."""
+    if d.sign < 0:
+        raise NegativeInput(f"cut embedding needs d >= 0, got {d}")
+    return ZERO_CUT if d.sign == 0 else _embed(d)
+
+
+def _shift(y: CutReal) -> CutReal:
+    # The node y + 0 or y - 0: y queried one bit deeper, with y's tag.
+    if y is ZERO_CUT:
+        return ZERO_CUT
+    return CutReal(lambda n: y.query(n + 1), tag=y.tag)
 
 
 def add(x: CutReal, y: CutReal) -> CutReal:
+    if x is ZERO_CUT:
+        return _shift(y)
+    if y is ZERO_CUT:
+        return _shift(x)
+
     def fn(n):
         lx, hx = x.query(n + 1)
         ly, hy = y.query(n + 1)
@@ -123,6 +148,8 @@ def _mul_guard(x: CutReal, y: CutReal) -> int:
 
 
 def mul(x: CutReal, y: CutReal) -> CutReal:
+    if x is ZERO_CUT or y is ZERO_CUT:
+        return ZERO_CUT
     guard = []
 
     def fn(n):
@@ -307,6 +334,10 @@ def real_mul(x: Real, y: Real) -> Real:
 
 def real_abs(x: Real) -> CutReal:
     """|pos - neg| as a single cut."""
+    if x.neg is ZERO_CUT:
+        return _shift(x.pos)
+    if x.pos is ZERO_CUT:
+        return _shift(x.neg)
 
     def fn(n):
         lp, hp = x.pos.query(n + 1)
@@ -323,6 +354,11 @@ def real_abs(x: Real) -> CutReal:
 
 def _posdiff(a: CutReal, b: CutReal) -> CutReal:
     # The nonnegative part of a - b, as a cut.
+    if a is ZERO_CUT:
+        return ZERO_CUT
+    if b is ZERO_CUT:
+        return _shift(a)
+
     def fn(n):
         la, ha = a.query(n + 1)
         lb, hb = b.query(n + 1)

@@ -292,19 +292,43 @@ def _bits(mask):
         mask ^= low
 
 
+# The base properties that guards need, one helper each over bit rows (and
+# column masks), so a guard computes only its own flag.
+
+
+def _reflexive(rows) -> bool:
+    return all(row >> i & 1 for i, row in enumerate(rows))
+
+
+def _antisymmetric(rows, cols) -> bool:
+    return all(row & cols[i] & ~(1 << i) == 0 for i, row in enumerate(rows))
+
+
+def _transitive(rows) -> bool:
+    return all(rows[j] & ~row == 0 for row in rows for j in _bits(row))
+
+
+def _connective(rows, cols) -> bool:
+    full = (1 << len(rows)) - 1
+    return all(row | cols[i] | 1 << i == full for i, row in enumerate(rows))
+
+
+def _is_ordering(r: Relation) -> bool:
+    rows = _rows(r)
+    return _transitive(rows) and _antisymmetric(rows, _columns(rows))
+
+
 def classify(r: Relation) -> PropertyReport:
     rows = _rows(r)
     cols = _columns(rows)
     n = len(rows)
-    full = (1 << n) - 1
 
-    loops = [row >> i & 1 for i, row in enumerate(rows)]
-    reflexive = all(loops)
-    antireflexive = not any(loops)
+    reflexive = _reflexive(rows)
+    antireflexive = not any(row >> i & 1 for i, row in enumerate(rows))
     symmetric = rows == cols
-    antisymmetric = all(rows[i] & cols[i] & ~(1 << i) == 0 for i in range(n))
-    transitive = all(rows[j] & ~row == 0 for row in rows for j in _bits(row))
-    connective = all(rows[i] | cols[i] | 1 << i == full for i in range(n))
+    antisymmetric = _antisymmetric(rows, cols)
+    transitive = _transitive(rows)
+    connective = _connective(rows, cols)
     # X x X = R^-1 R: every two points have a common successor.
     directive = all(rows[x] & rows[z] for x in range(n) for z in range(x, n))
 
@@ -333,7 +357,8 @@ def equivalence_partition(r: Relation):
     """Blocks of the partition induced by an equivalence relation, each a
     tuple in carrier order, listed by first representative."""
     carrier = _require_endo(r)
-    if not classify(r).equivalence:
+    rows = _rows(r)
+    if not (_reflexive(rows) and _transitive(rows) and rows == _columns(rows)):
         raise NotEquivalence("relation is not an equivalence")
     seen = set()
     blocks = []
@@ -376,7 +401,7 @@ def antisymmetrize(r: Relation):
     reflexive whenever r is.
     """
     carrier = _require_endo(r)
-    if not classify(r).pre_ordering:
+    if not _transitive(_rows(r)):
         raise NotPreordering("antisymmetrize needs a transitive relation")
     p = r.pairs
     blocks = []
@@ -468,9 +493,9 @@ def lub_property_check(r: Relation) -> bool:
     have infima) is provably equivalent; both are computed, on rows and on
     columns, and cross-checked before one answer is returned.
     """
-    if not classify(r).pre_ordering:
-        raise NotPreordering("least-upper-bound check needs a transitive relation")
     rows = _rows(r)
+    if not _transitive(rows):
+        raise NotPreordering("least-upper-bound check needs a transitive relation")
     lub = _pairs_have_joins(rows)
     glb = _pairs_have_joins(_columns(rows))
     assert lub == glb, "least-upper-bound and greatest-lower-bound disagree"
@@ -481,7 +506,7 @@ def order_variants(r: Relation):
     """Strict and weak forms (R minus diagonal, R plus diagonal) of an
     ordering.  Extremal elements are invariant across the three."""
     carrier = _require_endo(r)
-    if not classify(r).ordering:
+    if not _is_ordering(r):
         raise NotOrdering("order_variants needs an ordering")
     delta = {(a, a) for a in carrier}
     lt = Relation.on(carrier, r.pairs - delta)
@@ -520,7 +545,7 @@ def check_independence(system) -> IndependenceReport:
         if _require_endo(rel) != carrier:
             raise CarrierMismatch("system members live on different carriers")
     for rel in system:
-        if not classify(rel).pre_ordering:
+        if not _transitive(_rows(rel)):
             raise NotPreordering("system members must be transitive")
 
     s_pairs = frozenset.intersection(*(rel.pairs for rel in system))
@@ -568,10 +593,17 @@ def order_type_finite(r: Relation):
     """Rank isomorphism of a finite well-ordering onto 0..n-1: an atom's
     rank is the number of its strict predecessors."""
     carrier = _require_endo(r)
-    if not classify(r).well_ordering:
+    rows = _rows(r)
+    cols = _columns(rows)
+    # Well-ordering: a connective ordering (see classify).
+    if not (
+        _transitive(rows)
+        and _antisymmetric(rows, cols)
+        and _connective(rows, cols)
+    ):
         raise NotWellOrdering("order type requires a well-ordering")
     by_rank = [None] * len(carrier)
-    for i, col in enumerate(_columns(_rows(r))):
+    for i, col in enumerate(cols):
         by_rank[(col & ~(1 << i)).bit_count()] = carrier.atoms[i]
     return len(by_rank), {a: rank for rank, a in enumerate(by_rank)}
 

@@ -8,7 +8,9 @@ agreement between the two is evidence, not tautology.
 from fractions import Fraction
 from itertools import combinations
 
+from settower import dyadic as dy
 from settower.hfset import HFSet
+from settower.reals import CutReal
 
 # ---------------------------------------------------------------- relations
 
@@ -415,3 +417,81 @@ def pow_chain(x, m, times, one):
     for _ in range(m):
         acc = times(acc, x)
     return acc
+
+
+# The general oracle nodes of settower.reals, without zero folding: every
+# operand is queried, whatever its tag.  Folding must reproduce their
+# endpoints at every precision and may only add tags.
+
+
+def generic_add(x, y):
+    def fn(n):
+        lx, hx = x.query(n + 1)
+        ly, hy = y.query(n + 1)
+        return dy.add(lx, ly), dy.add(hx, hy)
+
+    tag = None
+    if x.tag is not None and y.tag is not None:
+        tag = dy.add(x.tag, y.tag)
+    return CutReal(fn, tag=tag)
+
+
+def _generic_mul_guard(x, y):
+    s = dy.add(x.hi(0), y.hi(0))
+    if s.sign <= 0:
+        return 0
+    return max(0, (s.man - 1).bit_length() - s.exp)
+
+
+def generic_mul(x, y):
+    guard = []
+
+    def fn(n):
+        if not guard:
+            guard.append(_generic_mul_guard(x, y))
+        k = n + guard[0] + 1
+        lx, hx = x.query(k)
+        ly, hy = y.query(k)
+        p = n + 2
+        return (
+            dy.div_floor(dy.mul(lx, ly), dy.ONE, p),
+            dy.div_ceil(dy.mul(hx, hy), dy.ONE, p),
+        )
+
+    tag = None
+    if x.tag is not None and y.tag is not None:
+        tag = dy.mul(x.tag, y.tag)
+    return CutReal(fn, tag=tag)
+
+
+def generic_real_abs(x):
+    def fn(n):
+        lp, hp = x.pos.query(n + 1)
+        ln, hn = x.neg.query(n + 1)
+        lo = dy.dy_max(dy.ZERO, dy.dy_max(dy.sub(lp, hn), dy.sub(ln, hp)))
+        hi = dy.dy_max(dy.sub(hp, ln), dy.sub(hn, lp))
+        return lo, hi
+
+    tag = None
+    if x.pos.tag is not None and x.neg.tag is not None:
+        tag = dy.dy_abs(dy.sub(x.pos.tag, x.neg.tag))
+    return CutReal(fn, tag=tag)
+
+
+def generic_posdiff(a, b):
+    def fn(n):
+        la, ha = a.query(n + 1)
+        lb, hb = b.query(n + 1)
+        lo = dy.dy_max(dy.ZERO, dy.sub(la, hb))
+        hi = dy.dy_max(dy.ZERO, dy.sub(ha, lb))
+        return lo, hi
+
+    return CutReal(fn)
+
+
+GENERIC_NODES = {
+    "add": generic_add,
+    "mul": generic_mul,
+    "real_abs": generic_real_abs,
+    "_posdiff": generic_posdiff,
+}

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import json
+import random
 import re as regex
 import shlex
 import subprocess
@@ -181,6 +183,30 @@ class TestEvalCommand:
         code, _, err = run_cli(["eval", "1", "--prec", "-1"], capsys)
         assert code == 1 and "precision" in err
 
+    # int() reads all of these; --prec takes ASCII digits only.
+    @pytest.mark.parametrize(
+        "prec",
+        ["abc", "\u0663", "\u00b2", " 7 ", "+7", "1_0", "7" * (DIGIT_LIMIT + 700)],
+        ids=["letters", "arabic-indic", "superscript", "spaces", "plus", "underscore", "long"],
+    )
+    def test_precision_spelling_is_a_usage_error(self, prec, capsys):
+        argv = ["eval", "inv(3)", "--prec", prec]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --prec: invalid int value" in captured.err
+        proc = run_in_a_process(argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "argument --prec: invalid int value" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("prec", ["-1", "9999"])
+    def test_precision_out_of_range_in_a_process(self, prec):
+        proc = run_in_a_process(["eval", "1", "--prec", prec])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: precision must lie in 0..200, got {prec}\n"
+
     def test_json_lines_exact(self, capsys):
         code, out, _ = run_cli(
             ["eval", "1/2 + 1/2", "--format", "json-lines"], capsys
@@ -314,8 +340,8 @@ class TestDigitLimit:
         assert_no_traceback_in_a_process(["eval", f"2^{4 * DIGIT_LIMIT}"])
 
 
-def assert_no_traceback_in_a_process(argv):
-    proc = subprocess.run(
+def run_in_a_process(argv):
+    return subprocess.run(
         [
             sys.executable,
             "-c",
@@ -325,6 +351,10 @@ def assert_no_traceback_in_a_process(argv):
         text=True,
         timeout=60,
     )
+
+
+def assert_no_traceback_in_a_process(argv):
+    proc = run_in_a_process(argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -568,3 +598,58 @@ class TestStability:
         )
         assert proc.returncode == 0
         assert proc.stdout == "2\n"
+
+
+def random_expr(rng, depth, names=()):
+    """A random expression of the eval grammar, mixing exact dyadics with
+    non-dyadic reciprocals so both the exact and the interval paths run."""
+    if depth == 0 or rng.random() < 0.25:
+        atoms = ["0", "1", "3", "0.75", "2.5", "inv(3)", "inv(7)", "between(0, 1)"]
+        return rng.choice(atoms + list(names))
+    a = random_expr(rng, depth - 1, names)
+    pick = rng.randrange(9)
+    if pick < 4:
+        b = random_expr(rng, depth - 1, names)
+        return f"({a}) {'+-*/'[pick]} ({b})"
+    if pick == 4:
+        return f"({a})^{rng.randrange(4)}"
+    if pick == 5:
+        return f"-({a})"
+    if pick == 6:
+        return f"{rng.choice(['abs', 'inv'])}({a})"
+    if pick == 7:
+        rest = [random_expr(rng, depth - 1, names) for _ in range(rng.randrange(1, 3))]
+        return f"sup({', '.join([a] + rest)})"
+    name = f"v{len(names)}"
+    return f"let {name} = {a} in {random_expr(rng, depth - 1, names + (name,))}"
+
+
+def fold_corpus(seed=4, evals=1500, cmps=500):
+    rng = random.Random(seed)
+    corpus = []
+    for k in range(evals + cmps):
+        command = "eval" if k < evals else "cmp"
+        exprs = [random_expr(rng, 3) for _ in range(1 if k < evals else 2)]
+        # "--" keeps an expression that starts with "-" positional.
+        corpus.append([command, "--prec", str(rng.randrange(61)), "--", *exprs])
+    return corpus
+
+
+def quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestZeroFolding:
+    def test_stdout_matches_the_generic_nodes(self, monkeypatch):
+        corpus = fold_corpus()
+        folded = [quiet_main(argv) for argv in corpus]
+        for name, node in oracles.GENERIC_NODES.items():
+            monkeypatch.setattr(reals, name, node)
+        generic = [quiet_main(argv) for argv in corpus]
+        for argv, f, g in zip(corpus, folded, generic):
+            assert f == g, argv
+        # The corpus reaches the interval path, not just exact answers.
+        assert sum("@" in out for _, out, _ in folded) > len(corpus) // 4

@@ -460,3 +460,116 @@ class TestMemoization:
         c.query(3)
         c.query(7)
         assert sorted(calls) == [3, 7]
+
+
+def _raising_cut():
+    def fn(n):
+        raise AssertionError(f"queried at {n}")
+
+    return CutReal(fn)
+
+
+# Leaves of the folding DAGs: exact zeros, tagged values (few, so equal
+# tags are common) and untagged cuts, one of them an untagged zero.
+FOLD_LEAVES = (
+    lambda: ZERO_CUT,
+    lambda: from_dyadic(ZERO),
+    lambda: from_dyadic(HALF),
+    lambda: from_dyadic(ONE),
+    lambda: from_dyadic(make(3, 2)),
+    inv3,
+    lambda: inverse(from_dyadic(make(5, 0)), 0),
+    lambda: CutReal(from_dyadic(make(3, 2)).query),
+    lambda: CutReal(ZERO_CUT.query),
+)
+
+FOLDED = {
+    "add": add,
+    "mul": mul,
+    "posdiff": reals._posdiff,
+    "abs": lambda a, b: real_abs(Real(a, b)),
+}
+GENERIC = {
+    "add": oracles.generic_add,
+    "mul": oracles.generic_mul,
+    "posdiff": oracles.generic_posdiff,
+    "abs": lambda a, b: oracles.generic_real_abs(Real(a, b)),
+}
+
+fold_steps = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(FOLDED)),
+        st.integers(min_value=0, max_value=99),
+        st.integers(min_value=0, max_value=99),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def build_fold_dag(leaves, steps, nodes):
+    """Every node of a DAG over the leaf indices: each step applies one
+    node constructor to two earlier nodes picked by index."""
+    built = [FOLD_LEAVES[i]() for i in leaves]
+    for op, i, j in steps:
+        built.append(nodes[op](built[i % len(built)], built[j % len(built)]))
+    return built
+
+
+class TestZeroFolding:
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=len(FOLD_LEAVES) - 1),
+            min_size=1,
+            max_size=4,
+        ),
+        fold_steps,
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(leaves=[2, 2, 5], steps=[("abs", 0, 1), ("add", 3, 2)])
+    @example(leaves=[0, 5], steps=[("mul", 1, 0), ("posdiff", 2, 1)])
+    def test_folded_nodes_match_generic_nodes(self, leaves, steps):
+        folded = build_fold_dag(leaves, steps, FOLDED)
+        generic = build_fold_dag(leaves, steps, GENERIC)
+        for f, g in zip(folded, generic):
+            for n in range(41):
+                assert f.query(n) == g.query(n), n
+            if g.tag is not None:
+                assert f.tag == g.tag
+            elif f.tag is not None:
+                # A tag may only appear where the node is exactly that value.
+                fr = oracles.to_fraction(f.tag)
+                assert all(oracles.cut_brackets(g, fr, n) for n in range(41))
+
+    def test_zero_factor_is_never_queried(self):
+        x = _raising_cut()
+        assert mul(x, ZERO_CUT) is ZERO_CUT
+        assert mul(from_dyadic(ZERO), x) is ZERO_CUT
+        assert reals._posdiff(ZERO_CUT, x) is ZERO_CUT
+
+    def test_zero_embeds_as_zero_cut(self):
+        assert from_dyadic(ZERO) is ZERO_CUT
+        assert REAL_ZERO.pos is ZERO_CUT and REAL_ZERO.neg is ZERO_CUT
+
+    def test_one_sided_pairs_build_no_zero_side(self):
+        x, y = real_from_cut(inv3()), real_from_dyadic(HALF)
+        assert real_add(x, y).neg is ZERO_CUT
+        assert real_mul(x, y).neg is ZERO_CUT
+        assert real_mul(x, real_neg(y)).pos is ZERO_CUT
+        assert canonicalize(x).neg is ZERO_CUT
+        assert mul(inv3(), ZERO_CUT).tag == ZERO
+
+    def test_shift_carries_the_tag(self):
+        half = from_dyadic(HALF)
+        for c in (add(half, ZERO_CUT), add(ZERO_CUT, half),
+                  reals._posdiff(half, ZERO_CUT), real_abs(Real(ZERO_CUT, half))):
+            assert c.tag == HALF
+            assert c.query(5) == half.query(6)
+
+    def test_equal_tags_do_not_fold(self):
+        # |1/2 - 1/2| is tagged 0, but its upper endpoints are positive, so
+        # it is not an exact zero and a sum keeps querying it.
+        z = real_abs(Real(from_dyadic(HALF), from_dyadic(HALF)))
+        assert z.tag == ZERO and z.hi(3).sign > 0
+        y = inv3()
+        assert add(z, y).query(10) == oracles.generic_add(z, y).query(10)

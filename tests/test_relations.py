@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from settower import relations as rel
+from settower.countability import zorn_max_finite
 from settower.errors import (
     BadExponent,
     CarrierMismatch,
+    EmptyCarrier,
     EmptyFamily,
     NonTotalMap,
     NotEquivalence,
@@ -750,3 +752,40 @@ b b
         with pytest.raises(UnknownAtom) as err:
             rel.parse_relation("carrier: a b\n\na z\n")
         assert "line 3" in str(err.value)
+
+
+# Each guard against the classify flag it stands for.
+GUARDS = [
+    (rel.equivalence_partition, "equivalence", NotEquivalence),
+    (rel.antisymmetrize, "pre_ordering", NotPreordering),
+    (rel.lub_property_check, "pre_ordering", NotPreordering),
+    (lambda r: rel.check_independence([r]), "pre_ordering", NotPreordering),
+    (rel.order_variants, "ordering", NotOrdering),
+    (rel.order_type_finite, "well_ordering", NotWellOrdering),
+    (zorn_max_finite, "ordering", NotOrdering),
+]
+
+
+class TestGuards:
+    @given(relations_upto6)
+    @settings(max_examples=400, deadline=None)
+    def test_each_guard_raises_exactly_when_its_flag_fails(self, r):
+        report = rel.classify(r)
+        for guard, flag, error in GUARDS:
+            if guard is zorn_max_finite and not r.carrier.atoms:
+                with pytest.raises(EmptyCarrier):
+                    guard(r)
+            elif getattr(report, flag):
+                guard(r)
+            else:
+                with pytest.raises(error):
+                    guard(r)
+
+    def test_guards_do_not_run_classify(self, monkeypatch):
+        def refuse(r):
+            raise AssertionError("classify called")
+
+        monkeypatch.setattr(rel, "classify", refuse)
+        chain = Relation.on(ABCD, chain_pairs("abcd", weak=True))
+        for guard, flag, _ in GUARDS:
+            guard(rel.diagonal(ABCD) if flag == "equivalence" else chain)
