@@ -17,13 +17,12 @@ from .errors import (
     EmptyBlock,
     EmptyCarrier,
     NonTotalMap,
-    NotANatural,
     NotOrdering,
 )
-from .naturals import pair, unpair
+from .naturals import _nat, pair, unpair
 # classify is not called here; it stays bound for callers that import it
 # from this module.
-from .relations import Carrier, Relation, _is_ordering, classify  # noqa: F401
+from .relations import Carrier, Relation, _bits, _is_ordering, classify  # noqa: F401
 
 
 class Enumeration:
@@ -40,9 +39,7 @@ class Enumeration:
         self._back = back
 
     def forward(self, n: int):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise NotANatural(f"index must be a natural number, got {n!r}")
-        return self._forward(n)
+        return self._forward(_nat(n, "index"))
 
     def back(self, item) -> int:
         return self._back(item)
@@ -209,25 +206,17 @@ def zorn_max_finite(r: Relation):
         raise EmptyCarrier("no atoms to maximize over")
     if not _is_ordering(r):
         raise NotOrdering("weak-maximum search needs an ordering")
-    p = r.pairs
-
-    def comparable(a, b):
-        return a == b or (a, b) in p or (b, a) in p
-
-    chain = []
-    while True:
-        extension = next(
-            (
-                z
-                for z in carrier
-                if z not in chain and all(comparable(z, c) for c in chain)
-            ),
-            None,
-        )
-        if extension is None:
-            break
-        chain.append(extension)
-    top = next(
-        x for x in chain if all(y == x or (y, x) in p for y in chain)
-    )
-    return top
+    rows, cols = r._rows, r._cols
+    # comparable[z]: the atoms comparable with z, z itself included.
+    comparable = [row | cols[z] | 1 << z for z, row in enumerate(rows)]
+    # The chain in the order it grew, and the atoms comparable with every
+    # link of it (the links among them); the next link is the first other.
+    chain, in_chain = [], 0
+    reach = (1 << len(rows)) - 1
+    while reach != in_chain:
+        z = next(_bits(reach & ~in_chain))
+        chain.append(z)
+        in_chain |= 1 << z
+        reach &= comparable[z]
+    top = next(x for x in chain if in_chain & ~(cols[x] | 1 << x) == 0)
+    return carrier.atoms[top]

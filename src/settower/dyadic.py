@@ -10,7 +10,7 @@ directed divisions div_floor and div_ceil, which round to a stated grid.
 from __future__ import annotations
 
 from .errors import BadOrder, ExprSyntaxError, NonPositiveDivisor, NotANatural
-from .naturals import _is_decimal
+from .naturals import _is_decimal, _nat
 
 _SIGNS = (-1, 0, 1)
 
@@ -83,12 +83,6 @@ class Dyadic:
 
     def __repr__(self):
         return f"Dyadic({self})"
-
-
-def _nat(n, name):
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise NotANatural(f"{name} must be a natural number, got {n!r}")
-    return n
 
 
 def make(man: int, exp: int, sign: int = 1) -> Dyadic:

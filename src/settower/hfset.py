@@ -24,6 +24,7 @@ from .errors import (
     NotAPair,
     SizeLimit,
 )
+from .naturals import _nat
 
 # Bounds keeping tower-growth inputs out of the library. All overridable by
 # tests that know what they are doing, none raised silently.
@@ -199,8 +200,7 @@ def successor(x: HFSet) -> HFSet:
 
 
 def nat_to_hf(n: int) -> HFSet:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise NotANatural(f"expected a natural number, got {n!r}")
+    _nat(n)
     if n > NAT_BOUND:
         raise SizeLimit(f"von Neumann encoding of {n} exceeds depth bound {NAT_BOUND}")
     acc = EMPTY

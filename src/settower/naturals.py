@@ -26,33 +26,35 @@ from .errors import NotANatural, SizeLimit, Underflow
 T = TypeVar("T")
 
 
-def _check(n, name="value"):
+def _nat(n, name="value"):
+    """n itself when it is a natural number (an int, not a bool, >= 0);
+    NotANatural otherwise.  The one such check of every layer."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise NotANatural(f"{name} must be a non-negative integer, got {n!r}")
+        raise NotANatural(f"{name} must be a natural number, got {n!r}")
     return n
 
 
 def successor(n: int) -> int:
     """sigma(n) = n + 1."""
-    return _check(n) + 1
+    return _nat(n) + 1
 
 
 def add(m: int, n: int) -> int:
-    return _check(m) + _check(n)
+    return _nat(m) + _nat(n)
 
 
 def mul(m: int, n: int) -> int:
-    return _check(m) * _check(n)
+    return _nat(m) * _nat(n)
 
 
 def pow(m: int, n: int) -> int:  # noqa: A001 - mirrors the operation name
-    return _check(m, "base") ** _check(n, "exponent")
+    return _nat(m, "base") ** _nat(n, "exponent")
 
 
 def sub_partial(m: int, n: int) -> int:
     """The unique p with m + p = n, defined only when m <= n."""
-    _check(m)
-    _check(n)
+    _nat(m)
+    _nat(n)
     if m > n:
         raise Underflow(f"sub_partial({m}, {n}): {m} > {n}")
     return n - m
@@ -60,14 +62,14 @@ def sub_partial(m: int, n: int) -> int:
 
 def triangular(m: int) -> int:
     """s(m), the m-th triangular number: 2*s(m) = m*(m+1) exactly."""
-    _check(m)
+    _nat(m)
     return m * (m + 1) // 2
 
 
 def pair(p: int, q: int) -> int:
     """The pairing bijection N^2 -> N, pair(p, q) = s(p + q) + q."""
-    _check(p)
-    _check(q)
+    _nat(p)
+    _nat(q)
     return triangular(p + q) + q
 
 
@@ -78,7 +80,7 @@ def unpair(r: int) -> tuple[int, int]:
     p = m - q.  The search is closed-form via an exact integer square root,
     with a guard loop in case the root lands one off.
     """
-    _check(r)
+    _nat(r)
     m = (math.isqrt(8 * r + 1) - 1) // 2
     while triangular(m + 1) <= r:
         m += 1
@@ -105,7 +107,7 @@ class _Recursion:
         self._lock = threading.Lock()
 
     def __call__(self, n: int) -> T:
-        _check(n, "index")
+        _nat(n, "index")
         if n < len(self._memo):
             return self._memo[n]
         with self._lock:

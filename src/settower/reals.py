@@ -41,13 +41,8 @@ import enum
 import threading
 
 from . import dyadic as dy
-from .errors import EmptyList, NegativeInput, NotANatural, NotBoundedAwayFromZero
-
-
-def _nat(n, name="precision"):
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise NotANatural(f"{name} must be a natural number, got {n!r}")
-    return n
+from .errors import EmptyList, NegativeInput, NotBoundedAwayFromZero
+from .naturals import _nat
 
 
 class CutReal:
@@ -72,7 +67,7 @@ class CutReal:
         return self._tag
 
     def query(self, n: int):
-        _nat(n)
+        _nat(n, "precision")
         with self._lock:
             got = self._memo.get(n)
             if got is None:

@@ -1,11 +1,14 @@
 """Finite relational spaces and their order-theoretic toolkit.
 
-A Relation is a set of atom pairs between two explicit carriers.  Carriers
-keep their input order so reports, partitions, and constructed orderings
-come out deterministic.  Property checks work on bit rows (bit j of row i
-is the pair (atom i, atom j)) and stay polynomial by two equivalences of
-finite order theory; the test suite re-derives every answer from the
-subset-quantified definitions by independent brute force.
+A Relation is a set of atom pairs between two explicit carriers, held as
+bit rows built once when it is made: bit j of row i is the pair (source
+atom i, target atom j), and the column masks hold the same bits by target.
+Carriers keep their input order so reports, partitions, and constructed
+orderings come out deterministic.  Every operation reads and builds rows
+and columns; the pair set is derived from them on first use of ``pairs``.
+Property checks stay polynomial by two equivalences of finite order
+theory; the test suite re-derives every answer from the subset-quantified
+definitions, and from pair-quantified bodies, by independent brute force.
 
 * A transitive relation on a finite carrier gives every nonempty subset a
   minimum exactly when it is connective: pairs need minima, and a minimum
@@ -24,6 +27,8 @@ left, as with function composition.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import and_
 
 from .errors import (
     BadExponent,
@@ -87,21 +92,32 @@ class Carrier:
 
 
 class Relation:
-    """Finite relation with explicit source and target carriers."""
+    """Finite relation with explicit source and target carriers, held as
+    bit rows and column masks (see the module docstring)."""
 
-    __slots__ = ("_source", "_target", "_pairs")
+    __slots__ = ("_source", "_target", "_rows", "_cols", "_pairs")
 
     def __init__(self, source: Carrier, target: Carrier, pairs):
+        s_index, t_index = source._index, target._index
+        rows = [0] * len(source)
+        cols = [0] * len(target)
+        for x, y in pairs:
+            i = s_index.get(x)
+            if i is None:
+                raise UnknownAtom(f"pair source {x!r} not in carrier")
+            j = t_index.get(y)
+            if j is None:
+                raise UnknownAtom(f"pair target {y!r} not in carrier")
+            rows[i] |= 1 << j
+            cols[j] |= 1 << i
+        self._init(source, target, rows, cols)
+
+    def _init(self, source, target, rows, cols):
         self._source = source
         self._target = target
-        clean = set()
-        for x, y in pairs:
-            if x not in source:
-                raise UnknownAtom(f"pair source {x!r} not in carrier")
-            if y not in target:
-                raise UnknownAtom(f"pair target {y!r} not in carrier")
-            clean.add((x, y))
-        self._pairs = frozenset(clean)
+        self._rows = tuple(rows)
+        self._cols = tuple(cols)
+        self._pairs = None
 
     @staticmethod
     def on(carrier: Carrier, pairs) -> "Relation":
@@ -118,6 +134,15 @@ class Relation:
 
     @property
     def pairs(self):
+        """The relation as a frozenset of atom pairs, built on first use (two
+        threads that race here build equal sets)."""
+        if self._pairs is None:
+            s_atoms, t_atoms = self._source.atoms, self._target.atoms
+            self._pairs = frozenset(
+                (s_atoms[i], t_atoms[j])
+                for i, row in enumerate(self._rows)
+                for j in _bits(row)
+            )
         return self._pairs
 
     @property
@@ -128,7 +153,13 @@ class Relation:
         return self._source
 
     def __contains__(self, pair):
-        return pair in self._pairs
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            # No member; the lookup still hashes pair, so an unhashable
+            # value raises TypeError as it would against a pair set.
+            return pair in frozenset()
+        i = self._source._index.get(pair[0])
+        j = self._target._index.get(pair[1])
+        return i is not None and j is not None and self._rows[i] >> j & 1 == 1
 
     def __eq__(self, other):
         if not isinstance(other, Relation):
@@ -136,15 +167,63 @@ class Relation:
         return (
             self._source == other._source
             and self._target == other._target
-            and self._pairs == other._pairs
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self._source, self._target, self._pairs))
+        return hash((self._source, self._target, self._rows))
 
     def __repr__(self):
-        shown = sorted(self._pairs)
+        shown = sorted(self.pairs)
         return f"Relation({list(self._source.atoms)!r}, {shown!r})"
+
+
+def _from_rows(source: Carrier, target: Carrier, rows, cols=None) -> Relation:
+    """The relation with these bit rows; its columns are derived from the
+    rows unless given."""
+    if cols is None:
+        cols = [0] * len(target)
+        for i, row in enumerate(rows):
+            for j in _bits(row):
+                cols[j] |= 1 << i
+    r = Relation.__new__(Relation)
+    r._init(source, target, rows, cols)
+    return r
+
+
+def _atoms_of(carrier: Carrier, mask) -> frozenset:
+    """The atoms at the set bits of mask."""
+    atoms = carrier.atoms
+    return frozenset(atoms[j] for j in _bits(mask))
+
+
+def _mask(carrier: Carrier, atoms):
+    """The carrier indices of atoms as a mask, each atom checked in turn."""
+    mask = 0
+    for a in atoms:
+        mask |= 1 << carrier.index(a)
+    return mask
+
+
+def _union(masks, members):
+    """The OR of masks[i] over the set bits i of members."""
+    acc = 0
+    for i in _bits(members):
+        acc |= masks[i]
+    return acc
+
+
+def _gather(mask, positions):
+    """Bit k is bit positions[k] of mask."""
+    return sum(1 << k for k, j in enumerate(positions) if mask >> j & 1)
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def diagonal(carrier: Carrier) -> Relation:
@@ -201,33 +280,24 @@ def compose(v: Relation, u: Relation) -> Relation:
     """The product VU: u runs first, v second."""
     if u.target != v.source:
         raise CarrierMismatch("compose needs U.target = V.source")
-    by_mid = {}
-    for x, y in u.pairs:
-        by_mid.setdefault(y, []).append(x)
-    out = set()
-    for y, z in v.pairs:
-        for x in by_mid.get(y, ()):
-            out.add((x, z))
-    return Relation(u.source, v.target, out)
+    rows = [_union(v._rows, row) for row in u._rows]
+    return _from_rows(u.source, v.target, rows)
 
 
 def inverse(r: Relation) -> Relation:
-    return Relation(r.target, r.source, ((y, x) for x, y in r.pairs))
+    return _from_rows(r.target, r.source, r._cols, r._rows)
 
 
 def restrict(r: Relation, atoms) -> Relation:
     carrier = _require_endo(r)
-    keep = set()
-    for a in atoms:
-        carrier.index(a)
-        keep.add(a)
-    sub = Carrier(a for a in carrier if a in keep)
-    return Relation.on(sub, ((x, y) for x, y in r.pairs if x in keep and y in keep))
+    kept = list(_bits(_mask(carrier, atoms)))
+    sub = Carrier(carrier.atoms[i] for i in kept)
+    return _from_rows(sub, sub, [_gather(r._rows[i], kept) for i in kept])
 
 
 def power(r: Relation, m: int) -> Relation:
     _require_endo(r)
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise BadExponent(f"relation power needs m >= 1, got {m!r}")
     acc = r
     for _ in range(m - 1):
@@ -237,59 +307,27 @@ def power(r: Relation, m: int) -> Relation:
 
 def image(r: Relation, atoms) -> frozenset:
     """R[A]: everything reachable from A in one step."""
-    wanted = set()
-    for a in atoms:
-        r.source.index(a)
-        wanted.add(a)
-    return frozenset(y for x, y in r.pairs if x in wanted)
+    return _atoms_of(r.target, _union(r._rows, _mask(r.source, atoms)))
 
 
 def point_image(r: Relation, atom) -> frozenset:
     """R{x}."""
-    r.source.index(atom)
-    return frozenset(y for x, y in r.pairs if x == atom)
+    return _atoms_of(r.target, r._rows[r.source.index(atom)])
 
 
 def co_image(r: Relation, atoms) -> frozenset:
     """R<A>: targets reached from every member of A; the whole target
     carrier when A is empty."""
-    wanted = []
-    for a in atoms:
-        r.source.index(a)
-        wanted.append(a)
-    if not wanted:
-        return frozenset(r.target)
-    acc = point_image(r, wanted[0])
-    for a in wanted[1:]:
-        acc &= point_image(r, a)
-    return acc
+    acc = (1 << len(r.target)) - 1
+    for i in _bits(_mask(r.source, atoms)):
+        acc &= r._rows[i]
+    return _atoms_of(r.target, acc)
 
 
 def _rows(r: Relation):
     """Bit rows of an endorelation: bit j of rows[i] is the pair (atom i, atom j)."""
-    carrier = _require_endo(r)
-    index = carrier._index
-    rows = [0] * len(carrier)
-    for x, y in r.pairs:
-        rows[index[x]] |= 1 << index[y]
-    return rows
-
-
-def _columns(rows):
-    """Column masks of bit rows: bit i of cols[j] is bit j of rows[i]."""
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in _bits(row):
-            cols[j] |= 1 << i
-    return cols
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    _require_endo(r)
+    return r._rows
 
 
 # The base properties that guards need, one helper each over bit rows (and
@@ -315,12 +353,12 @@ def _connective(rows, cols) -> bool:
 
 def _is_ordering(r: Relation) -> bool:
     rows = _rows(r)
-    return _transitive(rows) and _antisymmetric(rows, _columns(rows))
+    return _transitive(rows) and _antisymmetric(rows, r._cols)
 
 
 def classify(r: Relation) -> PropertyReport:
     rows = _rows(r)
-    cols = _columns(rows)
+    cols = r._cols
     n = len(rows)
 
     reflexive = _reflexive(rows)
@@ -356,40 +394,38 @@ def classify(r: Relation) -> PropertyReport:
 def equivalence_partition(r: Relation):
     """Blocks of the partition induced by an equivalence relation, each a
     tuple in carrier order, listed by first representative."""
-    carrier = _require_endo(r)
     rows = _rows(r)
-    if not (_reflexive(rows) and _transitive(rows) and rows == _columns(rows)):
+    if not (_reflexive(rows) and _transitive(rows) and rows == r._cols):
         raise NotEquivalence("relation is not an equivalence")
-    seen = set()
-    blocks = []
-    for a in carrier:
-        if a in seen:
-            continue
-        block = tuple(b for b in carrier if (a, b) in r.pairs)
-        seen.update(block)
-        blocks.append(block)
-    return blocks
+    return _partition(r.source.atoms, rows)[0]
+
+
+def _partition(atoms, classes):
+    """The blocks of a partition whose block around atom i is the mask
+    classes[i], each a tuple in carrier order, listed by first member; and
+    the index of each block's first member."""
+    blocks, firsts, seen = [], [], 0
+    for i, block in enumerate(classes):
+        if not seen >> i & 1:
+            seen |= block
+            firsts.append(i)
+            blocks.append(tuple(atoms[j] for j in _bits(block)))
+    return blocks, firsts
 
 
 def preorder_closure(r: Relation) -> Relation:
     """Smallest transitive relation containing r (union of all powers)."""
     carrier = _require_endo(r)
-    rows = _rows(r)
+    rows = list(r._rows)
     changed = True
     while changed:
         changed = False
-        for i in range(len(rows)):
-            acc = rows[i]
-            for j in _bits(acc):
-                acc |= rows[j]
-            if acc != rows[i]:
+        for i, row in enumerate(rows):
+            acc = row | _union(rows, row)
+            if acc != row:
                 rows[i] = acc
                 changed = True
-    atoms = carrier.atoms
-    return Relation.on(
-        carrier,
-        ((atoms[i], atoms[j]) for i, row in enumerate(rows) for j in _bits(row)),
-    )
+    return _from_rows(carrier, carrier, rows)
 
 
 def antisymmetrize(r: Relation):
@@ -400,72 +436,45 @@ def antisymmetrize(r: Relation):
     relation on class representatives; s is always an ordering, and it is
     reflexive whenever r is.
     """
-    carrier = _require_endo(r)
-    if not _transitive(_rows(r)):
+    rows = _rows(r)
+    if not _transitive(rows):
         raise NotPreordering("antisymmetrize needs a transitive relation")
-    p = r.pairs
-    blocks = []
-    rep_of = {}
-    for a in carrier:
-        if a in rep_of:
-            continue
-        block = tuple(
-            b for b in carrier
-            if b == a or ((a, b) in p and (b, a) in p)
-        )
-        for b in block:
-            rep_of[b] = a
-        blocks.append(block)
-    reps = Carrier(block[0] for block in blocks)
-    s_pairs = {(rep_of[x], rep_of[y]) for x, y in p}
-    return blocks, Relation.on(reps, s_pairs)
-
-
-def _minima_of(pairs, members) -> frozenset:
-    return frozenset(
-        x for x in members
-        if all(y == x or (x, y) in pairs for y in members)
+    atoms = r.source.atoms
+    blocks, firsts = _partition(
+        atoms, [row & r._cols[i] | 1 << i for i, row in enumerate(rows)]
     )
+    # By transitivity each row is a union of blocks, and the members of a
+    # block share one row; so s reads the rows of the first members there.
+    reps = Carrier(atoms[i] for i in firsts)
+    return blocks, _from_rows(reps, reps, [_gather(rows[i], firsts) for i in firsts])
 
 
-def _maxima_of(pairs, members) -> frozenset:
-    return frozenset(
-        x for x in members
-        if all(y == x or (y, x) in pairs for y in members)
+def _covering(candidates, members, masks):
+    """The candidates x whose mask, with x itself added, covers members."""
+    return sum(
+        1 << x for x in _bits(candidates) if members & ~(masks[x] | 1 << x) == 0
     )
 
 
 def extremal(r: Relation, atoms) -> Extremal:
-    carrier = _require_endo(r)
-    a_set = list(dict.fromkeys(atoms))
-    for a in a_set:
-        carrier.index(a)
-    p = r.pairs
+    rows = _rows(r)
+    cols = r._cols
+    carrier = r.source
+    a = _mask(carrier, dict.fromkeys(atoms))
 
-    upper = frozenset(
-        x for x in carrier
-        if all(y == x or (y, x) in p for y in a_set)
-    )
-    lower = frozenset(
-        x for x in carrier
-        if all(y == x or (x, y) in p for y in a_set)
-    )
-    return Extremal(
-        minima=_minima_of(p, a_set),
-        maxima=_maxima_of(p, a_set),
-        weak_minima=frozenset(
-            x for x in a_set
-            if all((x, y) in p for y in a_set if (y, x) in p)
-        ),
-        weak_maxima=frozenset(
-            x for x in a_set
-            if all((y, x) in p for y in a_set if (x, y) in p)
-        ),
-        upper_bounds=upper,
-        lower_bounds=lower,
-        suprema=_minima_of(p, upper),
-        infima=_maxima_of(p, lower),
-    )
+    upper = _covering((1 << len(rows)) - 1, a, cols)
+    lower = _covering((1 << len(rows)) - 1, a, rows)
+    masks = {
+        "minima": _covering(a, a, rows),
+        "maxima": _covering(a, a, cols),
+        "weak_minima": sum(1 << x for x in _bits(a) if a & cols[x] & ~rows[x] == 0),
+        "weak_maxima": sum(1 << x for x in _bits(a) if a & rows[x] & ~cols[x] == 0),
+        "upper_bounds": upper,
+        "lower_bounds": lower,
+        "suprema": _covering(upper, upper, rows),
+        "infima": _covering(lower, lower, cols),
+    }
+    return Extremal(**{k: _atoms_of(carrier, m) for k, m in masks.items()})
 
 
 def _pairs_have_joins(rows) -> bool:
@@ -497,7 +506,7 @@ def lub_property_check(r: Relation) -> bool:
     if not _transitive(rows):
         raise NotPreordering("least-upper-bound check needs a transitive relation")
     lub = _pairs_have_joins(rows)
-    glb = _pairs_have_joins(_columns(rows))
+    glb = _pairs_have_joins(r._cols)
     assert lub == glb, "least-upper-bound and greatest-lower-bound disagree"
     return lub
 
@@ -508,10 +517,17 @@ def order_variants(r: Relation):
     carrier = _require_endo(r)
     if not _is_ordering(r):
         raise NotOrdering("order_variants needs an ordering")
-    delta = {(a, a) for a in carrier}
-    lt = Relation.on(carrier, r.pairs - delta)
-    le = Relation.on(carrier, set(r.pairs) | delta)
-    return lt, le
+
+    def strict(masks):
+        return [m & ~(1 << i) for i, m in enumerate(masks)]
+
+    def weak(masks):
+        return [m | 1 << i for i, m in enumerate(masks)]
+
+    return (
+        _from_rows(carrier, carrier, strict(r._rows), strict(r._cols)),
+        _from_rows(carrier, carrier, weak(r._rows), weak(r._cols)),
+    )
 
 
 def pullback(r: Relation, domain: Carrier, mapping) -> Relation:
@@ -523,10 +539,9 @@ def pullback(r: Relation, domain: Carrier, mapping) -> Relation:
             raise NonTotalMap(f"map undefined on {x!r}")
         if f[x] not in r.source:
             raise NonTotalMap(f"map sends {x!r} outside the relation's carrier")
-    return Relation.on(
-        domain,
-        ((x, z) for x in domain for z in domain if (f[x], f[z]) in r.pairs),
-    )
+    image_of = [r.source.index(f[x]) for x in domain]
+    rows = [_gather(r._rows[k], image_of) for k in image_of]
+    return _from_rows(domain, domain, rows)
 
 
 def check_independence(system) -> IndependenceReport:
@@ -545,47 +560,41 @@ def check_independence(system) -> IndependenceReport:
         if _require_endo(rel) != carrier:
             raise CarrierMismatch("system members live on different carriers")
     for rel in system:
-        if not _transitive(_rows(rel)):
+        if not _transitive(rel._rows):
             raise NotPreordering("system members must be transitive")
 
-    s_pairs = frozenset.intersection(*(rel.pairs for rel in system))
-    atoms = carrier.atoms
+    # S-rows and S-columns: the AND of the family's masks.
+    s_rows = [reduce(and_, masks) for masks in zip(*(rel._rows for rel in system))]
+    s_cols = [reduce(and_, masks) for masks in zip(*(rel._cols for rel in system))]
 
+    # Upwards: each pair (x, s) of a member factors as (x, y) in S and
+    # (y, s) in the member; downwards dually, (s, y) in the member and
+    # (y, x) in S.
     upwards = all(
-        any((x, y) in s_pairs and (y, s) in rel.pairs for y in atoms)
+        s_rows[x] & rel._cols[s]
         for rel in system
-        for x, s in rel.pairs
+        for x, row in enumerate(rel._rows)
+        for s in _bits(row)
     )
     downwards = all(
-        any((y, x) in s_pairs and (s, y) in rel.pairs for y in atoms)
+        s_cols[x] & rel._rows[s]
         for rel in system
-        for s, x in rel.pairs
+        for s, row in enumerate(rel._rows)
+        for x in _bits(row)
     )
 
     if upwards:
         for rel in system:
-            for s in atoms:
-                segment = {z for z in atoms if (z, s) in rel.pairs}
-                union = {
-                    z
-                    for x in atoms
-                    if (x, s) in rel.pairs
-                    for z in atoms
-                    if (z, x) in s_pairs
-                }
-                assert segment == union, "upwards segment identity failed"
+            for col in rel._cols:
+                assert col == _union(s_cols, col), (
+                    "upwards segment identity failed"
+                )
     if downwards:
         for rel in system:
-            for s in atoms:
-                segment = {z for z in atoms if (s, z) in rel.pairs}
-                union = {
-                    z
-                    for x in atoms
-                    if (s, x) in rel.pairs
-                    for z in atoms
-                    if (x, z) in s_pairs
-                }
-                assert segment == union, "downwards segment identity failed"
+            for row in rel._rows:
+                assert row == _union(s_rows, row), (
+                    "downwards segment identity failed"
+                )
     return IndependenceReport(upwards=upwards, downwards=downwards)
 
 
@@ -594,7 +603,7 @@ def order_type_finite(r: Relation):
     rank is the number of its strict predecessors."""
     carrier = _require_endo(r)
     rows = _rows(r)
-    cols = _columns(rows)
+    cols = r._cols
     # Well-ordering: a connective ordering (see classify).
     if not (
         _transitive(rows)

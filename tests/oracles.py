@@ -9,8 +9,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from settower import dyadic as dy
+from settower.errors import (
+    CarrierMismatch,
+    EmptyCarrier,
+    EmptyFamily,
+    NonTotalMap,
+    NotEquivalence,
+    NotOrdering,
+    NotPreordering,
+)
 from settower.hfset import HFSet
 from settower.reals import CutReal
+from settower.relations import Carrier, IndependenceReport, Relation
 
 # ---------------------------------------------------------------- relations
 
@@ -210,6 +220,159 @@ def all_pairsets(atoms):
         yield frozenset(
             grid[i] for i in range(len(grid)) if mask >> i & 1
         )
+
+
+# The pair-quantified bodies that relations.antisymmetrize,
+# equivalence_partition, pullback, check_independence and
+# countability.zorn_max_finite had before they moved onto bit rows; the
+# guards re-derive their flags from props_oracle.  Each takes and returns
+# what the library function does, errors included.
+
+
+def _endo_carrier(r):
+    if r.source != r.target:
+        raise CarrierMismatch("operation requires source = target")
+    return r.source
+
+
+def _flags(r):
+    return props_oracle(r.source, r.pairs)
+
+
+def equivalence_partition_oracle(r):
+    carrier = _endo_carrier(r)
+    flags = _flags(r)
+    if not (flags["reflexive"] and flags["symmetric"] and flags["transitive"]):
+        raise NotEquivalence("relation is not an equivalence")
+    seen = set()
+    blocks = []
+    for a in carrier:
+        if a in seen:
+            continue
+        block = tuple(b for b in carrier if (a, b) in r.pairs)
+        seen.update(block)
+        blocks.append(block)
+    return blocks
+
+
+def antisymmetrize_oracle(r):
+    carrier = _endo_carrier(r)
+    if not _flags(r)["transitive"]:
+        raise NotPreordering("antisymmetrize needs a transitive relation")
+    p = r.pairs
+    blocks = []
+    rep_of = {}
+    for a in carrier:
+        if a in rep_of:
+            continue
+        block = tuple(
+            b for b in carrier
+            if b == a or ((a, b) in p and (b, a) in p)
+        )
+        for b in block:
+            rep_of[b] = a
+        blocks.append(block)
+    reps = Carrier(block[0] for block in blocks)
+    s_pairs = {(rep_of[x], rep_of[y]) for x, y in p}
+    return blocks, Relation.on(reps, s_pairs)
+
+
+def pullback_oracle(r, domain, mapping):
+    _endo_carrier(r)
+    f = dict(mapping)
+    for x in domain:
+        if x not in f:
+            raise NonTotalMap(f"map undefined on {x!r}")
+        if f[x] not in r.source:
+            raise NonTotalMap(f"map sends {x!r} outside the relation's carrier")
+    return Relation.on(
+        domain,
+        ((x, z) for x in domain for z in domain if (f[x], f[z]) in r.pairs),
+    )
+
+
+def check_independence_oracle(system):
+    system = list(system)
+    if not system:
+        raise EmptyFamily("independence check needs at least one relation")
+    carrier = _endo_carrier(system[0])
+    for rel in system[1:]:
+        if _endo_carrier(rel) != carrier:
+            raise CarrierMismatch("system members live on different carriers")
+    for rel in system:
+        if not _flags(rel)["transitive"]:
+            raise NotPreordering("system members must be transitive")
+
+    s_pairs = frozenset.intersection(*(rel.pairs for rel in system))
+    atoms = carrier.atoms
+
+    upwards = all(
+        any((x, y) in s_pairs and (y, s) in rel.pairs for y in atoms)
+        for rel in system
+        for x, s in rel.pairs
+    )
+    downwards = all(
+        any((y, x) in s_pairs and (s, y) in rel.pairs for y in atoms)
+        for rel in system
+        for s, x in rel.pairs
+    )
+
+    if upwards:
+        for rel in system:
+            for s in atoms:
+                segment = {z for z in atoms if (z, s) in rel.pairs}
+                union = {
+                    z
+                    for x in atoms
+                    if (x, s) in rel.pairs
+                    for z in atoms
+                    if (z, x) in s_pairs
+                }
+                assert segment == union, "upwards segment identity failed"
+    if downwards:
+        for rel in system:
+            for s in atoms:
+                segment = {z for z in atoms if (s, z) in rel.pairs}
+                union = {
+                    z
+                    for x in atoms
+                    if (s, x) in rel.pairs
+                    for z in atoms
+                    if (x, z) in s_pairs
+                }
+                assert segment == union, "downwards segment identity failed"
+    return IndependenceReport(upwards=upwards, downwards=downwards)
+
+
+def zorn_max_oracle(r):
+    carrier = r.carrier
+    if len(carrier) == 0:
+        raise EmptyCarrier("no atoms to maximize over")
+    flags = _flags(r)
+    if not (flags["transitive"] and flags["antisymmetric"]):
+        raise NotOrdering("weak-maximum search needs an ordering")
+    p = r.pairs
+
+    def comparable(a, b):
+        return a == b or (a, b) in p or (b, a) in p
+
+    chain = []
+    while True:
+        extension = next(
+            (
+                z
+                for z in carrier
+                if z not in chain and all(comparable(z, c) for c in chain)
+            ),
+            None,
+        )
+        if extension is None:
+            break
+        chain.append(extension)
+    top = next(
+        x for x in chain if all(y == x or (y, x) in p for y in chain)
+    )
+    return top
 
 
 # ------------------------------------------------------------------ dyadics

@@ -1,10 +1,15 @@
+import re
 import sys
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from settower import countability as cnt
+from settower import dyadic as dy
+from settower import hfset as hf
 from settower import naturals as nat
+from settower import reals
 from settower.errors import NotANatural, SizeLimit, Underflow
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -198,3 +203,35 @@ class TestParse:
                 nat.parse_nat("9" * 641)
         finally:
             sys.set_int_max_str_digits(DIGIT_LIMIT)
+
+
+class TestOneValidator:
+    """Every layer's entry points that take a natural share one check."""
+
+    ENTRY_POINTS = {
+        "naturals.add": lambda n: nat.add(n, 1),
+        "dyadic.make": lambda n: dy.make(n, 0),
+        "dyadic.dy_pow": lambda n: dy.dy_pow(dy.HALF, n),
+        "dyadic.div_floor precision": lambda n: dy.div_floor(dy.ONE, dy.ONE, n),
+        "reals.CutReal.query": lambda n: reals.from_dyadic(dy.HALF).query(n),
+        "reals.inverse n0": lambda n: reals.inverse(reals.ONE_CUT, n),
+        "reals.pow_nat": lambda n: reals.pow_nat(reals.ONE_CUT, n),
+        "countability.Enumeration.forward": lambda n: cnt.enum_dyadics().forward(n),
+        "hfset.nat_to_hf": lambda n: hf.nat_to_hf(n),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [True, -1, 1.5, "3"], ids=repr)
+    def test_rejects_non_naturals(self, entry, bad):
+        message = rf"must be a natural number, got {re.escape(repr(bad))}$"
+        with pytest.raises(NotANatural, match=message):
+            self.ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_accepts_naturals(self, entry):
+        for n in (0, 3):
+            self.ENTRY_POINTS[entry](n)
+
+    def test_layers_bind_the_naturals_check(self):
+        for module in (dy, reals, cnt, hf):
+            assert module._nat is nat._nat

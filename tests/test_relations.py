@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -789,3 +790,169 @@ class TestGuards:
         chain = Relation.on(ABCD, chain_pairs("abcd", weak=True))
         for guard, flag, _ in GUARDS:
             guard(rel.diagonal(ABCD) if flag == "equivalence" else chain)
+
+
+def outcome(fn, *args):
+    """What a call does: its value, or its error's type and message."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return ("raised", type(exc), str(exc))
+
+
+@st.composite
+def posets_upto6(draw):
+    """Closures of DAGs whose edges go up the atom list, with some loops."""
+    atoms = "abcdef"[: draw(st.integers(0, 6))]
+    edges = [
+        (x, y) for i, x in enumerate(atoms) for y in atoms[i + 1:]
+        if draw(st.booleans())
+    ]
+    loops = draw(st.sets(st.sampled_from(atoms))) if atoms else set()
+    pairs = set(oracles.closure_oracle(atoms, edges)) | {(a, a) for a in loops}
+    return Relation.on(Carrier(atoms), pairs)
+
+
+@st.composite
+def equivalences_upto6(draw):
+    atoms = "abcdef"[: draw(st.integers(0, 6))]
+    label = {a: draw(st.integers(0, 2)) for a in atoms}
+    return Relation.on(
+        Carrier(atoms),
+        [(x, y) for x in atoms for y in atoms if label[x] == label[y]],
+    )
+
+
+@st.composite
+def pullback_args(draw):
+    """A relation, a domain of other atoms (or its own carrier), and a map
+    that may miss a domain atom or leave the relation's carrier."""
+    r = draw(st.one_of(relations_upto6, posets_upto6()))
+    domain = draw(st.one_of(
+        st.integers(0, 6).map(lambda k: Carrier("uvwxyz"[:k])),
+        st.just(r.source),
+    ))
+    targets = list(r.source.atoms) * 4 + ["zz", None]
+    mapping = {}
+    for x in domain:
+        y = draw(st.sampled_from(targets))
+        if y is not None:
+            mapping[x] = y
+    return r, domain, mapping
+
+
+@st.composite
+def transitive_families(draw):
+    """One to three transitive relations on one carrier of up to six atoms."""
+    atoms = "abcdef"[: draw(st.integers(0, 6))]
+    carrier = Carrier(atoms)
+    family = []
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = draw(st.frozensets(st.tuples(*[st.sampled_from(atoms)] * 2))) \
+            if atoms else frozenset()
+        closed = set(oracles.closure_oracle(atoms, pairs))
+        if draw(st.booleans()):
+            closed |= {(a, a) for a in atoms}
+        family.append(Relation.on(carrier, closed))
+    return family
+
+
+class TestRowsAgreeWithPairBodies:
+    """The bit-row functions against their former pair-quantified bodies:
+    equal values, block and tuple order included, and equal errors."""
+
+    @given(st.one_of(relations_upto6, posets_upto6(), equivalences_upto6()))
+    @settings(max_examples=300, deadline=None)
+    def test_equivalence_partition(self, r):
+        assert outcome(rel.equivalence_partition, r) == outcome(
+            oracles.equivalence_partition_oracle, r
+        )
+
+    @given(st.one_of(relations_upto6, posets_upto6()))
+    @settings(max_examples=300, deadline=None)
+    def test_antisymmetrize(self, r):
+        got = outcome(rel.antisymmetrize, r)
+        want = outcome(oracles.antisymmetrize_oracle, r)
+        assert got == want
+        if got[0] == "value":
+            assert got[1][1].carrier.atoms == want[1][1].carrier.atoms
+
+    @given(pullback_args())
+    @settings(max_examples=300, deadline=None)
+    def test_pullback(self, args):
+        got = outcome(rel.pullback, *args)
+        assert got == outcome(oracles.pullback_oracle, *args)
+        if got[0] == "value":
+            assert got[1].source is args[1]
+
+    @given(transitive_families())
+    @settings(max_examples=300, deadline=None)
+    def test_check_independence(self, family):
+        assert outcome(rel.check_independence, family) == outcome(
+            oracles.check_independence_oracle, family
+        )
+
+    @given(st.one_of(relations_upto6, posets_upto6()))
+    @settings(max_examples=300, deadline=None)
+    def test_zorn_max_finite(self, r):
+        assert outcome(zorn_max_finite, r) == outcome(oracles.zorn_max_oracle, r)
+
+
+@st.composite
+def hetero_pair_lists(draw):
+    """Distinct source and target carriers and a pair list with repeats."""
+    source = Carrier("abcde"[: draw(st.integers(0, 5))])
+    target = Carrier("cdxyz"[: draw(st.integers(0, 5))])
+    if not (source.atoms and target.atoms):
+        return source, target, []
+    pair = st.tuples(st.sampled_from(source.atoms), st.sampled_from(target.atoms))
+    return source, target, draw(st.lists(pair, max_size=12))
+
+
+class TestRelationAgainstPairSetModel:
+    """Relation's public surface answers as a frozenset of pairs does."""
+
+    @given(hetero_pair_lists(), st.randoms(use_true_random=False))
+    def test_pairs_equality_hash_and_repr(self, args, rng):
+        source, target, pairs = args
+        model = frozenset(pairs)
+        r = Relation(source, target, pairs)
+        assert r.pairs == model and isinstance(r.pairs, frozenset)
+        assert r.source is source and r.target is target
+        shuffled = pairs + pairs[: len(pairs) // 2]
+        rng.shuffle(shuffled)
+        twin = Relation(source, target, shuffled)
+        assert twin == r and hash(twin) == hash(r)
+        assert repr(r) == f"Relation({list(source.atoms)!r}, {sorted(model)!r})"
+        for extra in set(product(source.atoms, target.atoms)) - model:
+            other = Relation(source, target, list(model) + [extra])
+            assert other != r
+        if source != target:
+            assert Relation(target, source, []) != Relation(source, target, [])
+
+    @given(hetero_pair_lists())
+    def test_membership(self, args):
+        source, target, pairs = args
+        model = frozenset(pairs)
+        r = Relation(source, target, pairs)
+        atoms = sorted(set(source.atoms) | set(target.atoms) | {"zz"})
+        probes = list(product(atoms, atoms)) + [
+            5, "ab", ("a",), ("a", "c", "x"), (), None, ("a", 5), (5, "c"),
+            frozenset(), [], {}, ("a", []), ([], "c"), ("zz", []),
+        ]
+        for probe in probes:
+            assert outcome(lambda: probe in r) == outcome(lambda: probe in model)
+
+    def test_unknown_atoms(self):
+        with pytest.raises(UnknownAtom, match=r"^pair source 'z' not in carrier$"):
+            Relation(ABC, ABCD, [("a", "d"), ("z", "a")])
+        with pytest.raises(UnknownAtom, match=r"^pair target 'd' not in carrier$"):
+            Relation(ABCD, ABC, [("d", "a"), ("a", "d")])
+        # The source of a pair is checked before its target.
+        with pytest.raises(UnknownAtom, match=r"^pair source 'z' not in carrier$"):
+            Relation.on(ABC, [("z", "z")])
+
+    def test_power_rejects_booleans(self):
+        for m in (True, False):
+            with pytest.raises(BadExponent, match=r"needs m >= 1, got (True|False)$"):
+                rel.power(EXAMPLE, m)
