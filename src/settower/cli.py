@@ -212,16 +212,16 @@ def _as_real(value) -> re.Real:
 
 
 def _invert(value, prec: int):
-    """Reciprocal of an evaluated value: exact when possible, else an
-    interval whose sign was certified at precision prec."""
+    """Reciprocal of an evaluated value: exact when possible, one
+    reciprocal leaf for any other dyadic, else an interval whose sign was
+    certified at precision prec."""
     if isinstance(value, dy.Dyadic):
         if value.sign == 0:
             raise DivisionNearZero("division by exact zero")
         exact = dy.exact_div(dy.ONE, value)
         if exact is not None:
             return exact
-        cut = re.inverse(re.from_dyadic(dy.dy_abs(value)), value.exp + 1)
-        flipped = re.real_from_cut(cut)
+        flipped = re.real_from_cut(re.reciprocal(dy.dy_abs(value)))
         return re.real_neg(flipped) if value.sign < 0 else flipped
     side = re.real_compare_eps(value, re.REAL_ZERO, prec)
     if side is re.Comparison.INDISTINGUISHABLE:

@@ -9,10 +9,20 @@ directed divisions div_floor and div_ceil, which round to a stated grid.
 
 from __future__ import annotations
 
-from .errors import BadOrder, ExprSyntaxError, NonPositiveDivisor, NotANatural
+from .errors import (
+    BadOrder,
+    ExprSyntaxError,
+    NonPositiveDivisor,
+    NotAnInteger,
+    SizeLimit,
+)
 from .naturals import _is_decimal, _nat
 
 _SIGNS = (-1, 0, 1)
+# Bit cap on the mantissa of a power: dy_pow refuses past it before it
+# computes anything.  3^(2^20), of ~1.7M bits, takes ~0.1 s with CPython 3.11
+# on one x86 core; the default 4300-digit print limit is ~14,300 bits.
+POW_BIT_LIMIT = 1 << 20
 
 
 class Dyadic:
@@ -87,14 +97,20 @@ class Dyadic:
 
 def make(man: int, exp: int, sign: int = 1) -> Dyadic:
     """Canonical representative of sign * man * 2^(-exp)."""
-    _nat(man, "mantissa")
-    _nat(exp, "exponent")
+    # One type test each on the common path; _nat raises, or passes an int
+    # subclass, when it fails.
+    if type(man) is not int or man < 0:
+        _nat(man, "mantissa")
+    if type(exp) is not int or exp < 0:
+        _nat(exp, "exponent")
     if sign not in _SIGNS:
         raise ValueError(f"sign must be -1, 0, or 1, got {sign!r}")
     if man == 0 or sign == 0:
         return ZERO
     # Strip trailing zero bits in one shift, stopping at exponent 0.
-    shift = min(exp, (man & -man).bit_length() - 1)
+    shift = (man & -man).bit_length() - 1
+    if shift > exp:
+        shift = exp
     return Dyadic(sign, man >> shift, exp - shift)
 
 
@@ -152,13 +168,21 @@ def mul(d: Dyadic, e: Dyadic) -> Dyadic:
 
 
 def dy_pow(d: Dyadic, m: int) -> Dyadic:
-    """d raised to a natural power, exactly."""
+    """d raised to a natural power, exactly.
+
+    Refused with SizeLimit, before anything is allocated, when the mantissa
+    would need more than POW_BIT_LIMIT bits: (bits(man) - 1) * m is a lower
+    bound on its size, and it is 0 for a mantissa of 1, so (1/2)^m and
+    (-1)^m answer for every m.
+    """
     _nat(m, "exponent")
     if m == 0:
         return ONE
     sign = 1 if (d._sign >= 0 or m % 2 == 0) else -1
     if d._sign == 0:
         return ZERO
+    if (d._man.bit_length() - 1) * m > POW_BIT_LIMIT:
+        raise SizeLimit(f"power needs more than {POW_BIT_LIMIT} mantissa bits")
     return make(d._man**m, d._exp * m, sign)
 
 
@@ -228,7 +252,7 @@ def exact_div(d: Dyadic, e: Dyadic):
 
 def from_int(k: int) -> Dyadic:
     if isinstance(k, bool) or not isinstance(k, int):
-        raise NotANatural(f"expected an integer, got {k!r}")
+        raise NotAnInteger(f"expected an integer, got {k!r}")
     return _signed(k, 0)
 
 

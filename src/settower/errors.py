@@ -25,6 +25,10 @@ class NotANatural(SettowerError):
     """Value is not a natural number (or not a von Neumann natural)."""
 
 
+class NotAnInteger(SettowerError):
+    """Value is not an integer (a bool does not count as one)."""
+
+
 class CarrierMismatch(SettowerError):
     """Relation endpoints do not line up for the requested operation."""
 

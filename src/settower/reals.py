@@ -20,6 +20,10 @@ Guard-bit policy (normative for interoperability):
   * inverse divides 1 by the swapped endpoints with directed rounding to
     n+2 fractional bits, querying the operand at max(n0, n + 2e + 1) where
     2^(-e) lower-bounds the witness interval's lo;
+  * the reciprocal of an exact positive dyadic d is a leaf: reciprocal(d)
+    is from_dyadic(1/d) when d is a power of two, and otherwise rounds 1/d
+    down and up to n+1 fractional bits, querying nothing.  inverse of a
+    tagged operand and the CLI's inv of a literal both build this leaf;
   * exact zeros fold when a node is built.  ZERO_CUT, which from_dyadic(0)
     returns, is the exact zero: mul with it and _posdiff(ZERO_CUT, b) are
     ZERO_CUT; add with it, _posdiff(a, ZERO_CUT) and real_abs of a pair
@@ -38,7 +42,6 @@ queried precision.
 from __future__ import annotations
 
 import enum
-import threading
 
 from . import dyadic as dy
 from .errors import EmptyList, NegativeInput, NotBoundedAwayFromZero
@@ -48,18 +51,18 @@ from .naturals import _nat
 class CutReal:
     """Nonnegative real presented as a nested dyadic interval oracle.
 
-    The oracle function is evaluated at most once per precision; results
-    are memoized under a lock, so sharing a value across threads never
-    changes what any caller observes.
+    Answers are memoized per precision without a lock: two threads asking
+    for a new precision at once may both evaluate the oracle, but the first
+    answer stored is the one every caller gets, then and later, so sharing
+    a value across threads never changes what any caller observes.
     """
 
-    __slots__ = ("_fn", "_tag", "_memo", "_lock")
+    __slots__ = ("_fn", "_tag", "_memo")
 
     def __init__(self, fn, tag=None):
         self._fn = fn
         self._tag = tag
         self._memo = {}
-        self._lock = threading.Lock()
 
     @property
     def tag(self):
@@ -67,13 +70,13 @@ class CutReal:
         return self._tag
 
     def query(self, n: int):
-        _nat(n, "precision")
-        with self._lock:
-            got = self._memo.get(n)
-            if got is None:
-                got = self._fn(n)
-                self._memo[n] = got
-            return got
+        # The check runs before the memo is read: True would find 1's entry.
+        if type(n) is not int or n < 0:
+            _nat(n, "precision")
+        got = self._memo.get(n)
+        if got is None:
+            got = self._memo.setdefault(n, self._fn(n))
+        return got
 
     def lo(self, n: int) -> dy.Dyadic:
         return self.query(n)[0]
@@ -214,6 +217,23 @@ def sup_finite(xs) -> CutReal:
     return CutReal(fn, tag=tag)
 
 
+def reciprocal(d: dy.Dyadic) -> CutReal:
+    """1/d for an exact positive dyadic d, as a leaf that queries nothing:
+    the embedding of 1/d when d is a power of two, else 1/d rounded down
+    and up to n+1 fractional bits at precision n."""
+    if d.sign <= 0:
+        raise NotBoundedAwayFromZero(f"reciprocal needs d > 0, got {d}")
+    flipped = dy.exact_div(dy.ONE, d)
+    if flipped is not None:
+        return from_dyadic(flipped)
+
+    def fn(n):
+        p = n + 1
+        return dy.div_floor(dy.ONE, d, p), dy.div_ceil(dy.ONE, d, p)
+
+    return CutReal(fn)
+
+
 def inverse(x: CutReal, n0: int) -> CutReal:
     """Reciprocal of a value bounded away from zero.
 
@@ -229,17 +249,8 @@ def inverse(x: CutReal, n0: int) -> CutReal:
             f"lower endpoint at precision {n0} is {lo0}, not positive"
         )
 
-    d = x.tag
-    if d is not None:
-        flipped = dy.exact_div(dy.ONE, d)
-        if flipped is not None:
-            return from_dyadic(flipped)
-
-        def fn_tagged(n):
-            p = n + 1
-            return dy.div_floor(dy.ONE, d, p), dy.div_ceil(dy.ONE, d, p)
-
-        return CutReal(fn_tagged)
+    if x.tag is not None:
+        return reciprocal(x.tag)
 
     # 2^(-e) <= lo0, so every deeper query keeps the value >= 2^(-e).
     e = max(0, lo0.exp - lo0.man.bit_length() + 1)

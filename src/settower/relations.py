@@ -296,13 +296,20 @@ def restrict(r: Relation, atoms) -> Relation:
 
 
 def power(r: Relation, m: int) -> Relation:
+    """r^m for m >= 1 from O(log m) products, by squaring and multiplying
+    as reals.square_and_multiply does (powers of r commute).  relations
+    sits below reals in the tower, so it keeps its own loop."""
     _require_endo(r)
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise BadExponent(f"relation power needs m >= 1, got {m!r}")
-    acc = r
-    for _ in range(m - 1):
-        acc = compose(acc, r)
-    return acc
+    acc = None
+    while True:
+        if m & 1:
+            acc = r if acc is None else compose(acc, r)
+        m >>= 1
+        if not m:
+            return acc
+        r = compose(r, r)
 
 
 def image(r: Relation, atoms) -> frozenset:

@@ -5,6 +5,7 @@ possible loops: no code is shared with the library's algorithms, so an
 agreement between the two is evidence, not tautology.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,7 @@ from settower.errors import (
 )
 from settower.hfset import HFSet
 from settower.reals import CutReal
-from settower.relations import Carrier, IndependenceReport, Relation
+from settower.relations import Carrier, IndependenceReport, Relation, compose
 
 # ---------------------------------------------------------------- relations
 
@@ -160,6 +161,15 @@ def matrix_power_oracle(atoms, pairs, m):
     return frozenset(
         (atoms[i], atoms[j]) for i in range(n) for j in range(n) if acc[i][j]
     )
+
+
+def power_chain(r, m):
+    """r^m as the linear chain r r ... r of m - 1 compositions: the
+    reference for relations.power, which squares and multiplies."""
+    acc = r
+    for _ in range(m - 1):
+        acc = compose(acc, r)
+    return acc
 
 
 def extremal_oracle(atoms, pairs, subset):
@@ -571,6 +581,14 @@ def assert_cut_invariants(x, upto=40):
 def cut_brackets(x, fr: Fraction, n: int) -> bool:
     lo, hi = x.query(n)
     return to_fraction(lo) <= fr <= to_fraction(hi)
+
+
+def reciprocal_oracle(d, n):
+    """Bounds on 1/d at precision n for a non-power-of-two d > 0: 1/d
+    rounded down and up onto the 2^-(n+1) grid, with Fractions."""
+    q = 1 / to_fraction(d)
+    scale = 1 << (n + 1)
+    return Fraction(math.floor(q * scale), scale), Fraction(math.ceil(q * scale), scale)
 
 
 def pow_chain(x, m, times, one):

@@ -140,6 +140,32 @@ class TestEvalCommand:
         assert lo <= 2 <= hi
         assert hi - lo <= Fraction(1, 1 << 29)
 
+    @pytest.mark.parametrize(
+        "expr,line",
+        [
+            ("inv(7)", "[153391689/2^30, 613566757/2^32]@30"),
+            ("1/7", "[2454267025/2^34, 2454267027/2^34]@30"),
+            ("inv(-3)", "[-715827883/2^31, -1431655765/2^32]@30"),
+            ("2/6", "[1431655765/2^32, 2863311531/2^33]@30"),
+        ],
+    )
+    def test_literal_divisors_build_one_leaf(self, expr, line, capsys, monkeypatch):
+        # The reciprocal of a literal neither embeds it nor probes its sign;
+        # only a numerator other than 1 is embedded, as a factor.
+        embedded = []
+
+        def refuse(*args):
+            raise AssertionError("probed a literal divisor")
+
+        def record(d, embed=reals.from_dyadic):
+            embedded.append(d)
+            return embed(d)
+
+        monkeypatch.setattr(reals, "inverse", refuse)
+        monkeypatch.setattr(reals, "from_dyadic", record)
+        assert run_cli(["eval", expr], capsys) == (0, line + "\n", "")
+        assert all(d in (dy.ONE, make(2, 0)) for d in embedded)
+
     def test_abs_of_interval(self, capsys):
         code, out, _ = run_cli(["eval", "abs(inv(3) - 1)"], capsys)
         assert code == 0
@@ -279,6 +305,30 @@ class TestPowers:
         start = time.perf_counter()
         cli.evaluate(expr, 30)
         assert time.perf_counter() - start < 1.0
+
+
+class TestPowerSizeGuard:
+    @pytest.mark.parametrize(
+        "expr,line",
+        [
+            ("(1/2)^(2^40)", "1/2^1099511627776"),
+            ("(-1)^(2^40)", "1"),
+            ("2^30200/2^30190", "1024"),
+        ],
+    )
+    def test_answers_stay(self, expr, line, capsys):
+        assert run_cli(["eval", expr], capsys) == (0, line + "\n", "")
+        proc = run_in_a_process(["eval", expr])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, line + "\n", "")
+
+    @pytest.mark.parametrize("expr", ["2^100000000", "2^(2^40)", "(3/2)^(2^40) * 0"])
+    def test_oversized_powers_are_refused_before_they_are_built(self, expr, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == f"error: power needs more than {dy.POW_BIT_LIMIT} mantissa bits\n"
+        assert_no_traceback_in_a_process(["eval", expr])
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")

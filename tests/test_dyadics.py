@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from settower.errors import (
     ExprSyntaxError,
     NonPositiveDivisor,
     NotANatural,
+    NotAnInteger,
     SettowerError,
     SizeLimit,
 )
@@ -70,6 +72,22 @@ class TestMake:
             with pytest.raises(NotANatural):
                 make(1, n)
         with pytest.raises(ValueError):
+            make(1, 0, 2)
+
+    @pytest.mark.parametrize("bad", [True, False, -1, 1.0, 1.5, "3", None], ids=repr)
+    def test_messages_name_the_argument(self, bad):
+        got = re.escape(repr(bad))
+        with pytest.raises(NotANatural, match=rf"^mantissa must be a natural number, got {got}$"):
+            make(bad, 0)
+        with pytest.raises(NotANatural, match=rf"^exponent must be a natural number, got {got}$"):
+            make(1, bad)
+
+    def test_int_subclasses_and_signs(self):
+        class Count(int):
+            pass
+
+        assert make(Count(12), Count(2)) == make(3, 0)
+        with pytest.raises(ValueError, match=r"^sign must be -1, 0, or 1, got 2$"):
             make(1, 0, 2)
 
 
@@ -175,6 +193,21 @@ class TestArithmetic:
         assert dy.dy_pow(d, m + n) == dy.dy_pow(d, m) * dy.dy_pow(d, n)
         assert oracles.to_fraction(dy.dy_pow(d, m)) == oracles.to_fraction(d) ** m
 
+    def test_pow_refuses_oversized_mantissas_before_computing(self):
+        two = make(2, 0)
+        assert dy.dy_pow(two, dy.POW_BIT_LIMIT) == make(1 << dy.POW_BIT_LIMIT, 0)
+        # 2^(2^40) would need 128 GiB: the refusal must come first.
+        for m in (dy.POW_BIT_LIMIT + 1, 2**40):
+            with pytest.raises(SizeLimit, match="mantissa bits"):
+                dy.dy_pow(two, m)
+        with pytest.raises(SizeLimit):
+            dy.dy_pow(make(3, 7, -1), 2**40)
+
+    def test_pow_of_a_unit_mantissa_is_never_refused(self):
+        assert dy.dy_pow(HALF, 2**40) == make(1, 2**40)
+        assert dy.dy_pow(make(1, 0, -1), 2**40) == ONE
+        assert dy.dy_pow(make(1, 0, -1), 2**40 + 1) == make(1, 0, -1)
+
     @given(dyadics, dyadics)
     def test_abs_max_min(self, d, e):
         assert dy.dy_abs(d) >= ZERO
@@ -191,6 +224,19 @@ class TestEmbeddingOfNaturals:
         assert g(m) + g(n) == g(m + n)
         assert g(m) * g(n) == g(m * n)
         assert (g(m) < g(n)) == (m < n)
+
+
+    def test_from_int_takes_every_integer(self):
+        assert dy.from_int(-3) == make(3, 0, -1)
+        assert dy.from_int(0) is ZERO
+        assert dy.from_int(12) == make(3, 0) * make(4, 0)
+
+    @pytest.mark.parametrize("k", [1.5, True, False, "3", None])
+    def test_from_int_rejects_non_integers(self, k):
+        with pytest.raises(NotAnInteger, match=r"^expected an integer, got "):
+            dy.from_int(k)
+        assert issubclass(NotAnInteger, SettowerError)
+        assert not issubclass(NotAnInteger, NotANatural)
 
 
 class TestBetween:

@@ -1,3 +1,6 @@
+import random
+import re
+import sys
 import threading
 from fractions import Fraction
 
@@ -573,3 +576,107 @@ class TestZeroFolding:
         assert z.tag == ZERO and z.hi(3).sign > 0
         y = inv3()
         assert add(z, y).query(10) == oracles.generic_add(z, y).query(10)
+
+
+positive_dyadics = st.builds(
+    make,
+    st.one_of(
+        st.integers(1, 2**64).map(lambda k: 2 * k + 1),
+        st.integers(1, 2**64).map(lambda k: 2 * k),
+        st.integers(0, 70).map(lambda k: 1 << k),
+    ),
+    st.integers(0, 200),
+)
+
+
+class TestReciprocalLeaf:
+    @given(positive_dyadics)
+    @settings(max_examples=150)
+    @example(make(3, 0))
+    @example(make(1, 200))
+    @example(make(6, 0))
+    def test_matches_inverse_of_the_embedding(self, d):
+        leaf = reals.reciprocal(d)
+        general = inverse(from_dyadic(d), d.exp + 1)
+        assert leaf.tag == general.tag
+        for n in range(81):
+            lo, hi = leaf.query(n)
+            assert (lo, hi) == general.query(n)
+            if leaf.tag is None:
+                got = oracles.to_fraction(lo), oracles.to_fraction(hi)
+                assert got == oracles.reciprocal_oracle(d, n)
+        if leaf.tag is not None:
+            assert oracles.to_fraction(leaf.tag) == 1 / oracles.to_fraction(d)
+        oracles.assert_cut_invariants(leaf, upto=80)
+
+    def test_queries_nothing(self):
+        leaf = reals.reciprocal(make(7, 0))
+        assert leaf.tag is None and leaf._memo == {}
+        assert leaf.query(20) == (make(299593, 21), make(149797, 20))
+
+    @pytest.mark.parametrize("d", [ZERO, make(3, 1, -1)])
+    def test_rejects_non_positive(self, d):
+        with pytest.raises(NotBoundedAwayFromZero, match="reciprocal needs d > 0"):
+            reals.reciprocal(d)
+
+
+def shared_dag():
+    """Roots of one DAG with shared subterms: a power ladder, sums, sup,
+    abs of a difference and a non-dyadic division."""
+    third = reals.reciprocal(make(3, 0))
+    fifth = inverse(from_dyadic(make(5, 0)), 0)
+    ladder = pow_nat(third, 40)
+    total = add(add(third, ladder), fifth)
+    top = sup_finite([third, total, ladder])
+    gap = real_abs(Real(total, third))
+    ratio = inverse(add(third, fifth), 2)
+    return [ladder, total, top, gap, ratio, mul(ratio, gap)]
+
+
+class TestLockFreeMemo:
+    def test_threads_see_the_single_thread_answers(self):
+        precisions = range(61)
+        want = [[root.query(n) for n in precisions] for root in shared_dag()]
+        for answers in want:
+            prev = None
+            for n, (lo, hi) in enumerate(answers):
+                assert ZERO <= lo <= hi and dy.sub(hi, lo) <= make(1, n)
+                if prev is not None:
+                    assert prev[0] <= lo and hi <= prev[1]
+                prev = (lo, hi)
+
+        roots = shared_dag()
+        got = [{} for _ in range(8)]
+
+        def work(seed):
+            rng = random.Random(seed)
+            order = [(i, n) for i in range(len(roots)) for n in precisions]
+            rng.shuffle(order)
+            for i, n in order:
+                got[seed][i, n] = roots[i].query(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seen in got:
+            assert seen == {
+                (i, n): want[i][n] for i in range(len(roots)) for n in precisions
+            }
+            # One stored answer: every thread holds the memo's own pair.
+            assert all(pair is roots[i].query(n) for (i, n), pair in seen.items())
+
+    @pytest.mark.parametrize("bad", [True, 1.0, -1, 1.5, "3"], ids=repr)
+    def test_precision_is_checked_before_the_memo(self, bad):
+        c = from_dyadic(HALF)
+        c.query(1)
+        message = rf"^precision must be a natural number, got {re.escape(repr(bad))}$"
+        with pytest.raises(NotANatural, match=message):
+            c.query(bad)

@@ -215,6 +215,18 @@ class TestInverseAndPower:
     def test_power_additivity(self, r, m, n):
         assert rel.power(r, m + n) == rel.compose(rel.power(r, m), rel.power(r, n))
 
+    @given(relations_upto6, st.integers(1, 40))
+    @settings(max_examples=300)
+    def test_power_matches_linear_chain(self, r, m):
+        assert rel.power(r, m) == oracles.power_chain(r, m)
+
+    def test_power_is_logarithmic_in_the_exponent(self):
+        cycle = Relation.on(ABC, [("a", "b"), ("b", "c"), ("c", "a")])
+        start = time.perf_counter()
+        assert rel.power(cycle, 10**9) == cycle
+        assert rel.power(cycle, 3 * 10**9) == rel.diagonal(ABC)
+        assert time.perf_counter() - start < 0.5
+
     def test_bad_exponents(self):
         for m in (0, -2, 1.5):
             with pytest.raises(BadExponent):
