@@ -31,6 +31,7 @@ from .errors import (
     BadOrder,
     DivisionNearZero,
     ExprSyntaxError,
+    NotUTF8,
     PrecisionCap,
     SettowerError,
     SizeLimit,
@@ -373,7 +374,22 @@ def _decimal(value) -> str:
 
 
 def _read_source(arg: str) -> str:
-    return sys.stdin.read() if arg == "-" else arg
+    return _read_text("-") if arg == "-" else arg
+
+
+def _read_text(path: str) -> str:
+    """The text of the file at path, or of stdin for "-"; bytes that are
+    not UTF-8 end as NotUTF8 instead of escaping as UnicodeDecodeError."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise NotUTF8(
+            f"{name} is not valid UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from None
 
 
 def _cmd_eval(args, out) -> int:
@@ -420,12 +436,7 @@ def _cmd_cmp(args, out) -> int:
 
 
 def _cmd_relcheck(args, out) -> int:
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.path, encoding="utf-8") as handle:
-            text = handle.read()
-    rel = parse_relation(text)
+    rel = parse_relation(_read_text(args.path))
     report = classify(rel)
     for name, value in report.as_dict().items():
         shown = name.replace("_", "-")

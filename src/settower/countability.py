@@ -22,7 +22,14 @@ from .errors import (
 from .naturals import _nat, pair, unpair
 # classify is not called here; it stays bound for callers that import it
 # from this module.
-from .relations import Carrier, Relation, _bits, _is_ordering, classify  # noqa: F401
+from .relations import (  # noqa: F401
+    Carrier,
+    Relation,
+    _bits,
+    _from_rows,
+    _is_ordering,
+    classify,
+)
 
 
 class Enumeration:
@@ -146,25 +153,34 @@ def choice_function(carrier: Carrier, blocks):
     return chosen
 
 
-def _default_choice(carrier):
-    def choose(block):
-        for a in carrier:
-            if a in block:
-                return a
-        raise EmptyBlock("cannot choose from an empty block")
-
-    return choose
-
-
 def well_order_finite(carrier: Carrier, choice=None) -> Relation:
     """Build a strict well-ordering by repeatedly choosing from what's left.
 
     choice may be a mapping from frozensets to atoms (as produced by
-    choice_function) or None for the default first-in-carrier-order rule.
+    choice_function) or None for the default first-in-carrier-order rule,
+    under which the order is the carrier order itself.
     """
     if choice is None:
-        choose = _default_choice(carrier)
-    elif callable(choice):
+        order = range(len(carrier))
+    else:
+        order = [carrier._index[a] for a in _chosen_order(carrier, choice)]
+    # Row i holds the atoms chosen after atom i, column i those before it.
+    rows = [0] * len(carrier)
+    cols = [0] * len(carrier)
+    before = 0
+    for i in order:
+        cols[i] = before
+        before |= 1 << i
+    for i in order:
+        before ^= 1 << i
+        rows[i] = before
+    return _from_rows(carrier, carrier, rows, cols)
+
+
+def _chosen_order(carrier: Carrier, choice):
+    """The atoms of carrier in the order a choice table or callable picks
+    them from what is left."""
+    if callable(choice):
         choose = choice
     else:
         table = dict(choice)
@@ -185,12 +201,7 @@ def well_order_finite(carrier: Carrier, choice=None) -> Relation:
             raise NonTotalMap(f"choice returned {picked!r}, not in the block")
         ordered.append(picked)
         remaining.discard(picked)
-    pairs = [
-        (ordered[i], ordered[j])
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
-    ]
-    return Relation.on(carrier, pairs)
+    return ordered
 
 
 def zorn_max_finite(r: Relation):

@@ -110,6 +110,10 @@ class PrecisionCap(SettowerError):
     """Requested precision exceeds the configured cap."""
 
 
+class NotUTF8(SettowerError):
+    """Input text is not valid UTF-8."""
+
+
 class ParseError(SettowerError):
     """Relation file failed to parse; `line` is 1-based."""
 

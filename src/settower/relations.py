@@ -6,6 +6,8 @@ atom i, target atom j), and the column masks hold the same bits by target.
 Carriers keep their input order so reports, partitions, and constructed
 orderings come out deterministic.  Every operation reads and builds rows
 and columns; the pair set is derived from them on first use of ``pairs``.
+The file reader ORs each pair line into the rows and columns in one pass,
+and the preorder closure is one pass of Warshall's algorithm over them.
 Property checks stay polynomial by two equivalences of finite order
 theory; the test suite re-derives every answer from the subset-quantified
 definitions, and from pair-quantified bodies, by independent brute force.
@@ -350,12 +352,35 @@ def _antisymmetric(rows, cols) -> bool:
 
 
 def _transitive(rows) -> bool:
-    return all(rows[j] & ~row == 0 for row in rows for j in _bits(row))
+    for row in rows:
+        rest = row
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & ~row:
+                return False
+            rest ^= low
+    return True
 
 
 def _connective(rows, cols) -> bool:
     full = (1 << len(rows)) - 1
     return all(row | cols[i] | 1 << i == full for i, row in enumerate(rows))
+
+
+def _directive(rows, cols) -> bool:
+    """X x X = R^-1 R: every two points have a common successor.  The
+    points that share a successor with x are the union of the columns of
+    x's successors, so each row ORs columns until that union is full."""
+    full = (1 << len(rows)) - 1
+    for row in rows:
+        shared = 0
+        while row and shared != full:
+            low = row & -row
+            shared |= cols[low.bit_length() - 1]
+            row ^= low
+        if shared != full:
+            return False
+    return True
 
 
 def _is_ordering(r: Relation) -> bool:
@@ -366,7 +391,6 @@ def _is_ordering(r: Relation) -> bool:
 def classify(r: Relation) -> PropertyReport:
     rows = _rows(r)
     cols = r._cols
-    n = len(rows)
 
     reflexive = _reflexive(rows)
     antireflexive = not any(row >> i & 1 for i, row in enumerate(rows))
@@ -374,8 +398,7 @@ def classify(r: Relation) -> PropertyReport:
     antisymmetric = _antisymmetric(rows, cols)
     transitive = _transitive(rows)
     connective = _connective(rows, cols)
-    # X x X = R^-1 R: every two points have a common successor.
-    directive = all(rows[x] & rows[z] for x in range(n) for z in range(x, n))
+    directive = _directive(rows, cols)
 
     ordering = transitive and antisymmetric
     return PropertyReport(
@@ -421,18 +444,24 @@ def _partition(atoms, classes):
 
 
 def preorder_closure(r: Relation) -> Relation:
-    """Smallest transitive relation containing r (union of all powers)."""
+    """Smallest transitive relation containing r (union of all powers), by
+    one Warshall pass: taking each atom k in turn as a midpoint, every
+    predecessor of k gains all of k's successors, in rows and columns
+    alike (Warshall, JACM 1962)."""
     carrier = _require_endo(r)
-    rows = list(r._rows)
-    changed = True
-    while changed:
-        changed = False
-        for i, row in enumerate(rows):
-            acc = row | _union(rows, row)
-            if acc != row:
-                rows[i] = acc
-                changed = True
-    return _from_rows(carrier, carrier, rows)
+    rows, cols = list(r._rows), list(r._cols)
+    for k in range(len(rows)):
+        succ, pred = rows[k], cols[k]
+        while pred:
+            low = pred & -pred
+            rows[low.bit_length() - 1] |= succ
+            pred ^= low
+        pred = cols[k]
+        while succ:
+            low = succ & -succ
+            cols[low.bit_length() - 1] |= pred
+            succ ^= low
+    return _from_rows(carrier, carrier, rows, cols)
 
 
 def antisymmetrize(r: Relation):
@@ -458,9 +487,11 @@ def antisymmetrize(r: Relation):
 
 def _covering(candidates, members, masks):
     """The candidates x whose mask, with x itself added, covers members."""
-    return sum(
-        1 << x for x in _bits(candidates) if members & ~(masks[x] | 1 << x) == 0
-    )
+    found = 0
+    for x, mask in enumerate(masks):
+        if candidates >> x & 1 and members & ~(mask | 1 << x) == 0:
+            found |= 1 << x
+    return found
 
 
 def extremal(r: Relation, atoms) -> Extremal:
@@ -628,34 +659,46 @@ def parse_relation(text: str) -> Relation:
     """Parse the relation file format.
 
     Line 1 (ignoring blank lines and # comments): ``carrier: a b c``.
-    Every further line: two atoms forming a pair.
+    Every further line: two atoms forming a pair, ORed into the bit rows
+    and column masks as it is read.
     """
     carrier = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if carrier is None:
-            if not line.startswith("carrier:"):
-                raise ParseError("first line must start with 'carrier:'", lineno)
-            atoms = line[len("carrier:"):].split()
-            if not atoms:
-                raise ParseError("carrier must list at least one atom", lineno)
-            try:
-                carrier = Carrier(atoms)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two atoms, got {len(parts)}", lineno)
-        x, y = parts
-        if x not in carrier:
-            raise UnknownAtom(f"atom {x!r} not in carrier (line {lineno})")
-        if y not in carrier:
-            raise UnknownAtom(f"atom {y!r} not in carrier (line {lineno})")
-        pairs.append((x, y))
+        if not line.startswith("carrier:"):
+            raise ParseError("first line must start with 'carrier:'", lineno)
+        atoms = line[len("carrier:"):].split()
+        if not atoms:
+            raise ParseError("carrier must list at least one atom", lineno)
+        try:
+            carrier = Carrier(atoms)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        break
     if carrier is None:
         raise ParseError("missing carrier line", 1)
-    return Relation.on(carrier, pairs)
+    index = carrier._index
+    bits = [1 << k for k in range(len(carrier))]
+    rows = [0] * len(carrier)
+    cols = [0] * len(carrier)
+    for lineno, raw in lines:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        parts = raw.split()
+        if len(parts) != 2:
+            if not parts:
+                continue
+            raise ParseError(f"expected two atoms, got {len(parts)}", lineno)
+        x, y = parts
+        i = index.get(x)
+        if i is None:
+            raise UnknownAtom(f"atom {x!r} not in carrier (line {lineno})")
+        j = index.get(y)
+        if j is None:
+            raise UnknownAtom(f"atom {y!r} not in carrier (line {lineno})")
+        rows[i] |= bits[j]
+        cols[j] |= bits[i]
+    return _from_rows(carrier, carrier, rows, cols)

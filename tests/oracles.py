@@ -12,12 +12,15 @@ from itertools import combinations
 from settower import dyadic as dy
 from settower.errors import (
     CarrierMismatch,
+    EmptyBlock,
     EmptyCarrier,
     EmptyFamily,
     NonTotalMap,
     NotEquivalence,
     NotOrdering,
     NotPreordering,
+    ParseError,
+    UnknownAtom,
 )
 from settower.hfset import HFSet
 from settower.reals import CutReal
@@ -383,6 +386,131 @@ def zorn_max_oracle(r):
         x for x in chain if all(y == x or (y, x) in p for y in chain)
     )
     return top
+
+
+# The bodies that relations.parse_relation, preorder_closure, the
+# transitivity and directive flags, and countability.well_order_finite had
+# before the reader filled bit rows in one pass, the closure became
+# Warshall's and the default well-ordering was read off the carrier.  Each
+# takes and returns what the library function does, errors included.
+
+
+def _row_bits(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def columns_of_rows(r):
+    """The column masks of a relation, read off its rows bit by bit."""
+    rows = r._rows
+    return tuple(
+        sum(1 << i for i, row in enumerate(rows) if row >> j & 1)
+        for j in range(len(r.target))
+    )
+
+
+def parse_relation_two_pass(text):
+    """Validate every line into a pair list, then build the relation from
+    it (which checks each pair again)."""
+    carrier = None
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if carrier is None:
+            if not line.startswith("carrier:"):
+                raise ParseError("first line must start with 'carrier:'", lineno)
+            atoms = line[len("carrier:"):].split()
+            if not atoms:
+                raise ParseError("carrier must list at least one atom", lineno)
+            try:
+                carrier = Carrier(atoms)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected two atoms, got {len(parts)}", lineno)
+        x, y = parts
+        if x not in carrier:
+            raise UnknownAtom(f"atom {x!r} not in carrier (line {lineno})")
+        if y not in carrier:
+            raise UnknownAtom(f"atom {y!r} not in carrier (line {lineno})")
+        pairs.append((x, y))
+    if carrier is None:
+        raise ParseError("missing carrier line", 1)
+    return Relation.on(carrier, pairs)
+
+
+def preorder_closure_sweeps(r):
+    """Sweep the rows, ORing in the rows of each row's successors, until a
+    sweep changes nothing."""
+    carrier = _endo_carrier(r)
+    rows = list(r._rows)
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            acc = row
+            for j in _row_bits(row):
+                acc |= rows[j]
+            if acc != row:
+                rows[i] = acc
+                changed = True
+    atoms = carrier.atoms
+    pairs = [(atoms[i], atoms[j]) for i, row in enumerate(rows) for j in _row_bits(row)]
+    return Relation.on(carrier, pairs)
+
+
+def transitive_generator(rows):
+    """Every successor's row lies inside the row, by nested generators."""
+    return all(rows[j] & ~row == 0 for row in rows for j in _row_bits(row))
+
+
+def directive_pair_scan(rows):
+    """Every two rows, a row with itself included, share a bit."""
+    n = len(rows)
+    return all(rows[x] & rows[z] for x in range(n) for z in range(x, n))
+
+
+def well_order_pair_list(carrier, choice=None):
+    """Pick from what is left until nothing is; the default picks the first
+    atom in carrier order.  Every earlier pick precedes every later one."""
+    if choice is None:
+
+        def choose(block):
+            for a in carrier:
+                if a in block:
+                    return a
+            raise EmptyBlock("cannot choose from an empty block")
+
+    elif callable(choice):
+        choose = choice
+    else:
+        table = dict(choice)
+
+        def choose(block):
+            try:
+                return table[block]
+            except KeyError:
+                raise NonTotalMap(
+                    f"choice undefined on a block of size {len(block)}"
+                ) from None
+
+    remaining = set(carrier)
+    ordered = []
+    while remaining:
+        picked = choose(frozenset(remaining))
+        if picked not in remaining:
+            raise NonTotalMap(f"choice returned {picked!r}, not in the block")
+        ordered.append(picked)
+        remaining.discard(picked)
+    pairs = [
+        (ordered[i], ordered[j])
+        for i in range(len(ordered))
+        for j in range(i + 1, len(ordered))
+    ]
+    return Relation.on(carrier, pairs)
 
 
 # ------------------------------------------------------------------ dyadics

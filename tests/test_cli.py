@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re as regex
 import shlex
@@ -587,6 +588,41 @@ class TestRelcheckCommand:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(["relcheck", str(tmp_path / "nope.txt")], capsys)
         assert code == 1 and err.startswith("error:")
+
+
+NOT_UTF8 = b"carrier: a b\na \xff\n"
+
+
+class TestNotUTF8:
+    def test_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.rel"
+        path.write_bytes(NOT_UTF8)
+        code, out, err = run_cli(["relcheck", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} is not valid UTF-8 (byte 15: invalid start byte)\n"
+        assert_no_traceback_in_a_process(["relcheck", str(path)])
+
+    @pytest.mark.parametrize(
+        "argv,data",
+        [(["relcheck", "-"], NOT_UTF8), (["eval", "-"], b"inv(\xc3)")],
+        ids=["relcheck", "eval"],
+    )
+    def test_strict_stdin_exits_one(self, argv, data, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: stdin is not valid UTF-8 (byte ")
+        program = f"from settower.cli import main; raise SystemExit(main({argv!r}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            input=data,
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.decode().startswith("error: stdin is not valid UTF-8")
 
 
 class TestEnumCommand:

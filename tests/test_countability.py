@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -231,6 +233,30 @@ class TestWellOrderFinite:
     def test_choice_outside_block_rejected(self):
         with pytest.raises(NonTotalMap):
             ct.well_order_finite(ABC, lambda block: "a")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pair_list_on_150_atoms(self, seed):
+        rng = random.Random(seed)
+        carrier = Carrier(f"x{i}" for i in rng.sample(range(1000), 150))
+        order = list(carrier)
+        rng.shuffle(order)
+        table = {frozenset(order[k:]): order[k] for k in range(len(order))}
+        rank = {a: k for k, a in enumerate(order)}
+        for choice in (None, table, lambda block: min(block, key=rank.get), max):
+            got = ct.well_order_finite(carrier, choice)
+            assert got == oracles.well_order_pair_list(carrier, choice)
+            assert got._cols == oracles.columns_of_rows(got)
+        assert order_type_finite(ct.well_order_finite(carrier, table))[1] == rank
+
+    def test_errors_match_pair_list(self):
+        carrier = Carrier(f"x{i}" for i in range(150))
+        partial = {frozenset(carrier): "x7"}
+        for choice in (partial, lambda block: "x0", lambda block: "nowhere"):
+            with pytest.raises(NonTotalMap) as want:
+                oracles.well_order_pair_list(carrier, choice)
+            with pytest.raises(NonTotalMap) as got:
+                ct.well_order_finite(carrier, choice)
+            assert str(got.value) == str(want.value)
 
 
 class TestZornMaxFinite:

@@ -968,3 +968,134 @@ class TestRelationAgainstPairSetModel:
         for m in (True, False):
             with pytest.raises(BadExponent, match=r"needs m >= 1, got (True|False)$"):
                 rel.power(EXAMPLE, m)
+
+
+# The one-pass reader, Warshall's closure and the row-wise flags against
+# the bodies they replaced (oracles.parse_relation_two_pass and the rest).
+
+NAMES = ["a", "b", "c", "dd", "e1"]
+GAPS = st.sampled_from([" ", "\t", "  ", " \t "])
+MARGINS = st.sampled_from(["", " ", "\t"])
+COMMENTS = st.sampled_from(["", "# note", "  #a b", "#carrier: a"])
+
+
+@st.composite
+def token_line(draw, tokens):
+    text = draw(MARGINS)
+    for k, token in enumerate(tokens):
+        text += (draw(GAPS) if k else "") + token
+    return text + draw(MARGINS) + draw(COMMENTS)
+
+
+@st.composite
+def relation_texts(draw):
+    """Relation files with comments, blank lines, CRLF, tabs, runs of
+    spaces, unknown atoms, 1- and 3-token lines, and duplicate or missing
+    carriers."""
+    lines = []
+    noise = st.sampled_from(["", "   ", "# only a comment", "\t# tab comment"])
+    lines += draw(st.lists(noise, max_size=2))
+    carrier = draw(st.sampled_from(["listed"] * 7 + ["duplicate", "empty", "missing"]))
+    atoms = NAMES
+    if carrier != "missing":
+        atoms = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=True))
+        listed = {"listed": atoms, "duplicate": atoms + atoms[:1], "empty": []}
+        lines.append(draw(token_line(["carrier:"] + listed[carrier])))
+    known = st.sampled_from(atoms)
+    anything = st.one_of(known, st.sampled_from(["zz", "q", "carrier:"]))
+    pair_line = st.lists(known, min_size=2, max_size=2)
+    odd_line = st.lists(anything, min_size=1, max_size=3)
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind < 6:
+            lines.append(draw(token_line(draw(pair_line))))
+        elif kind < 8:
+            lines.append(draw(noise))
+        else:
+            lines.append(draw(token_line(draw(odd_line))))
+    ends = st.sampled_from(["\n", "\r\n"])
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def parse_outcome(parse, text):
+    try:
+        return ("value", parse(text))
+    except (ParseError, UnknownAtom) as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "line", None))
+
+
+def seeded_relations(n, seed):
+    """Relations on n atoms: sparse with cycles, random DAG closures, dense,
+    and relations with one common top, with and without one row cut."""
+    rng = random.Random(f"{n}:{seed}")
+    atoms = [f"x{i}" for i in rng.sample(range(1000), n)]
+    carrier = Carrier(atoms)
+    sparse = {(rng.choice(atoms), rng.choice(atoms)) for _ in range(n + n // 2)}
+    dense = {(x, y) for x in atoms for y in atoms if rng.random() < 0.3}
+    top = rng.choice(atoms)
+    topped = sparse | {(x, top) for x in atoms}
+    cut = topped - {(atoms[-1], top)}
+    made = [
+        Relation.on(carrier, pairs)
+        for pairs in (
+            sparse,
+            random_poset_pairs(atoms, seed),
+            dense,
+            topped,
+            cut,
+        )
+    ]
+    return made + [rel.preorder_closure(r) for r in made[:1]]
+
+
+CARRIER_SIZES = [40, 41, 64, 97, 150]
+
+
+class TestAgainstPreviousBodies:
+    @given(relation_texts())
+    @settings(max_examples=250, deadline=None)
+    def test_parse_matches_two_pass_reader(self, text):
+        got = parse_outcome(rel.parse_relation, text)
+        assert got == parse_outcome(oracles.parse_relation_two_pass, text)
+        if got[0] == "value":
+            assert got[1]._cols == oracles.columns_of_rows(got[1])
+
+    def test_parse_keeps_every_error(self):
+        cases = {
+            "": ("missing carrier line", 1),
+            "\r\n# c\r\na b\r\n": ("first line must start with 'carrier:'", 3),
+            "carrier:\t# none\n": ("carrier must list at least one atom", 1),
+            "\ncarrier: a\tb  a\n": ("duplicate atom 'a' in carrier", 2),
+            "carrier: a b\n\na\tb b\n": ("expected two atoms, got 3", 3),
+            "carrier: a b\r\na\r\n": ("expected two atoms, got 1", 2),
+        }
+        for text, (message, line) in cases.items():
+            with pytest.raises(ParseError) as err:
+                rel.parse_relation(text)
+            assert (str(err.value), err.value.line) == (f"{message} (line {line})", line)
+        with pytest.raises(UnknownAtom, match=r"^atom 'z' not in carrier \(line 4\)$"):
+            rel.parse_relation("carrier: a b\r\n\r\n a b # ok\r\nb   z\n")
+
+    @pytest.mark.parametrize("n", CARRIER_SIZES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closure_matches_sweeps(self, n, seed):
+        for r in seeded_relations(n, seed):
+            closed = rel.preorder_closure(r)
+            assert closed == oracles.preorder_closure_sweeps(r)
+            assert closed._cols == oracles.columns_of_rows(closed)
+
+    @pytest.mark.parametrize("n", CARRIER_SIZES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_classify_flags_match_previous_scans(self, n, seed):
+        for r in seeded_relations(n, seed):
+            report = rel.classify(r)
+            assert report.transitive == oracles.transitive_generator(r._rows)
+            assert report.directive == oracles.directive_pair_scan(r._rows)
+
+    @given(relations_upto6)
+    @settings(max_examples=200, deadline=None)
+    def test_classify_flags_match_previous_scans_up_to_six_atoms(self, r):
+        report = rel.classify(r)
+        assert report.transitive == oracles.transitive_generator(r._rows)
+        assert report.directive == oracles.directive_pair_scan(r._rows)
