@@ -224,7 +224,7 @@ def _invert(value, prec: int):
             return exact
         flipped = re.real_from_cut(re.reciprocal(dy.dy_abs(value)))
         return re.real_neg(flipped) if value.sign < 0 else flipped
-    side = re.real_compare_eps(value, re.REAL_ZERO, prec)
+    side = re.compare_eps(value.pos, value.neg, prec + 1)
     if side is re.Comparison.INDISTINGUISHABLE:
         raise DivisionNearZero(
             f"divisor not certified nonzero at precision {prec}"
@@ -238,13 +238,6 @@ def _nat_exponent(value) -> int:
     if isinstance(value, dy.Dyadic) and value.exp == 0 and value.sign >= 0:
         return value.man if value.sign > 0 else 0
     raise BadExponent("exponent must be an exact natural number")
-
-
-def _real_max(x: re.Real, y: re.Real) -> re.Real:
-    # max(x, y) = (x + y + |x - y|) / 2
-    gap = re.real_from_cut(re.real_abs(re.real_sub(x, y)))
-    total = re.real_add(re.real_add(x, y), gap)
-    return re.real_mul(total, re.real_from_dyadic(dy.HALF))
 
 
 def _eval(node, env, prec: int):
@@ -327,10 +320,7 @@ def _apply_call(name, values, prec: int):
             for v in values[1:]:
                 acc = dy.dy_max(acc, v)
             return acc
-        acc = _as_real(values[0])
-        for v in values[1:]:
-            acc = _real_max(acc, _as_real(v))
-        return acc
+        return re.real_sup(_as_real(v) for v in values)
     if name == "between":
         lo, hi = values
         if not (isinstance(lo, dy.Dyadic) and isinstance(hi, dy.Dyadic)):
@@ -379,10 +369,14 @@ def _read_source(arg: str) -> str:
 
 def _read_text(path: str) -> str:
     """The text of the file at path, or of stdin for "-"; bytes that are
-    not UTF-8 end as NotUTF8 instead of escaping as UnicodeDecodeError."""
+    not UTF-8 end as NotUTF8 instead of escaping as UnicodeDecodeError.
+    Stdin's bytes are decoded here, because its text layer may use the
+    locale's surrogateescape handler; a stream with no byte layer, such
+    as io.StringIO, is read as text."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
@@ -404,8 +398,8 @@ def _cmd_eval(args, out) -> int:
             text,
         )
         return 0
-    tidy = re.canonicalize(value)
-    lo, hi = (_decimal(end) for end in re.real_interval(tidy, prec))
+    # One bit deeper, so the printed interval is at most 2^-prec wide.
+    lo, hi = (_decimal(end) for end in re.real_interval(value, prec + 1))
     _emit(
         out,
         {
@@ -516,27 +510,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument(
-            "--prec",
-            type=_precision_arg,
-            default=DEFAULT_PRECISION,
-            help=f"working precision in bits (default {DEFAULT_PRECISION}, "
-            f"cap {PRECISION_CAP})",
-        )
-        p.add_argument(
             "--format",
             choices=("plain", "json-lines"),
             default="plain",
             help="output style",
         )
 
+    def numeric(p):
+        p.add_argument(
+            "--prec",
+            type=_precision_arg,
+            default=DEFAULT_PRECISION,
+            help=f"working precision in bits (default {DEFAULT_PRECISION}, "
+            f"cap {PRECISION_CAP})",
+        )
+        common(p)
+
     p_eval = sub.add_parser("eval", help="evaluate an expression")
     p_eval.add_argument("expr", help="expression, or - to read stdin")
-    common(p_eval)
+    numeric(p_eval)
 
     p_cmp = sub.add_parser("cmp", help="compare two expressions")
     p_cmp.add_argument("left")
     p_cmp.add_argument("right")
-    common(p_cmp)
+    numeric(p_cmp)
 
     p_rel = sub.add_parser("relcheck", help="classify a relation file")
     p_rel.add_argument("path", help="relation file, or - to read stdin")

@@ -24,6 +24,9 @@ Guard-bit policy (normative for interoperability):
     is from_dyadic(1/d) when d is a power of two, and otherwise rounds 1/d
     down and up to n+1 fractional bits, querying nothing.  inverse of a
     tagged operand and the CLI's inv of a literal both build this leaf;
+  * real_sup of k signed values is a balanced tree of two-way maxima,
+    each Real(sup_finite([px + ny, py + nx]), nx + ny), so its depth is
+    O(log k) and a query at n reaches the values at n + O(log k);
   * exact zeros fold when a node is built.  ZERO_CUT, which from_dyadic(0)
     returns, is the exact zero: mul with it and _posdiff(ZERO_CUT, b) are
     ZERO_CUT; add with it, _posdiff(a, ZERO_CUT) and real_abs of a pair
@@ -336,6 +339,25 @@ def real_mul(x: Real, y: Real) -> Real:
         add(mul(x.pos, y.pos), mul(x.neg, y.neg)),
         add(mul(x.pos, y.neg), mul(x.neg, y.pos)),
     )
+
+
+def real_sup(xs) -> Real:
+    """Greatest of finitely many signed values, as a balanced tree of
+    two-way maxima, so the DAG has depth O(log k) for k values.  Each
+    maximum uses max(px - nx, py - ny) = max(px + ny, py + nx) - (nx + ny)."""
+    level = list(xs)
+    if not level:
+        raise EmptyList("real_sup needs at least one value")
+    while len(level) > 1:
+        paired = [
+            Real(
+                sup_finite([add(x.pos, y.neg), add(y.pos, x.neg)]),
+                add(x.neg, y.neg),
+            )
+            for x, y in zip(level[::2], level[1::2])
+        ]
+        level = paired + level[len(paired) * 2:]
+    return level[0]
 
 
 def real_abs(x: Real) -> CutReal:

@@ -23,7 +23,15 @@ from settower.errors import (
     UnknownAtom,
 )
 from settower.hfset import HFSet
-from settower.reals import CutReal
+from settower.reals import (
+    CutReal,
+    real_abs,
+    real_add,
+    real_from_cut,
+    real_from_dyadic,
+    real_mul,
+    real_sub,
+)
 from settower.relations import Carrier, IndependenceReport, Relation, compose
 
 # ---------------------------------------------------------------- relations
@@ -804,3 +812,11 @@ GENERIC_NODES = {
     "real_abs": generic_real_abs,
     "_posdiff": generic_posdiff,
 }
+
+
+def formula_max(x, y):
+    """max(x, y) of signed reals as (x + y + |x - y|) / 2: the CLI's sup
+    before reals.real_sup, the reference for that balanced tree."""
+    gap = real_from_cut(real_abs(real_sub(x, y)))
+    total = real_add(real_add(x, y), gap)
+    return real_mul(total, real_from_dyadic(dy.HALF))

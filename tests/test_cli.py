@@ -179,6 +179,25 @@ class TestEvalCommand:
         lo, hi, _ = interval_of(out)
         assert lo <= Fraction(3, 4) <= hi
 
+    @pytest.mark.parametrize(
+        "sign,top",
+        [
+            (lambda k: "", Fraction(1)),
+            (lambda k: "-", Fraction(-1, 10**4)),
+            (lambda k: "-" if k % 2 == 0 else "", Fraction(1)),
+        ],
+        ids=["positive", "negative", "mixed"],
+    )
+    def test_sup_of_ten_thousand_reciprocals(self, sign, top, capsys):
+        k, prec = 10**4, 30
+        expr = "sup(" + ", ".join(f"{sign(i)}inv({i})" for i in range(1, k + 1)) + ")"
+        code, out, err = run_cli(["eval", "--prec", str(prec), "--", expr], capsys)
+        assert (code, err) == (0, "")
+        lo, hi, at = interval_of(out)
+        assert at == prec and lo <= top <= hi and hi - lo <= Fraction(2, 1 << prec)
+        bits = max(end.denominator.bit_length() - 1 for end in (lo, hi))
+        assert bits <= prec + (k - 1).bit_length() + 4
+
     def test_stdin_source(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("1+1\n"))
         code, out, _ = run_cli(["eval", "-"], capsys)
@@ -432,20 +451,37 @@ class TestNonAsciiDigits:
         assert_no_traceback_in_a_process(argv)
 
 
-def readme_examples():
-    """(argv, stdout) for each `$ settower ...` line in the README's sh blocks."""
-    examples = []
+def readme_commands():
+    """(argv, stdin, stdout) for each `$ ...` line in the README's sh
+    blocks that runs settower: stdin is None for `$ settower ...`, and the
+    text printf writes for `$ printf '...' | settower ...`."""
+    commands = []
     for block in regex.findall(r"```sh\n(.*?)```", README.read_text(), regex.S):
         current = None
         for line in block.splitlines():
             if line.startswith("$ "):
                 current = None
-                if line.startswith("$ settower "):
-                    current = (shlex.split(line[len("$ settower "):]), [])
-                    examples.append(current)
+                words = shlex.split(line[2:])
+                stdin = None
+                if words[:1] == ["printf"] and words[2:4] == ["|", "settower"]:
+                    stdin = words[1].encode().decode("unicode_escape")
+                    words = words[3:]
+                if words[:1] == ["settower"]:
+                    current = (words[1:], stdin, [])
+                    commands.append(current)
             elif current is not None:
-                current[1].append(line + "\n")
-    return [(argv, "".join(out)) for argv, out in examples]
+                current[2].append(line + "\n")
+    return [(argv, stdin, "".join(out)) for argv, stdin, out in commands]
+
+
+def readme_examples():
+    """(argv, stdout) for each `$ settower ...` line in the README."""
+    return [(argv, out) for argv, stdin, out in readme_commands() if stdin is None]
+
+
+def readme_piped_examples():
+    """(argv, stdin, stdout) for each `$ printf ... | settower ...` line."""
+    return [command for command in readme_commands() if command[1] is not None]
 
 
 class TestReadmeExamples:
@@ -460,6 +496,26 @@ class TestReadmeExamples:
         code, out, err = run_cli(argv, capsys)
         assert (out, err) == (want, "")
         assert code == (2 if want == "indistinguishable\n" else 0)
+
+    def test_every_command_line_runs_settower(self):
+        lines = [
+            line
+            for block in regex.findall(r"```sh\n(.*?)```", README.read_text(), regex.S)
+            for line in block.splitlines()
+            if line.startswith("$ ") and "settower" in line
+        ]
+        assert len(lines) == len(readme_commands())
+        assert [argv for argv, _, _ in readme_piped_examples()] == [["relcheck", "-"]]
+
+    @pytest.mark.parametrize(
+        "argv,stdin,want",
+        readme_piped_examples(),
+        ids=[" ".join(argv) for argv, _, _ in readme_piped_examples()],
+    )
+    def test_piped_output_matches(self, argv, stdin, want, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (0, want, "")
 
 
 class TestCmpCommand:
@@ -590,6 +646,20 @@ class TestRelcheckCommand:
         assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["relcheck", "-", "--prec", "5"], ["enum", "pair", "3", "5", "--prec", "5"]],
+    ids=["relcheck", "enum"],
+)
+def test_prec_is_a_usage_error_outside_eval_and_cmp(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("carrier: a\n"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --prec 5" in captured.err
+
+
 NOT_UTF8 = b"carrier: a b\na \xff\n"
 
 
@@ -623,6 +693,38 @@ class TestNotUTF8:
         )
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr.decode().startswith("error: stdin is not valid UTF-8")
+
+    @pytest.mark.parametrize("argv", [["relcheck", "-"], ["eval", "-"]], ids=["relcheck", "eval"])
+    def test_escaping_stdin_exits_one(self, argv, capsys, monkeypatch):
+        # The POSIX locale's stdin turns bad bytes into surrogates instead
+        # of raising; the bytes under it are what gets decoded.
+        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: stdin is not valid UTF-8 (byte 15: invalid start byte)\n"
+
+    @pytest.mark.parametrize("locale", [None, "C", "POSIX"], ids=["default", "C", "POSIX"])
+    @pytest.mark.parametrize(
+        "argv,data",
+        [(["relcheck", "-"], b"carrier: a \xff\na \xff\n"), (["eval", "-"], b"inv(\xff)")],
+        ids=["relcheck", "eval"],
+    )
+    def test_stdin_in_a_process(self, argv, data, locale):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        if locale is not None:
+            env["LC_ALL"] = locale
+        program = f"from settower.cli import main; raise SystemExit(main({argv!r}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            input=data,
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.decode().startswith("error: stdin is not valid UTF-8 (byte ")
+        assert b"Traceback" not in proc.stderr
 
 
 class TestEnumCommand:

@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 import sys
@@ -210,6 +211,83 @@ class TestSupFinite:
         assert s.tag is None
         oracles.assert_cut_invariants(s, upto=32)
         assert oracles.cut_brackets(s, Fraction(1, 3), 32)
+
+
+def _tagged_leaf(d):
+    return real_from_dyadic(d), oracles.to_fraction(d)
+
+
+# Signed leaves for real_sup, each with its exact value: exact zero, tagged
+# values of either sign, untagged cuts, negations, and pairs with two
+# nonzero sides.
+SUP_LEAVES = (
+    lambda: (REAL_ZERO, Fraction(0)),
+    lambda: (real_from_cut(inv3()), Fraction(1, 3)),
+    lambda: (real_neg(real_from_cut(inv3())), Fraction(-1, 3)),
+    lambda: (real_from_cut(CutReal(from_dyadic(make(3, 2)).query)), Fraction(3, 4)),
+    lambda: (real_neg(real_from_dyadic(HALF)), Fraction(-1, 2)),
+    lambda: (Real(inv3(), from_dyadic(HALF)), Fraction(-1, 6)),
+    lambda: (Real(from_dyadic(ONE), reals.reciprocal(make(5, 0))), Fraction(4, 5)),
+    lambda: (Real(from_dyadic(make(3, 2)), from_dyadic(HALF)), Fraction(1, 4)),
+)
+
+sup_leaves = st.one_of(
+    signed_dyadics.map(lambda d: lambda: _tagged_leaf(d)),
+    st.sampled_from(SUP_LEAVES),
+)
+
+
+def _tagged(x):
+    return x.pos.tag is not None and x.neg.tag is not None
+
+
+class TestRealSup:
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyList):
+            reals.real_sup([])
+        with pytest.raises(EmptyList):
+            reals.real_sup(iter(()))
+
+    def test_singleton_is_the_value(self):
+        x = real_from_cut(inv3())
+        assert reals.real_sup([x]) is x
+
+    @given(st.lists(sup_leaves, min_size=1, max_size=9))
+    @settings(max_examples=100, deadline=None)
+    @example([SUP_LEAVES[0], SUP_LEAVES[0]])
+    @example([SUP_LEAVES[2], SUP_LEAVES[4], SUP_LEAVES[5]])
+    def test_brackets_the_max_and_overlaps_the_formula(self, makers):
+        leaves = [make_leaf() for make_leaf in makers]
+        xs = [x for x, _ in leaves]
+        top = max(value for _, value in leaves)
+        got = reals.real_sup(xs)
+        fold = xs[0]
+        for x in xs[1:]:
+            fold = oracles.formula_max(fold, x)
+        oracles.assert_cut_invariants(got.pos, upto=40)
+        oracles.assert_cut_invariants(got.neg, upto=40)
+        for n in range(41):
+            lo, hi = (oracles.to_fraction(e) for e in real_interval(got, n))
+            flo, fhi = (oracles.to_fraction(e) for e in real_interval(fold, n))
+            assert lo <= top <= hi, n
+            assert lo <= fhi and flo <= hi, n
+        if all(_tagged(x) for x in xs):
+            assert _tagged(got)
+            assert oracles.to_fraction(dy.sub(got.pos.tag, got.neg.tag)) == top
+
+    def test_depth_is_logarithmic(self):
+        # A chain of k two-way maxima would need thousands of frames; the
+        # balanced tree over 2^14 leaves answers within a few hundred.
+        xs = [real_from_cut(reals.reciprocal(make(2 * k + 3, 0))) for k in range(1 << 14)]
+        xs[5] = real_neg(xs[5])
+        got = reals.real_sup(xs)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 400)
+        try:
+            lo, hi = real_interval(got, 31)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert oracles.to_fraction(lo) <= Fraction(1, 3) <= oracles.to_fraction(hi)
 
 
 class TestInverse:
