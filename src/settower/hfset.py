@@ -8,14 +8,19 @@ exactly one serialized form.
 The Ackermann code N(X) = sum over x in X of 2^N(x) is injective, but the
 integers explode as towers (the von Neumann natural 6 already needs a code
 of about 2^2059 bits).  Ordering by code therefore never materializes the
-code: two sets are compared like binary numbers, by walking their element
-lists from the largest element down.  `ackermann_code` itself refuses, with
-SizeLimit, inputs whose code would not fit in CODE_BIT_LIMIT bits.
+code.  Each set instead carries an order key: the tuple of its elements'
+keys, largest element first.  A code is the binary number whose set bits
+sit at its elements' codes, so reading both element lists from the top,
+the first disagreement decides, and a list that runs out first is the
+smaller code; that is exactly Python's lexicographic order on these nested
+tuples, so sorting by key runs the comparison in C.  `ackermann_code`
+refuses, with SizeLimit, inputs whose code would not fit in CODE_BIT_LIMIT
+bits, and `from_code` decodes every code that fits.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from operator import attrgetter
 
 from .errors import (
     EmptyFamily,
@@ -35,46 +40,33 @@ CODE_BIT_LIMIT = 1 << 16
 
 
 def compare(a: "HFSet", b: "HFSet") -> int:
-    """Order of Ackermann codes, computed structurally.
-
-    The code of a set is the binary number whose set bits sit at the codes
-    of its elements, so the larger code belongs to whichever set wins the
-    first disagreement when both element lists are read from the top.
-    """
-    if a is b:
-        return 0
-    xs, ys = a._elems, b._elems
-    i, j = len(xs) - 1, len(ys) - 1
-    while i >= 0 and j >= 0:
-        c = compare(xs[i], ys[j])
-        if c != 0:
-            return c
-        i -= 1
-        j -= 1
-    if i >= 0:
-        return 1
-    if j >= 0:
-        return -1
-    return 0
+    """Order of Ackermann codes (-1, 0 or 1), computed on order keys."""
+    ka, kb = a._key, b._key
+    return (ka > kb) - (ka < kb)
 
 
-_sort_key = cmp_to_key(compare)
+_key_of = attrgetter("_key")
 
 
 class HFSet:
-    __slots__ = ("_elems", "_hash", "_rank")
+    __slots__ = ("_elems", "_hash", "_rank", "_key")
 
     def __init__(self, elements=()):
-        distinct = []
+        # A dict dedupes by hash, keeping the first of equal elements.
+        distinct = {}
         for e in elements:
             if not isinstance(e, HFSet):
                 raise TypeError(f"HFSet elements must be HFSets, got {type(e).__name__}")
-            if e not in distinct:
-                distinct.append(e)
-        distinct.sort(key=_sort_key)
-        self._elems = tuple(distinct)
-        self._rank = 1 + max((e._rank for e in self._elems), default=-1)
-        self._hash = hash(self._elems)
+            distinct[e] = None
+        self._elems = elems = tuple(sorted(distinct, key=_key_of))
+        # Through a list: tuple() of a lazy iterator allocates ten slots and
+        # shrinks, and the shrunken tuples, once freed, fill the interpreter's
+        # per-size tuple free lists (~2 MB held for good on `hf_codes`).
+        self._key = tuple([e._key for e in reversed(elems)])
+        # The sets of rank < r are exactly the codes below 2^^(r-1), so the
+        # element with the largest code also has the largest rank.
+        self._rank = elems[-1]._rank + 1 if elems else 0
+        self._hash = hash(elems)
 
     @staticmethod
     def of(*elements: "HFSet") -> "HFSet":
@@ -96,22 +88,20 @@ class HFSet:
         return iter(self._elems)
 
     def __contains__(self, item):
-        if not isinstance(item, HFSet):
-            return False
-        return any(item == e for e in self._elems)
+        return isinstance(item, HFSet) and item in self._elems
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, HFSet):
             return NotImplemented
-        return self._hash == other._hash and self._elems == other._elems
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self):
         return self._hash
 
     def __str__(self):
-        return "{" + ",".join(str(e) for e in self._elems) + "}"
+        return "{" + ",".join(map(str, self._elems)) + "}"
 
     __repr__ = __str__
 
@@ -219,22 +209,75 @@ def hf_to_nat(x: HFSet) -> int:
     return len(elems)
 
 
+def _refused_rank(limit: int) -> int:
+    """Least rank whose sets all have codes of at least `limit`.
+
+    The least code of a rank-r set is 2^^(r-1) (with 2^^(-1) = 0), the code
+    of r nested braces around the empty set.
+    """
+    rank, least = 0, 0
+    while least < limit:
+        rank += 1
+        # 2^least >= limit as soon as least reaches limit's bit length.
+        least = limit if least >= limit.bit_length() else 1 << least
+    return rank
+
+
+def _code_too_wide() -> SizeLimit:
+    return SizeLimit(f"Ackermann code needs more than {CODE_BIT_LIMIT} bits")
+
+
 def ackermann_code(x: HFSet, _memo=None) -> int:
+    """N(x), the sum of 2^N(e) over the elements e of x."""
     if _memo is None:
         _memo = {}
-    cached = _memo.get(x)
+    # The largest element has the largest rank; once that rank alone puts
+    # its code at CODE_BIT_LIMIT or more, refuse before recursing.
+    if x._elems and x._elems[-1]._rank >= _refused_rank(CODE_BIT_LIMIT):
+        raise _code_too_wide()
+    return _code(x, _memo)
+
+
+def _code(x: HFSet, memo: dict) -> int:
+    cached = memo.get(x)
     if cached is not None:
         return cached
     code = 0
-    for e in x:
-        sub = ackermann_code(e, _memo)
+    for e in x._elems:
+        sub = _code(e, memo)
         if sub >= CODE_BIT_LIMIT:
-            raise SizeLimit(
-                f"Ackermann code needs more than {CODE_BIT_LIMIT} bits"
-            )
+            raise _code_too_wide()
         code += 1 << sub
-    _memo[x] = code
+    memo[x] = code
     return code
+
+
+def from_code(c: int) -> HFSet:
+    """The set whose Ackermann code is `c`: the inverse of `ackermann_code`.
+
+    Its elements are the sets whose codes are the positions of c's set bits.
+    Codes past CODE_BIT_LIMIT bits are refused with SizeLimit, as
+    `ackermann_code` refuses their sets.  A memo private to the call builds
+    each distinct sub-code once.
+    """
+    _nat(c, "code")
+    if c.bit_length() > CODE_BIT_LIMIT:
+        raise _code_too_wide()
+    memo = {0: EMPTY}
+
+    def decode(code: int) -> HFSet:
+        got = memo.get(code)
+        if got is None:
+            elems = []
+            rest = code
+            while rest:
+                low = rest & -rest
+                elems.append(decode(low.bit_length() - 1))
+                rest ^= low
+            got = memo[code] = HFSet(elems)
+        return got
+
+    return decode(c)
 
 
 def is_full(x: HFSet) -> bool:
@@ -264,41 +307,42 @@ def is_ordinal(x: HFSet) -> bool:
     return True
 
 
+# Parser states: what the next character that is not whitespace may be.
+_SET, _OPENED, _AFTER, _DONE = range(4)
+_EXPECTED = {
+    _SET: "expected '{'",
+    _OPENED: "expected '{'",
+    _AFTER: "expected ',' or '}'",
+    _DONE: "trailing characters after set",
+}
+
+
 def parse(text: str) -> HFSet:
-    """Parse the brace serialization; any element order is canonicalized."""
-    pos = 0
+    """Parse the brace serialization; any element order is canonicalized.
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_set() -> HFSet:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != "{":
-            raise ExprSyntaxError("expected '{'", pos)
-        pos += 1
-        elems = []
-        skip_ws()
-        if pos < len(text) and text[pos] == "}":
-            pos += 1
-            return HFSet(elems)
-        while True:
-            elems.append(parse_set())
-            skip_ws()
-            if pos >= len(text):
-                raise ExprSyntaxError("unterminated set", pos)
-            if text[pos] == ",":
-                pos += 1
-                continue
-            if text[pos] == "}":
-                pos += 1
-                return HFSet(elems)
-            raise ExprSyntaxError("expected ',' or '}'", pos)
-
-    result = parse_set()
-    skip_ws()
-    if pos != len(text):
-        raise ExprSyntaxError("trailing characters after set", pos)
-    return result
+    One pass over the characters, with an explicit stack of the element
+    lists of the sets still open, so nesting depth is bounded by memory and
+    not by the interpreter's recursion limit.
+    """
+    stack = []
+    state = _SET
+    result = None
+    for pos, ch in enumerate(text):
+        if ch == "{" and state in (_SET, _OPENED):
+            stack.append([])
+            state = _OPENED
+        elif ch == "}" and state in (_OPENED, _AFTER):
+            done = HFSet(stack.pop())
+            if stack:
+                stack[-1].append(done)
+                state = _AFTER
+            else:
+                result = done
+                state = _DONE
+        elif ch == "," and state == _AFTER:
+            state = _SET
+        elif not ch.isspace():
+            raise ExprSyntaxError(_EXPECTED[state], pos)
+    if state == _DONE:
+        return result
+    raise ExprSyntaxError("unterminated set" if state == _AFTER else "expected '{'", len(text))

@@ -15,6 +15,7 @@ from settower.errors import (
     EmptyBlock,
     EmptyCarrier,
     EmptyFamily,
+    ExprSyntaxError,
     NonTotalMap,
     NotEquivalence,
     NotOrdering,
@@ -694,6 +695,66 @@ def from_code(c, _memo=None) -> HFSet:
         got = HFSet.of(*(from_code(i, _memo) for i in code_bits(c)))
         _memo[c] = got
     return got
+
+
+def compare_walk(a: HFSet, b: HFSet) -> int:
+    """Code order by walking both element lists from the largest element
+    down; the first disagreement decides and a longer list wins a tie."""
+    if a is b:
+        return 0
+    xs, ys = a.elements, b.elements
+    i, j = len(xs) - 1, len(ys) - 1
+    while i >= 0 and j >= 0:
+        c = compare_walk(xs[i], ys[j])
+        if c != 0:
+            return c
+        i -= 1
+        j -= 1
+    if i >= 0:
+        return 1
+    if j >= 0:
+        return -1
+    return 0
+
+
+def parse_descent(text: str) -> HFSet:
+    """Recursive-descent parser of the brace serialization."""
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def parse_set() -> HFSet:
+        nonlocal pos
+        skip_ws()
+        if pos >= len(text) or text[pos] != "{":
+            raise ExprSyntaxError("expected '{'", pos)
+        pos += 1
+        elems = []
+        skip_ws()
+        if pos < len(text) and text[pos] == "}":
+            pos += 1
+            return HFSet(elems)
+        while True:
+            elems.append(parse_set())
+            skip_ws()
+            if pos >= len(text):
+                raise ExprSyntaxError("unterminated set", pos)
+            if text[pos] == ",":
+                pos += 1
+                continue
+            if text[pos] == "}":
+                pos += 1
+                return HFSet(elems)
+            raise ExprSyntaxError("expected ',' or '}'", pos)
+
+    result = parse_set()
+    skip_ws()
+    if pos != len(text):
+        raise ExprSyntaxError("trailing characters after set", pos)
+    return result
 
 
 # --------------------------------------------------------------------- cuts

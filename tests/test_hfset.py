@@ -1,3 +1,6 @@
+from functools import cmp_to_key
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,16 @@ from settower.hfset import EMPTY, HFSet
 # canonical order is literally integer order on codes.
 codes = st.integers(min_value=0, max_value=2**16 - 1)
 coded_sets = codes.map(oracles.from_code)
+
+# Arbitrary small sets, ranks well past the coded universe's 5.
+trees = st.recursive(
+    st.just(EMPTY), lambda kids: st.lists(kids, max_size=3).map(HFSet), max_leaves=12
+)
+
+
+def rank_oracle(fs) -> int:
+    return 1 + max((rank_oracle(e) for e in fs), default=-1)
+
 
 # A tiny fixed universe (the 8 subsets of {0,1,2}) for algebraic identities.
 UNIVERSE = hf.power_set(hf.nat_to_hf(3))
@@ -57,6 +70,25 @@ class TestConstruction:
     def test_rejects_non_hfset_elements(self):
         with pytest.raises(TypeError):
             HFSet.of("atom")
+        with pytest.raises(TypeError, match="got list"):
+            HFSet.of(EMPTY, [])
+
+    def test_keeps_the_first_of_equal_elements(self):
+        first, second = hf.parse("{{}}"), hf.parse("{{}}")
+        (kept,) = HFSet.of(first, second).elements
+        assert kept is first
+
+    @given(st.one_of(coded_sets, trees))
+    def test_rank_is_one_past_the_largest_element_rank(self, a):
+        assert a.rank == 1 + max((e.rank for e in a), default=-1)
+        assert a.rank == rank_oracle(oracles.freeze(a))
+
+    @given(coded_sets, coded_sets)
+    def test_membership_matches_frozen_oracle(self, a, b):
+        rebuilt = [HFSet(e.elements) for e in a]
+        assert all(e in a for e in rebuilt)
+        assert (b in a) == (oracles.freeze(b) in oracles.freeze(a))
+        assert "atom" not in a
 
 
 class TestCompare:
@@ -65,6 +97,20 @@ class TestCompare:
         got = hf.compare(oracles.from_code(ca), oracles.from_code(cb))
         want = (ca > cb) - (ca < cb)
         assert got == want
+
+    @given(st.one_of(st.tuples(coded_sets, coded_sets), st.tuples(trees, trees)))
+    def test_sign_matches_element_walk(self, pair):
+        a, b = pair
+        assert hf.compare(a, b) == oracles.compare_walk(a, b)
+        assert hf.compare(b, a) == -hf.compare(a, b)
+        assert hf.compare(a, HFSet(a.elements)) == 0
+
+    @given(st.lists(st.one_of(coded_sets, trees), max_size=12))
+    def test_element_order_matches_element_walk(self, members):
+        distinct = list(dict.fromkeys(members))
+        want = sorted(distinct, key=cmp_to_key(oracles.compare_walk))
+        assert HFSet(members).elements == tuple(want)
+        assert HFSet(reversed(members)).elements == tuple(want)
 
     @given(st.lists(codes, min_size=1, max_size=20))
     def test_sorting_agrees_with_codes(self, cs):
@@ -258,6 +304,85 @@ class TestAckermannCodes:
     def test_matches_frozen_oracle(self, x):
         assert hf.ackermann_code(x) == oracles.code_oracle(oracles.freeze(x))
 
+    def test_deep_sets_refused_before_recursing(self):
+        deep = hf.parse("{" * 3000 + "}" * 3000)
+        with pytest.raises(SizeLimit, match="more than 65536 bits"):
+            hf.ackermann_code(deep)
+        with pytest.raises(SizeLimit):
+            hf.ackermann_code(deep, {})
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 16, 17, 2**16])
+    def test_nested_braces_at_every_limit(self, limit):
+        # r nested braces around {} have the least code of any rank-r set.
+        with mock.patch.object(hf, "CODE_BIT_LIMIT", limit):
+            for r in range(8):
+                x = hf.parse("{" * (r + 1) + "}" * (r + 1))
+                least = 0
+                for _ in range(min(r, 5)):
+                    least = 1 << least
+                if r <= 5 and least.bit_length() <= limit:
+                    assert hf.ackermann_code(x) == least
+                else:
+                    with pytest.raises(SizeLimit):
+                        hf.ackermann_code(x)
+
+    @given(trees, st.one_of(st.integers(0, 40), st.just(2**16)))
+    def test_limit_matches_frozen_oracle(self, x, limit):
+        # Past rank 5 the code has more than 2^16 bits; below it the oracle
+        # computes the code and the limit applies to its bit length.
+        if rank_oracle(oracles.freeze(x)) <= 5:
+            want = oracles.code_oracle(oracles.freeze(x))
+            refused = want.bit_length() > limit
+        else:
+            refused = True
+        with mock.patch.object(hf, "CODE_BIT_LIMIT", limit):
+            if refused:
+                with pytest.raises(SizeLimit):
+                    hf.ackermann_code(x)
+            else:
+                assert hf.ackermann_code(x) == want
+
+
+class TestFromCode:
+    def test_every_code_below_4096(self):
+        for c in range(4096):
+            got = hf.from_code(c)
+            want = oracles.from_code(c)
+            assert got == want and str(got) == str(want)
+            assert hf.ackermann_code(got) == c
+
+    @given(st.integers(min_value=0, max_value=2**16))
+    def test_matches_naive_decoder(self, c):
+        got = hf.from_code(c)
+        assert got.elements == oracles.from_code(c).elements
+        assert hf.ackermann_code(got) == c
+
+    @given(trees)
+    def test_inverts_ackermann_code(self, x):
+        if rank_oracle(oracles.freeze(x)) <= 5:
+            assert hf.from_code(hf.ackermann_code(x)) == x
+
+    def test_decodes_each_sub_code_once(self):
+        x = hf.from_code(2**12 - 1)
+        for e in x.elements:
+            for sub in e.elements:
+                assert sub is x.elements[hf.ackermann_code(sub)]
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "3", None])
+    def test_rejects_non_naturals(self, bad):
+        with pytest.raises(NotANatural):
+            hf.from_code(bad)
+
+    def test_same_bound_as_ackermann_code(self):
+        widest = hf.from_code(1 << (hf.CODE_BIT_LIMIT - 1))
+        assert hf.ackermann_code(widest) == 1 << (hf.CODE_BIT_LIMIT - 1)
+        with pytest.raises(SizeLimit, match="more than 65536 bits"):
+            hf.from_code(1 << hf.CODE_BIT_LIMIT)
+        with mock.patch.object(hf, "CODE_BIT_LIMIT", 16):
+            assert hf.ackermann_code(hf.from_code(2**16 - 1)) == 2**16 - 1
+            with pytest.raises(SizeLimit):
+                hf.from_code(2**16)
+
 
 class TestPredicates:
     def test_naturals_are_ordinals(self):
@@ -312,6 +437,23 @@ class TestSetIdentities:
         assert lhs2 == rhs2
 
 
+# Braces, commas, ASCII and Unicode whitespace and junk, in any order.
+token_strings = st.lists(
+    st.sampled_from(["{", "}", ",", "{}", " ", "\t", "\x1c", "\u3000", "x", "\u00e9"]),
+    max_size=24,
+).map("".join)
+
+
+@st.composite
+def edited_serializations(draw):
+    """A set's serialization with up to three characters inserted."""
+    text = str(draw(coded_sets))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([" ", "\x1c", "\t", "x", ",", "}"])) + text[at:]
+    return text
+
+
 class TestParse:
     @given(coded_sets)
     def test_roundtrip(self, x):
@@ -323,6 +465,29 @@ class TestParse:
     def test_duplicates_collapse(self):
         assert hf.parse("{{},{}}") == HFSet.of(EMPTY)
 
+    def test_any_depth(self):
+        x = hf.parse("{" * 5000 + "}" * 5000)
+        assert x.rank == 4999
+        for _ in range(4999):
+            (x,) = x.elements
+        assert x == EMPTY
+        with pytest.raises(ExprSyntaxError) as err:
+            hf.parse("{" * 5000 + "}" * 4999)
+        assert (err.value.message, err.value.position) == ("unterminated set", 9999)
+
+    @given(st.one_of(token_strings, edited_serializations()))
+    def test_matches_recursive_descent(self, text):
+        try:
+            want = oracles.parse_descent(text)
+        except ExprSyntaxError as err:
+            with pytest.raises(ExprSyntaxError) as got:
+                hf.parse(text)
+            assert (got.value.message, got.value.position) == (err.message, err.position)
+            assert str(got.value) == str(err)
+        else:
+            got = hf.parse(text)
+            assert got == want and str(got) == str(want)
+
     @pytest.mark.parametrize(
         "bad,pos",
         [
@@ -332,6 +497,10 @@ class TestParse:
             ("{},", 2),
             ("x", 0),
             ("{{} {}}", 4),
+            ("{,}", 1),
+            ("{{},}", 4),
+            (" \x1c", 2),
+            ("{{}\u3000", 4),
         ],
     )
     def test_errors_carry_position(self, bad, pos):
