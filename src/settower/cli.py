@@ -83,9 +83,16 @@ def _tokenize(text: str):
     return tokens
 
 
+_LEVELS = ("+-", "*/", "^")
+
+
 class _Parser:
-    """Recursive descent over the token list; all operators left-associative,
-    ^ binding tighter than * and /, which bind tighter than + and -."""
+    """Descent over the token list.  chain(level) reads one run of the
+    left-associative operators in _LEVELS[level] by a loop, ^ binding
+    tighter than * and /, which bind tighter than + and -; expr reads a run
+    of leading let clauses and unary a run of prefix minus signs the same
+    way.  So the parser recurses only where the input nests: parentheses,
+    function arguments and a let's bound expression."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -112,8 +119,10 @@ class _Parser:
         return node
 
     def expr(self):
-        kind, text, at = self.peek()
-        if kind == "kw" and text == "let":
+        bindings = []
+        # Only the keyword let has the text "let", and only the operator -
+        # the text "-", so a token's text alone tells them apart.
+        while self.peek()[1] == "let":
             self.take()
             nkind, name, nat_ = self.take()
             if nkind != "name":
@@ -123,46 +132,36 @@ class _Parser:
             kkind, ktext, kat = self.take()
             if kkind != "kw" or ktext != "in":
                 raise ExprSyntaxError("expected 'in'", kat)
-            body = self.expr()
-            return ("let", name, bound, body)
-        return self.additive()
+            bindings.append((name, bound))
+        body = self.chain(0)
+        return ("let", bindings, body) if bindings else body
 
-    def additive(self):
-        node = self.multiplicative()
-        while True:
+    def chain(self, level):
+        """("chain", ops, operands) for a run of _LEVELS[level]'s
+        operators, or the lone operand when there is none."""
+        symbols = _LEVELS[level]
+        node = self.chain(1) if level == 0 else self.unary() if level == 1 else self.atom()
+        kind, text, _ = self.peek()
+        if kind != "op" or text not in symbols:
+            return node
+        ops, operands = [], [node]
+        while kind == "op" and text in symbols:
+            self.take()
+            ops.append(text)
+            operands.append(
+                self.chain(1) if level == 0 else self.unary() if level == 1 else self.atom()
+            )
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                node = ("bin", text, node, self.multiplicative())
-            else:
-                return node
-
-    def multiplicative(self):
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                node = ("bin", text, node, self.unary())
-            else:
-                return node
+        return ("chain", ops, operands)
 
     def unary(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+        # Two minus signs cancel, so only an odd run leaves a neg node.
+        odd = False
+        while self.peek()[1] == "-":
             self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "^":
-                self.take()
-                node = ("bin", "^", node, self.atom())
-            else:
-                return node
+            odd = not odd
+        node = self.chain(2)
+        return ("neg", node) if odd else node
 
     def atom(self):
         kind, text, at = self.take()
@@ -241,6 +240,10 @@ def _nat_exponent(value) -> int:
 
 
 def _eval(node, env, prec: int):
+    """Value of a parsed node: a Dyadic while every step stays exact, else
+    a Real.  A chain folds left to right and a let binds its names in order
+    into one copy of env, both by loops, so the walk recurses only into
+    nested nodes."""
     op = node[0]
     if op == "num":
         return node[1]
@@ -249,20 +252,23 @@ def _eval(node, env, prec: int):
         if name not in env:
             raise ExprSyntaxError(f"unbound name {name!r}", at)
         return env[name]
+    if op == "chain":
+        _, ops, operands = node
+        acc = _eval(operands[0], env, prec)
+        for i, sym in enumerate(ops, 1):
+            acc = _apply_bin(sym, acc, _eval(operands[i], env, prec), prec)
+        return acc
     if op == "let":
-        _, name, bound, body = node
-        value = _eval(bound, env, prec)
-        return _eval(body, {**env, name: value}, prec)
+        _, bindings, body = node
+        env = dict(env)
+        for name, bound in bindings:
+            env[name] = _eval(bound, env, prec)
+        return _eval(body, env, prec)
     if op == "neg":
         value = _eval(node[1], env, prec)
         if isinstance(value, dy.Dyadic):
             return dy.neg(value)
         return re.real_neg(value)
-    if op == "bin":
-        _, sym, left, right = node
-        a = _eval(left, env, prec)
-        b = _eval(right, env, prec)
-        return _apply_bin(sym, a, b, prec)
     if op == "call":
         _, name, args = node
         values = [_eval(a, env, prec) for a in args]

@@ -101,7 +101,23 @@ class HFSet:
         return self._hash
 
     def __str__(self):
-        return "{" + ",".join(map(str, self._elems)) + "}"
+        # An explicit stack of sets still to print and the tokens that
+        # close them, as `parse` reads, so any nesting depth prints.
+        out = []
+        todo = [self]
+        while todo:
+            x = todo.pop()
+            if x.__class__ is str:
+                out.append(x)
+            elif x._elems:
+                out.append("{")
+                todo.append("}")
+                for e in reversed(x._elems):
+                    todo += (e, ",")
+                todo.pop()
+            else:
+                out.append("{}")
+        return "".join(out)
 
     __repr__ = __str__
 
@@ -199,14 +215,16 @@ def nat_to_hf(n: int) -> HFSet:
     return acc
 
 
-def hf_to_nat(x: HFSet) -> int:
+def _is_natural(elems: tuple) -> bool:
     # A von Neumann natural sorts, in code order, as 0 < 1 < ... < n-1, and
     # each element must equal the set of all earlier ones.
-    elems = x.elements
-    for i, e in enumerate(elems):
-        if e.elements != elems[:i]:
-            raise NotANatural(f"not a von Neumann natural: {x}")
-    return len(elems)
+    return all(e._elems == elems[:i] for i, e in enumerate(elems))
+
+
+def hf_to_nat(x: HFSet) -> int:
+    if not _is_natural(x._elems):
+        raise NotANatural(f"not a von Neumann natural: {x}")
+    return len(x._elems)
 
 
 def _refused_rank(limit: int) -> int:
@@ -227,15 +245,13 @@ def _code_too_wide() -> SizeLimit:
     return SizeLimit(f"Ackermann code needs more than {CODE_BIT_LIMIT} bits")
 
 
-def ackermann_code(x: HFSet, _memo=None) -> int:
+def ackermann_code(x: HFSet) -> int:
     """N(x), the sum of 2^N(e) over the elements e of x."""
-    if _memo is None:
-        _memo = {}
     # The largest element has the largest rank; once that rank alone puts
     # its code at CODE_BIT_LIMIT or more, refuse before recursing.
     if x._elems and x._elems[-1]._rank >= _refused_rank(CODE_BIT_LIMIT):
         raise _code_too_wide()
-    return _code(x, _memo)
+    return _code(x, {})
 
 
 def _code(x: HFSet, memo: dict) -> int:
@@ -286,25 +302,14 @@ def is_full(x: HFSet) -> bool:
 
 
 def is_ordinal(x: HFSet) -> bool:
-    """Empty, or full with the membership-minimum property.
+    """Transitive and well-ordered by membership.
 
-    The defining condition quantifies over all nonempty subsets; on
-    well-founded values (and every HFSet is well-founded by construction)
-    it reduces to pairwise membership-comparability of distinct elements:
-    a minimal element of a subset exists by finiteness, and comparability
-    promotes it to the minimum.  The literal quantifier form stays in the
-    test suite as the oracle.
+    An HFSet is finite and well-founded, so its ordinals are exactly the
+    von Neumann naturals, the sets `hf_to_nat` reads.  The literal
+    definition, over all nonempty subsets, stays in the test suite as the
+    oracle.
     """
-    if len(x) == 0:
-        return True
-    if not is_full(x):
-        return False
-    elems = x.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if elems[i] not in elems[j] and elems[j] not in elems[i]:
-                return False
-    return True
+    return _is_natural(x._elems)
 
 
 # Parser states: what the next character that is not whitespace may be.

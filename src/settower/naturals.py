@@ -153,3 +153,16 @@ def parse_nat(text: str) -> int:
     if not _is_decimal(stripped):
         raise NotANatural(f"not a decimal natural: {text!r}")
     return int(stripped)
+
+
+def square_and_multiply(x, m: int, times):
+    """x^m for m >= 1 from O(log m) calls of the product times, so the
+    result is a DAG of depth O(log m) rather than a chain of length m."""
+    acc = None
+    while True:
+        if m & 1:
+            acc = x if acc is None else times(acc, x)
+        m >>= 1
+        if not m:
+            return acc
+        x = times(x, x)

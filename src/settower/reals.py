@@ -48,7 +48,7 @@ import enum
 
 from . import dyadic as dy
 from .errors import EmptyList, NegativeInput, NotBoundedAwayFromZero
-from .naturals import _nat
+from .naturals import _nat, square_and_multiply
 
 
 class CutReal:
@@ -265,19 +265,6 @@ def inverse(x: CutReal, n0: int) -> CutReal:
         return dy.div_floor(dy.ONE, hk, p), dy.div_ceil(dy.ONE, lk, p)
 
     return CutReal(fn)
-
-
-def square_and_multiply(x, m: int, times):
-    """x^m for m >= 1 from O(log m) calls of the product times, so the
-    result is a DAG of depth O(log m) rather than a chain of length m."""
-    acc = None
-    while True:
-        if m & 1:
-            acc = x if acc is None else times(acc, x)
-        m >>= 1
-        if not m:
-            return acc
-        x = times(x, x)
 
 
 def pow_nat(x: CutReal, m: int) -> CutReal:

@@ -44,6 +44,8 @@ from .errors import (
     ParseError,
     UnknownAtom,
 )
+from .naturals import square_and_multiply
+
 
 class Carrier:
     """Ordered finite list of distinct opaque atoms."""
@@ -299,19 +301,11 @@ def restrict(r: Relation, atoms) -> Relation:
 
 def power(r: Relation, m: int) -> Relation:
     """r^m for m >= 1 from O(log m) products, by squaring and multiplying
-    as reals.square_and_multiply does (powers of r commute).  relations
-    sits below reals in the tower, so it keeps its own loop."""
+    (powers of r commute)."""
     _require_endo(r)
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise BadExponent(f"relation power needs m >= 1, got {m!r}")
-    acc = None
-    while True:
-        if m & 1:
-            acc = r if acc is None else compose(acc, r)
-        m >>= 1
-        if not m:
-            return acc
-        r = compose(r, r)
+    return square_and_multiply(r, m, compose)
 
 
 def image(r: Relation, atoms) -> frozenset:

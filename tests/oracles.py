@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from settower import dyadic as dy
+from settower.cli import _FUNCTIONS, _apply_bin, _apply_call, _tokenize
 from settower.errors import (
     CarrierMismatch,
     EmptyBlock,
@@ -31,6 +32,7 @@ from settower.reals import (
     real_from_cut,
     real_from_dyadic,
     real_mul,
+    real_neg,
     real_sub,
 )
 from settower.relations import Carrier, IndependenceReport, Relation, compose
@@ -717,6 +719,12 @@ def compare_walk(a: HFSet, b: HFSet) -> int:
     return 0
 
 
+def str_nested(x: HFSet) -> str:
+    """Brace serialization by recursion: one level of Python stack per
+    level of nesting."""
+    return "{" + ",".join(map(str_nested, x.elements)) + "}"
+
+
 def parse_descent(text: str) -> HFSet:
     """Recursive-descent parser of the brace serialization."""
     pos = 0
@@ -881,3 +889,157 @@ def formula_max(x, y):
     gap = real_from_cut(real_abs(real_sub(x, y)))
     total = real_add(real_add(x, y), gap)
     return real_mul(total, real_from_dyadic(dy.HALF))
+
+
+# ---------------------------------------------------------------- cli
+
+
+class BinaryDescent:
+    """The eval grammar by recursive descent, one method per precedence
+    level, each building a left-deep ("bin", op, left, right) tree; a
+    prefix minus and a let recurse once per sign and per clause."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, ch):
+        kind, text, at = self.take()
+        if kind != "op" or text != ch:
+            raise ExprSyntaxError(f"expected {ch!r}", at)
+
+    def parse(self):
+        node = self.expr()
+        kind, text, at = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"trailing input {text!r}", at)
+        return node
+
+    def expr(self):
+        kind, text, at = self.peek()
+        if kind == "kw" and text == "let":
+            self.take()
+            nkind, name, nat_ = self.take()
+            if nkind != "name":
+                raise ExprSyntaxError("expected a name after 'let'", nat_)
+            self.expect_op("=")
+            bound = self.expr()
+            kkind, ktext, kat = self.take()
+            if kkind != "kw" or ktext != "in":
+                raise ExprSyntaxError("expected 'in'", kat)
+            body = self.expr()
+            return ("let", name, bound, body)
+        return self.additive()
+
+    def additive(self):
+        node = self.multiplicative()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.take()
+                node = ("bin", text, node, self.multiplicative())
+            else:
+                return node
+
+    def multiplicative(self):
+        node = self.unary()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.take()
+                node = ("bin", text, node, self.unary())
+            else:
+                return node
+
+    def unary(self):
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.take()
+            return ("neg", self.unary())
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text == "^":
+                self.take()
+                node = ("bin", "^", node, self.atom())
+            else:
+                return node
+
+    def atom(self):
+        kind, text, at = self.take()
+        if kind == "num":
+            try:
+                return ("num", dy.parse_dyadic(text))
+            except ExprSyntaxError as exc:
+                raise ExprSyntaxError(exc.message, at) from None
+        if kind == "name":
+            pkind, ptext, _ = self.peek()
+            if pkind == "op" and ptext == "(":
+                if text not in _FUNCTIONS:
+                    raise ExprSyntaxError(f"unknown function {text!r}", at)
+                self.take()
+                args = [self.expr()]
+                while True:
+                    ckind, ctext, cat = self.take()
+                    if ckind == "op" and ctext == ",":
+                        args.append(self.expr())
+                    elif ckind == "op" and ctext == ")":
+                        break
+                    else:
+                        raise ExprSyntaxError("expected ',' or ')'", cat)
+                low, high = _FUNCTIONS[text]
+                if len(args) < low or (high is not None and len(args) > high):
+                    raise ExprSyntaxError(
+                        f"{text}() takes {low}{'' if high == low else '+'} "
+                        f"argument(s), got {len(args)}",
+                        at,
+                    )
+                return ("call", text, args)
+            return ("var", text, at)
+        if kind == "op" and text == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", at)
+
+
+def eval_tree(node, env, prec):
+    """Value of a BinaryDescent tree, by recursion on every node, with the
+    CLI's own operations at each operator and function call."""
+    op = node[0]
+    if op == "num":
+        return node[1]
+    if op == "var":
+        _, name, at = node
+        if name not in env:
+            raise ExprSyntaxError(f"unbound name {name!r}", at)
+        return env[name]
+    if op == "let":
+        _, name, bound, body = node
+        value = eval_tree(bound, env, prec)
+        return eval_tree(body, {**env, name: value}, prec)
+    if op == "neg":
+        value = eval_tree(node[1], env, prec)
+        return dy.neg(value) if isinstance(value, dy.Dyadic) else real_neg(value)
+    if op == "bin":
+        _, sym, left, right = node
+        a = eval_tree(left, env, prec)
+        b = eval_tree(right, env, prec)
+        return _apply_bin(sym, a, b, prec)
+    _, name, args = node
+    return _apply_call(name, [eval_tree(a, env, prec) for a in args], prec)
+
+
+def evaluate_descent(text: str, prec: int):
+    return eval_tree(BinaryDescent(text).parse(), {}, prec)

@@ -12,13 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from settower import cli
 from settower import dyadic as dy
 from settower import reals
 from settower.dyadic import make
-from settower.errors import BadExponent, ExprSyntaxError
+from settower.errors import BadExponent, ExprSyntaxError, SettowerError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -841,3 +842,111 @@ class TestZeroFolding:
             assert f == g, argv
         # The corpus reaches the interval path, not just exact answers.
         assert sum("@" in out for _, out, _ in folded) > len(corpus) // 4
+
+
+def random_chain(rng, names=()):
+    """Operands of random_expr joined by bare operators, after up to three
+    minus signs and under up to three let clauses, so runs of every
+    precedence level, of lets and of signs meet in one expression."""
+    if names == () and rng.random() < 0.5:
+        clauses = []
+        for k in range(rng.randrange(1, 4)):
+            clauses.append(f"let v{k} = {random_chain(rng, names)} in ")
+            names += (f"v{k}",)
+        return "".join(clauses) + random_chain(rng, names)
+
+    def operand():
+        text = random_expr(rng, 1, names)
+        return f"({text})" if text.startswith("let") else text
+
+    text = "-" * rng.randrange(4) + operand()
+    for _ in range(rng.randrange(6)):
+        sym = rng.choice(["+", "-", "*", "/", "^", " + -", " * --"])
+        text += sym + (str(rng.randrange(3)) if sym == "^" else operand())
+    return text
+
+
+# Tokens of the eval grammar and a little junk, in any order.
+expr_token_strings = st.lists(
+    st.sampled_from(
+        ["0", "1", "3", "0.75", "0.1", "x", "v0", "let", "in", "=", "+", "-", "*",
+         "/", "^", "(", ")", ",", "abs", "inv", "sup", "between", " ", "@"]
+    ),
+    max_size=20,
+).map("".join)
+
+chain_texts = st.integers(0, 2**32 - 1).map(lambda seed: random_chain(random.Random(seed)))
+
+
+def outcome(evaluate, text, prec=30):
+    """An exact Dyadic, the intervals at precisions 0..40, or the error's
+    type and text (which carries an ExprSyntaxError's position)."""
+    try:
+        value = evaluate(text, prec)
+        if isinstance(value, dy.Dyadic):
+            return value
+        return [reals.real_interval(value, n) for n in range(41)]
+    except SettowerError as exc:
+        return type(exc), str(exc)
+
+
+def recursion_edge(parse, shape):
+    """The least size in 1..1000 at which parse(shape(size)) raises
+    RecursionError."""
+    lo, hi = 0, 1000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(shape(mid))
+        except RecursionError:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+LONG_RUNS = [
+    ("+".join(["1"] * 3000), "3000"),
+    ("*".join(["3"] * 2000), str(3**2000)),
+    ("".join(f"let v{k} = 0 in " for k in range(1500)) + "v1499", "0"),
+    ("-" * 3001 + "1", "-1"),
+]
+
+
+class TestChains:
+    @given(expr_token_strings)
+    @settings(max_examples=200)
+    def test_token_strings_match_binary_descent(self, text):
+        assert outcome(cli.evaluate, text) == outcome(oracles.evaluate_descent, text)
+
+    @given(chain_texts)
+    @settings(max_examples=200)
+    def test_chains_match_binary_descent(self, text):
+        assert outcome(cli.evaluate, text) == outcome(oracles.evaluate_descent, text)
+
+    def test_stdout_matches_binary_descent(self, monkeypatch):
+        corpus = fold_corpus(seed=11, evals=300, cmps=100)
+        rng = random.Random(11)
+        corpus += [["eval", "--", random_chain(rng)] for _ in range(300)]
+        chained = [quiet_main(argv) for argv in corpus]
+        monkeypatch.setattr(cli, "evaluate", oracles.evaluate_descent)
+        descent = [quiet_main(argv) for argv in corpus]
+        for argv, c, d in zip(corpus, chained, descent):
+            assert c == d, argv
+
+    @pytest.mark.parametrize("text,want", LONG_RUNS, ids=["sum", "product", "lets", "minus"])
+    def test_long_runs_answer(self, text, want, capsys):
+        with pytest.raises(RecursionError):
+            oracles.evaluate_descent(text, 30)
+        assert run_cli(["eval", "--", text], capsys) == (0, want + "\n", "")
+        proc = run_in_a_process(["eval", "--", text])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+
+    def test_parentheses_cost_the_frames_of_binary_descent(self):
+        def nested(depth):
+            return "(" * depth + "1" + ")" * depth
+
+        edge = recursion_edge(cli.parse_expr, nested)
+        assert edge < 1000
+        # The lambda's frame stands in for parse_expr's.
+        assert edge == recursion_edge(lambda text: oracles.BinaryDescent(text).parse(), nested)

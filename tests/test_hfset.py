@@ -296,9 +296,8 @@ class TestAckermannCodes:
             hf.ackermann_code(hf.nat_to_hf(6))
 
     def test_roundtrip_on_shared_memo(self):
-        memo = {}
         for c in range(4096):
-            assert hf.ackermann_code(oracles.from_code(c), memo) == c
+            assert hf.ackermann_code(oracles.from_code(c)) == c
 
     @given(coded_sets)
     def test_matches_frozen_oracle(self, x):
@@ -309,7 +308,7 @@ class TestAckermannCodes:
         with pytest.raises(SizeLimit, match="more than 65536 bits"):
             hf.ackermann_code(deep)
         with pytest.raises(SizeLimit):
-            hf.ackermann_code(deep, {})
+            hf.ackermann_code(deep)
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 16, 17, 2**16])
     def test_nested_braces_at_every_limit(self, limit):
@@ -452,6 +451,20 @@ def edited_serializations(draw):
         at = draw(st.integers(0, len(text)))
         text = text[:at] + draw(st.sampled_from([" ", "\x1c", "\t", "x", ",", "}"])) + text[at:]
     return text
+
+
+class TestStr:
+    @given(st.one_of(coded_sets, trees))
+    def test_matches_nested_oracle(self, x):
+        assert str(x) == repr(x) == oracles.str_nested(x)
+
+    def test_any_depth(self):
+        x = EMPTY
+        for _ in range(5000):
+            x = HFSet.of(x)
+        text = str(x)
+        assert text == "{" * 5001 + "}" * 5001 and len(text) == 10002
+        assert str(hf.parse(text)) == text
 
 
 class TestParse:
