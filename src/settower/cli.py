@@ -15,12 +15,16 @@ as ordinary division, and decimals with a finite binary expansion (3.25
 yes, 0.1 no).  Division falls back from exact to interval arithmetic when
 the quotient is not a binary fraction; the divisor's positivity is probed
 at --prec and failure to certify a sign is an error rather than a guess.
+
+The package imports this module, so ``import settower`` pays for whatever
+it imports at module level.  argparse and json are therefore imported where
+they are used: argparse when main() builds its parser (or --prec is
+refused), json when a record is written as json-lines.  A library user who
+never calls main() loads neither.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
 from . import dyadic as dy
@@ -350,6 +354,8 @@ def _check_prec(prec: int) -> int:
 
 def _emit(out, record, fmt: str, plain: str):
     if fmt == "json-lines":
+        import json
+
         print(json.dumps(record, sort_keys=True), file=out)
     else:
         print(plain, file=out)
@@ -503,11 +509,15 @@ def _precision_arg(text: str) -> int:
     except SizeLimit:
         ok = False
     if not ok:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="settower",
         description="Exact set-theoretic arithmetic and relation reports.",

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
-from typing import Callable, TypeVar
+from _thread import allocate_lock
 
 from .errors import NotANatural, SizeLimit, Underflow
-
-T = TypeVar("T")
 
 
 def _nat(n, name="value"):
@@ -91,6 +88,9 @@ def unpair(r: int) -> tuple[int, int]:
     return p, q
 
 
+# T in the annotations below is the type of the sequence's values.  The
+# annotations stay unevaluated strings (see the __future__ import), so the
+# module need not import typing to name it.
 class _Recursion:
     """Lazy, memoized realization of a recursively defined sequence.
 
@@ -104,7 +104,7 @@ class _Recursion:
     def __init__(self, seed: T, step: Callable[[T], T]):
         self._step = step
         self._memo = [seed]
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()
 
     def __call__(self, n: int) -> T:
         _nat(n, "index")

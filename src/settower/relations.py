@@ -28,9 +28,8 @@ left, as with function composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import reduce
-from operator import and_
+from operator import and_, attrgetter
 
 from .errors import (
     BadExponent,
@@ -234,44 +233,155 @@ def diagonal(carrier: Carrier) -> Relation:
     return Relation.on(carrier, ((a, a) for a in carrier))
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    reflexive: bool
-    antireflexive: bool
-    symmetric: bool
-    antisymmetric: bool
-    transitive: bool
-    connective: bool
-    directive: bool
-    pre_ordering: bool
-    ordering: bool
-    ordering_lt: bool
-    ordering_le: bool
-    direction: bool
-    equivalence: bool
-    total_ordering: bool
-    well_ordering: bool
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable record of named fields, the base of the report classes
+    below.  A subclass lists its fields in ``__slots__`` and takes them in
+    that order, by position or keyword, in an ``__init__`` that stores them
+    with ``_set``.  Records compare equal only to records of their own
+    class with equal fields, hash as the tuple of their fields, print as
+    ``Name(field=value, ...)``, refuse assignment and deletion with
+    AttributeError, and pickle and copy by their fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The fields as one tuple: every subclass has two or more, so the
+        # attrgetter returns a tuple.
+        cls._values = property(attrgetter(*cls.__slots__))
+        cls.__match_args__ = cls.__slots__
 
     def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self.__slots__, self._values))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values)
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Restoring slot state by default would go through __setattr__.
+        return type(self), self._values
 
 
-@dataclass(frozen=True)
-class Extremal:
-    minima: frozenset
-    maxima: frozenset
-    weak_minima: frozenset
-    weak_maxima: frozenset
-    upper_bounds: frozenset
-    lower_bounds: frozenset
-    suprema: frozenset
-    infima: frozenset
+class PropertyReport(_Record):
+    """The fifteen flags :func:`classify` reports for an endorelation: the
+    seven base properties, then the kinds of ordering they combine into."""
+
+    __slots__ = (
+        "reflexive",
+        "antireflexive",
+        "symmetric",
+        "antisymmetric",
+        "transitive",
+        "connective",
+        "directive",
+        "pre_ordering",
+        "ordering",
+        "ordering_lt",
+        "ordering_le",
+        "direction",
+        "equivalence",
+        "total_ordering",
+        "well_ordering",
+    )
+
+    def __init__(
+        self,
+        reflexive: bool,
+        antireflexive: bool,
+        symmetric: bool,
+        antisymmetric: bool,
+        transitive: bool,
+        connective: bool,
+        directive: bool,
+        pre_ordering: bool,
+        ordering: bool,
+        ordering_lt: bool,
+        ordering_le: bool,
+        direction: bool,
+        equivalence: bool,
+        total_ordering: bool,
+        well_ordering: bool,
+    ):
+        _set(self, "reflexive", reflexive)
+        _set(self, "antireflexive", antireflexive)
+        _set(self, "symmetric", symmetric)
+        _set(self, "antisymmetric", antisymmetric)
+        _set(self, "transitive", transitive)
+        _set(self, "connective", connective)
+        _set(self, "directive", directive)
+        _set(self, "pre_ordering", pre_ordering)
+        _set(self, "ordering", ordering)
+        _set(self, "ordering_lt", ordering_lt)
+        _set(self, "ordering_le", ordering_le)
+        _set(self, "direction", direction)
+        _set(self, "equivalence", equivalence)
+        _set(self, "total_ordering", total_ordering)
+        _set(self, "well_ordering", well_ordering)
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    upwards: bool
-    downwards: bool
+class Extremal(_Record):
+    """The extremal atoms :func:`extremal` finds for a subset of the
+    carrier, each field a frozenset of atoms."""
+
+    __slots__ = (
+        "minima",
+        "maxima",
+        "weak_minima",
+        "weak_maxima",
+        "upper_bounds",
+        "lower_bounds",
+        "suprema",
+        "infima",
+    )
+
+    def __init__(
+        self,
+        minima: frozenset,
+        maxima: frozenset,
+        weak_minima: frozenset,
+        weak_maxima: frozenset,
+        upper_bounds: frozenset,
+        lower_bounds: frozenset,
+        suprema: frozenset,
+        infima: frozenset,
+    ):
+        _set(self, "minima", minima)
+        _set(self, "maxima", maxima)
+        _set(self, "weak_minima", weak_minima)
+        _set(self, "weak_maxima", weak_maxima)
+        _set(self, "upper_bounds", upper_bounds)
+        _set(self, "lower_bounds", lower_bounds)
+        _set(self, "suprema", suprema)
+        _set(self, "infima", infima)
+
+
+class IndependenceReport(_Record):
+    """Whether a system of relations is independent upwards and downwards,
+    as :func:`check_independence` decides it."""
+
+    __slots__ = ("upwards", "downwards")
+
+    def __init__(self, upwards: bool, downwards: bool):
+        _set(self, "upwards", upwards)
+        _set(self, "downwards", downwards)
 
 
 def _require_endo(r: Relation) -> Carrier:

@@ -6,6 +6,7 @@ agreement between the two is evidence, not tautology.
 """
 
 import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,7 +36,8 @@ from settower.reals import (
     real_neg,
     real_sub,
 )
-from settower.relations import Carrier, IndependenceReport, Relation, compose
+from settower import relations
+from settower.relations import Carrier, Relation, compose
 
 # ---------------------------------------------------------------- relations
 
@@ -365,7 +367,7 @@ def check_independence_oracle(system):
                     if (x, z) in s_pairs
                 }
                 assert segment == union, "downwards segment identity failed"
-    return IndependenceReport(upwards=upwards, downwards=downwards)
+    return relations.IndependenceReport(upwards=upwards, downwards=downwards)
 
 
 def zorn_max_oracle(r):
@@ -522,6 +524,51 @@ def well_order_pair_list(carrier, choice=None):
         for j in range(i + 1, len(ordered))
     ]
     return Relation.on(carrier, pairs)
+
+
+# The frozen dataclasses that relations.PropertyReport, Extremal and
+# IndependenceReport were before they became slot records.  They keep the
+# library's class names, so their reprs read the same.
+
+
+@dataclass(frozen=True)
+class PropertyReport:
+    reflexive: bool
+    antireflexive: bool
+    symmetric: bool
+    antisymmetric: bool
+    transitive: bool
+    connective: bool
+    directive: bool
+    pre_ordering: bool
+    ordering: bool
+    ordering_lt: bool
+    ordering_le: bool
+    direction: bool
+    equivalence: bool
+    total_ordering: bool
+    well_ordering: bool
+
+    def as_dict(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class Extremal:
+    minima: frozenset
+    maxima: frozenset
+    weak_minima: frozenset
+    weak_maxima: frozenset
+    upper_bounds: frozenset
+    lower_bounds: frozenset
+    suprema: frozenset
+    infima: frozenset
+
+
+@dataclass(frozen=True)
+class IndependenceReport:
+    upwards: bool
+    downwards: bool
 
 
 # ------------------------------------------------------------------ dyadics

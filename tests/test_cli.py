@@ -788,6 +788,19 @@ class TestStability:
         assert proc.returncode == 0
         assert proc.stdout == "2\n"
 
+    def test_module_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "settower", "eval", "inv(3)", "--prec", "16"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0,
+            "[87381/2^18, 43691/2^17]@16\n",
+            "",
+        )
+
 
 def random_expr(rng, depth, names=()):
     """A random expression of the eval grammar, mixing exact dyadics with

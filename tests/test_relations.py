@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import time
 from itertools import product
@@ -1099,3 +1102,88 @@ class TestAgainstPreviousBodies:
         report = rel.classify(r)
         assert report.transitive == oracles.transitive_generator(r._rows)
         assert report.directive == oracles.directive_pair_scan(r._rows)
+
+
+# Each report class beside the frozen dataclass it replaced, and field
+# values drawn from a small pool so that two draws are often equal.
+REPORT_CLASSES = [
+    (rel.PropertyReport, oracles.PropertyReport, st.sampled_from([True, False, 0, 1])),
+    (rel.Extremal, oracles.Extremal, st.frozensets(st.sampled_from("ab"))),
+    (rel.IndependenceReport, oracles.IndependenceReport, st.booleans()),
+]
+
+
+@st.composite
+def report_values(draw, cls, value):
+    """Two value lists for cls, the second the first with some fields
+    redrawn."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    first = draw(st.lists(value, min_size=len(names), max_size=len(names)))
+    second = [draw(value) if draw(st.booleans()) else v for v in first]
+    return names, first, second
+
+
+@pytest.mark.parametrize(
+    "new,old,value", REPORT_CLASSES, ids=[new.__name__ for new, _, _ in REPORT_CLASSES]
+)
+class TestReportsMatchDataclasses:
+    @given(data=st.data())
+    def test_construction_repr_hash_and_fields(self, new, old, value, data):
+        names, values, _ = data.draw(report_values(old, value))
+        by_position, by_keyword = new(*values), new(**dict(zip(names, values)))
+        reference = old(*values)
+        assert by_position == by_keyword
+        assert repr(by_position) == repr(by_keyword) == repr(reference)
+        assert hash(by_position) == hash(reference)
+        assert by_position.as_dict() == dataclasses.asdict(reference)
+        if hasattr(old, "as_dict"):
+            assert by_position.as_dict() == reference.as_dict()
+        assert list(by_position.as_dict()) == names
+        assert new.__match_args__ == old.__match_args__
+
+    @given(data=st.data())
+    def test_equality(self, new, old, value, data):
+        _, first, second = data.draw(report_values(old, value))
+        assert (new(*first) == new(*second)) == (old(*first) == old(*second))
+        assert (new(*first) != new(*second)) == (old(*first) != old(*second))
+        for other in (old(*first), tuple(first), None):
+            assert new(*first) != other and not new(*first) == other
+
+    @given(data=st.data())
+    def test_missing_or_unknown_field(self, new, old, value, data):
+        names, values, _ = data.draw(report_values(old, value))
+        keywords = dict(zip(names, values))
+        missing = dict(list(keywords.items())[1:])
+        for cls in (new, old):
+            for args, kwargs in [
+                (values[:-1], {}),
+                (values + [values[0]], {}),
+                ((), missing),
+                ((), {**keywords, "bogus": values[0]}),
+            ]:
+                with pytest.raises(TypeError):
+                    cls(*args, **kwargs)
+
+    @given(data=st.data())
+    def test_assignment_and_deletion_refused(self, new, old, value, data):
+        names, values, _ = data.draw(report_values(old, value))
+        name = data.draw(st.sampled_from(names + ["bogus"]))
+        for report in (new(*values), old(*values)):
+            with pytest.raises(AttributeError):
+                setattr(report, name, values[0])
+            if name != "bogus":
+                with pytest.raises(AttributeError):
+                    delattr(report, name)
+            assert [getattr(report, n) for n in names] == values
+
+    @given(data=st.data())
+    def test_pickle_and_copy_round_trip(self, new, old, value, data):
+        _, values, _ = data.draw(report_values(old, value))
+        report = new(*values)
+        for twin in (
+            pickle.loads(pickle.dumps(report)),
+            copy.copy(report),
+            copy.deepcopy(report),
+        ):
+            assert type(twin) is new and twin == report
+            assert repr(twin) == repr(report)
