@@ -40,7 +40,7 @@ from .errors import (
     SettowerError,
     SizeLimit,
 )
-from .naturals import _int_digit_limit, _is_decimal, pair, parse_nat, unpair
+from .naturals import _read_decimal, _write_decimal, pair, parse_nat, unpair
 from .relations import classify, extremal, parse_relation
 
 PRECISION_CAP = 200
@@ -361,20 +361,6 @@ def _emit(out, record, fmt: str, plain: str):
         print(plain, file=out)
 
 
-def _decimal(value) -> str:
-    """str() of an int or a Dyadic, refused with SizeLimit when its digits
-    pass the interpreter's int->str limit (which would raise ValueError)."""
-    limit = _int_digit_limit()
-    k = abs(value.man if isinstance(value, dy.Dyadic) else value)
-    # k < 2^(3 * limit) < 10^limit needs no big power of ten to rule out.
-    if limit and k.bit_length() > 3 * limit and k >= 10**limit:
-        raise SizeLimit(
-            f"result has more than {limit} decimal digits, "
-            "the interpreter's limit for printing integers"
-        )
-    return str(value)
-
-
 def _read_source(arg: str) -> str:
     return _read_text("-") if arg == "-" else arg
 
@@ -402,7 +388,7 @@ def _cmd_eval(args, out) -> int:
     prec = _check_prec(args.prec)
     value = evaluate(_read_source(args.expr), prec)
     if isinstance(value, dy.Dyadic):
-        text = _decimal(value)
+        text = str(value)
         _emit(
             out,
             {"exact": True, "kind": "dyadic", "value": text},
@@ -411,7 +397,7 @@ def _cmd_eval(args, out) -> int:
         )
         return 0
     # One bit deeper, so the printed interval is at most 2^-prec wide.
-    lo, hi = (_decimal(end) for end in re.real_interval(value, prec + 1))
+    lo, hi = (str(end) for end in re.real_interval(value, prec + 1))
     _emit(
         out,
         {
@@ -470,7 +456,7 @@ def _cmd_enum(args, out) -> int:
     if args.what == "pair":
         p, q = parse_nat(args.first), parse_nat(args.second)
         value = pair(p, q)
-        text = _decimal(value)
+        text = _write_decimal(value)
         _emit(
             out,
             {"kind": "pair", "p": p, "q": q, "value": value},
@@ -489,7 +475,7 @@ def _cmd_enum(args, out) -> int:
         )
         return 0
     index = parse_nat(args.first)
-    text = _decimal(enum_dyadics().forward(index))
+    text = str(enum_dyadics().forward(index))
     _emit(
         out,
         {"index": index, "kind": "dyadic", "value": text},
@@ -503,16 +489,15 @@ def _precision_arg(text: str) -> int:
     """--prec as ASCII digits after an optional "-"; int() alone would also
     take " 7 ", "+7", "1_0" and non-ASCII digits.  The range is checked by
     _check_prec, so -1 and 9999 end there with exit status 1."""
-    digits = text[1:] if text.startswith("-") else text
     try:
-        ok = _is_decimal(digits)
+        value = _read_decimal(text[1:] if text.startswith("-") else text)
     except SizeLimit:
-        ok = False
-    if not ok:
+        value = None
+    if value is None:
         import argparse
 
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    return -value if text.startswith("-") else value
 
 
 def _build_parser() -> argparse.ArgumentParser:

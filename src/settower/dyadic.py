@@ -5,6 +5,14 @@ Canonical form makes equality structural: the mantissa is odd unless the
 exponent is already 0, and zero is the unique (0, 0, 0).  All arithmetic
 is exact big-integer work on a common grid; nothing here rounds except the
 directed divisions div_floor and div_ceil, which round to a stated grid.
+
+POW_BIT_LIMIT bounds what that work may allocate.  dy_pow refuses a power
+whose mantissa would pass it, and add, sub, exact_div, div_floor, div_ceil
+and between refuse to shift a nonzero mantissa by more than it, which alone
+would make a number of more than POW_BIT_LIMIT bits; both end in SizeLimit
+before anything is built.  compare and so dy_max and dy_min shift nothing
+that large: operands whose exponents lie further apart are ordered without
+a common grid.
 """
 
 from __future__ import annotations
@@ -16,13 +24,18 @@ from .errors import (
     NotAnInteger,
     SizeLimit,
 )
-from .naturals import _is_decimal, _nat
+from .naturals import _nat, _read_decimal, _write_decimal
 
 _SIGNS = (-1, 0, 1)
-# Bit cap on the mantissa of a power: dy_pow refuses past it before it
-# computes anything.  3^(2^20), of ~1.7M bits, takes ~0.1 s with CPython 3.11
-# on one x86 core; the default 4300-digit print limit is ~14,300 bits.
+# Bit cap on the mantissa of a power and on the shift of a nonzero mantissa
+# (see the module docstring).  3^(2^20), of ~1.7M bits, takes ~0.1 s with
+# CPython 3.11 on one x86 core; the default 4300-digit print limit is ~14,300
+# bits.
 POW_BIT_LIMIT = 1 << 20
+
+
+def _too_wide(what: str) -> SizeLimit:
+    return SizeLimit(f"{what} needs more than {POW_BIT_LIMIT} mantissa bits")
 
 
 class Dyadic:
@@ -86,10 +99,8 @@ class Dyadic:
         return self._sign != 0
 
     def __str__(self):
-        if self._sign == 0:
-            return "0"
-        body = str(self._man) if self._exp == 0 else f"{self._man}/2^{self._exp}"
-        return body if self._sign > 0 else "-" + body
+        body = ("-" if self._sign < 0 else "") + _write_decimal(self._man)
+        return f"{body}/2^{_write_decimal(self._exp)}" if self._exp else body
 
     def __repr__(self):
         return f"Dyadic({self})"
@@ -131,10 +142,15 @@ HALF = Dyadic(1, 1, 1)
 
 def _aligned(d: Dyadic, e: Dyadic):
     """Numerators of d and e on their common grid 2^(-max(u, v)), and that
-    exponent: only the operand with the coarser grid is shifted."""
+    exponent: only the operand with the coarser grid is shifted, and not by
+    more than POW_BIT_LIMIT bits unless it is zero."""
     shift = d._exp - e._exp
     if shift >= 0:
+        if shift > POW_BIT_LIMIT and e._sign:
+            raise _too_wide("sum")
         return d._sign * d._man, e._sign * e._man << shift, d._exp
+    if shift < -POW_BIT_LIMIT and d._sign:
+        raise _too_wide("sum")
     return d._sign * d._man << -shift, e._sign * e._man, e._exp
 
 
@@ -142,9 +158,22 @@ def compare(d: Dyadic, e: Dyadic) -> int:
     """-1, 0, or 1 as d is below, equal to, or above e.
 
     Comparing numerators on the common grid 2^(-max(u, v)) decides without
-    any rounding.
+    any rounding.  When _aligned refuses that grid, the exponents lie more
+    than POW_BIT_LIMIT apart and neither operand is zero, whose exponent is
+    0.  Then the signs decide, or else the binary magnitudes: the mantissa
+    on the finer grid is odd, so shifted down to the coarser grid it is no
+    whole number, and its floor orders it against the other mantissa.
     """
-    left, right, _ = _aligned(d, e)
+    try:
+        left, right, _ = _aligned(d, e)
+    except SizeLimit:
+        if d._sign != e._sign:
+            return d._sign
+        if d._exp > e._exp:
+            above = d._man >> (d._exp - e._exp) >= e._man
+        else:
+            above = d._man > e._man >> (e._exp - d._exp)
+        return d._sign if above else -d._sign
     return (left > right) - (left < right)
 
 
@@ -182,7 +211,7 @@ def dy_pow(d: Dyadic, m: int) -> Dyadic:
     if d._sign == 0:
         return ZERO
     if (d._man.bit_length() - 1) * m > POW_BIT_LIMIT:
-        raise SizeLimit(f"power needs more than {POW_BIT_LIMIT} mantissa bits")
+        raise _too_wide("power")
     return make(d._man**m, d._exp * m, sign)
 
 
@@ -208,9 +237,10 @@ def between(d: Dyadic, e: Dyadic) -> Dyadic:
     """
     if compare(d, e) >= 0:
         raise BadOrder(f"between needs d < e, got {d} >= {e}")
-    grid = d._exp + e._exp + 1
-    num_d = _num(d) << (e._exp + 1)
-    return _signed(num_d + 1, grid)
+    shift = e._exp + 1
+    if shift > POW_BIT_LIMIT and d._sign:
+        raise _too_wide("between")
+    return _signed((_num(d) << shift) + 1, d._exp + shift)
 
 
 def _directed(a: Dyadic, b: Dyadic, p: int):
@@ -218,6 +248,9 @@ def _directed(a: Dyadic, b: Dyadic, p: int):
     if b._sign <= 0:
         raise NonPositiveDivisor(f"directed division needs b > 0, got {b}")
     _nat(p, "precision")
+    # b's mantissa is nonzero, and a's exponent is 0 when a is zero.
+    if a._exp > POW_BIT_LIMIT or b._exp + p > POW_BIT_LIMIT and a._sign:
+        raise _too_wide("quotient")
     return _num(a) << (b._exp + p), b._man << a._exp
 
 
@@ -245,6 +278,8 @@ def exact_div(d: Dyadic, e: Dyadic):
     if e._man & (e._man - 1):
         return None
     j = e._man.bit_length() - 1
+    if e._exp > POW_BIT_LIMIT and d._sign:
+        raise _too_wide("quotient")
     # 1/e = sign_e * 2^(exp_e - j), folded into d on the common grid
     scaled = e._sign * (_num(d) << e._exp)
     return _signed(scaled, d._exp + j)
@@ -274,19 +309,22 @@ def parse_dyadic(text: str) -> Dyadic:
     if body.startswith(("+", "-")):
         sign = -1 if body[0] == "-" else 1
         body = body[1:]
-    if _is_decimal(body):
-        return make(int(body), 0, sign)
+    n = _read_decimal(body)
+    if n is not None:
+        return make(n, 0, sign)
     if "/2^" in body:
         m_part, u_part = body.split("/2^", 1)
-        if _is_decimal(m_part) and _is_decimal(u_part):
-            return make(int(m_part), int(u_part), sign)
-        raise ExprSyntaxError(f"malformed dyadic literal {text!r}", 0)
+        # A malformed m is reported before u is read.
+        m = _read_decimal(m_part)
+        u = None if m is None else _read_decimal(u_part)
+        if u is None:
+            raise ExprSyntaxError(f"malformed dyadic literal {text!r}", 0)
+        return make(m, u, sign)
     if "." in body:
         int_part, _, frac_part = body.partition(".")
-        digits = int_part + frac_part
-        if int_part and frac_part and _is_decimal(digits):
+        n = _read_decimal(int_part + frac_part) if int_part and frac_part else None
+        if n is not None:
             k = len(frac_part)
-            n = int(digits)
             if n % 5**k:
                 raise ExprSyntaxError(
                     f"{text!r} has no finite binary expansion", 0
@@ -297,11 +335,9 @@ def parse_dyadic(text: str) -> Dyadic:
 
 def format_decimal(d: Dyadic) -> str:
     """Exact decimal rendering (always terminates for binary fractions)."""
-    if d._sign == 0:
-        return "0"
     scaled = d._man * 5**d._exp
     whole, frac = divmod(scaled, 10**d._exp)
-    out = str(whole)
+    out = _write_decimal(whole)
     if frac:
-        out += "." + str(frac).zfill(d._exp).rstrip("0")
-    return out if d._sign > 0 else "-" + out
+        out += "." + _write_decimal(frac).zfill(d._exp).rstrip("0")
+    return "-" + out if d._sign < 0 else out

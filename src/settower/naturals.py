@@ -12,6 +12,11 @@ the platform big integers for speed.  The defining recursion equations
 are not the implementation; they are the oracle the test suite replays
 against these functions.  Two-argument recursions are obtained by currying
 the first argument into the step function of :func:`recurse`.
+
+Decimal text has its owner here, both ways: every layer reads a run of
+digits through ``_read_decimal`` and writes an int through
+``_write_decimal``, and these are the only readers of the interpreter's
+int<->str digit limit.  Past it they raise SizeLimit, not ValueError.
 """
 
 from __future__ import annotations
@@ -125,34 +130,43 @@ def recurse(seed: T, step: Callable[[T], T]) -> Callable[[int], T]:
     return _Recursion(seed, step)
 
 
-def _int_digit_limit() -> int:
-    """The interpreter's int<->str digit limit; 0 where it has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def _past_the_limit(what: str, doing: str) -> SizeLimit:
+    # Only an interpreter with a digit limit raises the ValueError that
+    # this replaces, so sys has the getter here.
+    return SizeLimit(
+        f"{what} has more than {sys.get_int_max_str_digits()} decimal digits, "
+        f"the interpreter's limit for {doing} integers"
+    )
 
 
-def _is_decimal(text: str) -> bool:
-    """Whether text is a nonempty run of ASCII digits, checked before int().
-
-    int() also reads other Unicode digits, and raises ValueError past the
-    interpreter's digit limit; such a run raises SizeLimit here instead.
-    """
+def _read_decimal(text: str) -> int | None:
+    """The int a nonempty run of ASCII digits spells; None for any other
+    text, since int() also reads other Unicode digits, signs, spaces and
+    underscores.  Past the interpreter's digit limit int() raises ValueError
+    before it converts anything; that ends as SizeLimit here."""
     if not (text.isascii() and text.isdigit()):
-        return False
-    limit = _int_digit_limit()
-    if limit and len(text) > limit:
-        raise SizeLimit(
-            f"input has more than {limit} decimal digits, "
-            "the interpreter's limit for reading integers"
-        )
-    return True
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise _past_the_limit("input", "reading") from None
+
+
+def _write_decimal(k: int) -> str:
+    """Decimal text of an int; SizeLimit where str() would raise ValueError
+    for passing the interpreter's digit limit."""
+    try:
+        return str(k)
+    except ValueError:
+        raise _past_the_limit("result", "printing") from None
 
 
 def parse_nat(text: str) -> int:
     """Decimal string of ASCII digits to natural; the inverse of ``str``."""
-    stripped = text.strip()
-    if not _is_decimal(stripped):
+    n = _read_decimal(text.strip())
+    if n is None:
         raise NotANatural(f"not a decimal natural: {text!r}")
-    return int(stripped)
+    return n
 
 
 def square_and_multiply(x, m: int, times):

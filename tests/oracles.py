@@ -615,6 +615,23 @@ def compare_cross(d, e):
     return (left > right) - (left < right)
 
 
+def compare_normalized(d, e):
+    """Order of d and e as normalized binary floats: by sign, then by the
+    place of the leading one bit (bit length minus exponent), then by the
+    mantissas widened to one bit length.  Nothing is put on a common grid,
+    so no step is shared with dyadic.compare, and exponents of any size
+    cost nothing."""
+    if d.sign != e.sign:
+        return (d.sign > e.sign) - (d.sign < e.sign)
+    lead_d, lead_e = d.man.bit_length() - d.exp, e.man.bit_length() - e.exp
+    if lead_d != lead_e:
+        return d.sign * (1 if lead_d > lead_e else -1)
+    width = max(d.man.bit_length(), e.man.bit_length())
+    left = d.man << (width - d.man.bit_length())
+    right = e.man << (width - e.man.bit_length())
+    return d.sign * ((left > right) - (left < right))
+
+
 def triple(d):
     return (d.sign, d.man, d.exp)
 

@@ -352,6 +352,48 @@ class TestPowerSizeGuard:
         assert_no_traceback_in_a_process(["eval", expr])
 
 
+class TestFarApartExponents:
+    """Exact values whose exponents lie more than 2^20 apart: comparisons
+    answer, and a sum, quotient or reciprocal that would shift a mantissa
+    that far ends as an error before it allocates."""
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["cmp", "(1/2)^(2^40)", "1"], "less"),
+            (["cmp", "(1/2)^(2^40)", "(1/2)^(2^41)"], "greater"),
+            (["eval", "sup((1/2)^(2^40), 1)"], "1"),
+            # Zero, equal exponents and products shift nothing past the limit.
+            (["eval", "between(0, (1/2)^(2^40))"], "1/2^1099511627777"),
+            (["eval", "(1/2)^(2^40) * 0"], "0"),
+            (["eval", "(1/2)^(2^40) - (1/2)^(2^40)"], "0"),
+            (["eval", "(1/2)^(2^40) * 2^(2^19)"], "1/2^1099511103488"),
+            (["cmp", "(1/2)^(2^40)", "(1/2)^(2^40)"], "equal"),
+        ],
+    )
+    def test_answers(self, argv, line, capsys):
+        assert run_cli(argv, capsys) == (0, line + "\n", "")
+        proc = run_in_a_process(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, line + "\n", "")
+
+    @pytest.mark.parametrize(
+        "expr,what",
+        [
+            ("(1/2)^(2^40) + 1", "sum"),
+            ("(1/2)^(2^40) / 3", "sum"),
+            ("inv((1/2)^(2^40))", "quotient"),
+            ("(1/2)^(2^14300) + 1", "sum"),
+        ],
+    )
+    def test_refusals_exit_one(self, expr, what, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} needs more than {dy.POW_BIT_LIMIT} mantissa bits\n"
+        assert_no_traceback_in_a_process(["eval", expr])
+
+
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
 class TestDigitLimit:
     @pytest.mark.parametrize("fmt", ["plain", "json-lines"])
@@ -362,12 +404,15 @@ class TestDigitLimit:
             ["eval", f"inv(3) * 2^{4 * DIGIT_LIMIT}"],
             ["enum", "pair"]
             + [d * (DIGIT_LIMIT // 2 + 150) for d in "73"],
+            # Past the limit in the exponent, not the mantissa.
+            ["eval", f"(1/2)^(10^{DIGIT_LIMIT})"],
         ],
     )
     def test_results_past_the_limit_exit_one(self, argv, fmt, capsys):
         code, out, err = run_cli(argv + ["--format", fmt], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "digits" in err
+        assert_no_traceback_in_a_process(argv + ["--format", fmt])
 
     def test_boundary(self, capsys):
         code, out, _ = run_cli(["eval", f"10^{DIGIT_LIMIT} - 1"], capsys)

@@ -36,6 +36,24 @@ long_mantissas = st.builds(
 long_exps = st.integers(min_value=0, max_value=5000)
 signs = st.sampled_from([-1, 0, 1])
 long_dyadics = st.builds(make, long_mantissas, long_exps, st.sampled_from([-1, 1]))
+LIMIT = dy.POW_BIT_LIMIT
+# (1/2)^(2^40): aligning it with 1 would take 2^40 bits.
+TINY = make(1, 2**40)
+
+
+@st.composite
+def far_apart(draw):
+    """(d, e) in either order with exponents more than POW_BIT_LIMIT apart,
+    by up to 2^64.  For gaps just past the limit the finer mantissa may be
+    the coarser one's (give or take 2) shifted by the gap with a low bit
+    set, so both share one leading bit and only the low bits decide."""
+    coarse = draw(dyadics)
+    gap = draw(st.one_of(st.integers(LIMIT + 1, LIMIT + 64), st.integers(2**40, 2**64)))
+    man = draw(st.integers(1, 2**64))
+    if gap <= LIMIT + 64 and draw(st.booleans()):
+        man = (max(coarse.man + draw(st.integers(-2, 2)), 0) << gap) | 1
+    fine = make(man, coarse.exp + gap, draw(st.sampled_from([-1, 1])))
+    return (coarse, fine) if draw(st.booleans()) else (fine, coarse)
 
 
 def assert_canonical(d):
@@ -143,6 +161,67 @@ class TestCompare:
     def test_dunder_consistency(self, d, e):
         assert (d < e) == (not d >= e)
         assert (d <= e) == (d < e or d == e)
+
+
+class TestFarApartExponents:
+    """No shift of a nonzero mantissa passes POW_BIT_LIMIT bits: compare
+    orders such operands without one, and add, sub, exact_div, div_floor,
+    div_ceil and between refuse with SizeLimit before they allocate."""
+
+    @given(st.one_of(far_apart(), st.tuples(long_dyadics, long_dyadics)))
+    def test_compare_matches_normalized_order(self, pair):
+        d, e = pair
+        want = oracles.compare_normalized(d, e)
+        assert dy.compare(d, e) == want
+        assert dy.compare(e, d) == -want
+        assert dy.dy_max(d, e) == (e if want < 0 else d)
+        assert dy.dy_min(d, e) == (d if want < 0 else e)
+
+    def test_compare_far_apart(self):
+        assert dy.compare(TINY, ONE) == -1
+        assert dy.compare(TINY, make(1, 2**41)) == 1
+        assert dy.compare(-TINY, make(1, 2**41)) == -1
+        assert dy.compare(TINY, TINY) == 0
+        assert dy.dy_max(TINY, ONE) == ONE
+
+    @pytest.mark.parametrize(
+        "call,what",
+        [
+            (lambda: dy.add(TINY, ONE), "sum"),
+            (lambda: dy.sub(ONE, TINY), "sum"),
+            (lambda: dy.add(make(1, 2**14300), ONE), "sum"),
+            (lambda: dy.add(make(1, LIMIT + 1), ONE), "sum"),
+            (lambda: dy.exact_div(ONE, TINY), "quotient"),
+            (lambda: dy.exact_div(make(3, 0), make(1, LIMIT + 1)), "quotient"),
+            (lambda: dy.div_floor(TINY, make(3, 0), 30), "quotient"),
+            (lambda: dy.div_ceil(make(1, LIMIT + 1), ONE, 0), "quotient"),
+            (lambda: dy.div_floor(ONE, ONE, LIMIT + 1), "quotient"),
+            (lambda: dy.div_ceil(ONE, make(1, LIMIT), 1), "quotient"),
+            (lambda: dy.between(make(1, 0, -1), TINY), "between"),
+            (lambda: dy.between(make(1, 0, -1), make(1, LIMIT)), "between"),
+        ],
+    )
+    def test_shifts_past_the_limit_are_refused(self, call, what):
+        with pytest.raises(SizeLimit, match=f"^{what} needs more than {LIMIT} mantissa bits$"):
+            call()
+
+    def test_shifts_up_to_the_limit_answer(self):
+        edge = make(1, LIMIT)
+        assert dy.add(edge, ONE) == make((1 << LIMIT) + 1, LIMIT)
+        assert dy.exact_div(ONE, edge) == make(1 << LIMIT, 0)
+        assert dy.div_floor(edge, ONE, 0) == ZERO
+        assert dy.div_ceil(ONE, ONE, LIMIT) == ONE
+        low = make(1, LIMIT - 1)
+        assert dy.between(make(1, 0, -1), low) == make((1 << LIMIT) - 1, LIMIT, -1)
+
+    def test_zero_shifts_any_distance(self):
+        assert dy.add(TINY, ZERO) == TINY
+        assert dy.sub(TINY, TINY) == ZERO
+        assert dy.mul(TINY, ZERO) == ZERO
+        assert dy.exact_div(ZERO, TINY) == ZERO
+        assert dy.div_floor(ZERO, TINY, LIMIT + 1) == ZERO
+        assert dy.between(ZERO, TINY) == make(1, 2**40 + 1)
+        assert dy.mul(TINY, make(1 << 2**19, 0)) == make(1, 2**40 - 2**19)
 
 
 class TestArithmetic:
@@ -393,6 +472,25 @@ class TestParseAndFormat:
         ):
             with pytest.raises(SizeLimit):
                 dy.parse_dyadic(text)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
+    def test_digit_limit_is_read_when_printing(self):
+        # 640 is the lowest limit the interpreter lets anyone set.
+        printing = (
+            "result has more than 640 decimal digits, "
+            "the interpreter's limit for printing integers"
+        )
+        sys.set_int_max_str_digits(640)
+        try:
+            for d in (make(3**2000, 0), make(1, 10**700)):
+                with pytest.raises(SizeLimit, match=f"^{printing}$"):
+                    str(d)
+            with pytest.raises(SizeLimit, match=f"^{printing}$"):
+                dy.format_decimal(make(1, 3000))
+            with pytest.raises(SizeLimit, match="limit for reading integers$"):
+                dy.parse_dyadic("9" * 641)
+        finally:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)
 
     @given(dyadics)
     def test_str_roundtrip(self, d):
