@@ -1,18 +1,18 @@
 """Exact signed binary fractions m/2^u in canonical form.
 
-Values are triples (sign, mantissa, exponent) denoting sign * m * 2^(-u).
-Canonical form makes equality structural: the mantissa is odd unless the
-exponent is already 0, and zero is the unique (0, 0, 0).  All arithmetic
-is exact big-integer work on a common grid; nothing here rounds except the
+A value is a signed numerator n and an exponent u, denoting n * 2^(-u).
+Canonical form makes equality structural: the numerator is odd unless the
+exponent is already 0, and zero is the unique (0, 0).  All arithmetic is
+exact big-integer work on a common grid; nothing here rounds except the
 directed divisions div_floor and div_ceil, which round to a stated grid.
 
 POW_BIT_LIMIT bounds what that work may allocate.  dy_pow refuses a power
-whose mantissa would pass it, and add, sub, exact_div, div_floor, div_ceil
-and between refuse to shift a nonzero mantissa by more than it, which alone
-would make a number of more than POW_BIT_LIMIT bits; both end in SizeLimit
-before anything is built.  compare and so dy_max and dy_min shift nothing
-that large: operands whose exponents lie further apart are ordered without
-a common grid.
+whose mantissa would pass it, and every left shift of a nonzero numerator
+by more than it goes through _shl, which refuses it; both end in SizeLimit
+before that number is built.  So add, sub, exact_div, div_floor, div_ceil
+and between refuse operands whose exponents lie too far apart, and
+format_decimal refuses an exponent past it.  compare, and so dy_max and
+dy_min, shift only down and answer at any distance.
 """
 
 from __future__ import annotations
@@ -39,21 +39,21 @@ def _too_wide(what: str) -> SizeLimit:
 
 
 class Dyadic:
-    __slots__ = ("_sign", "_man", "_exp")
+    __slots__ = ("_num", "_exp")
 
-    def __init__(self, sign: int, man: int, exp: int):
+    def __init__(self, num: int, exp: int):
         # Private: use make() so canonical form is guaranteed.
-        self._sign = sign
-        self._man = man
+        self._num = num
         self._exp = exp
 
     @property
     def sign(self):
-        return self._sign
+        num = self._num
+        return 1 if num > 0 else -1 if num else 0
 
     @property
     def man(self):
-        return self._man
+        return abs(self._num)
 
     @property
     def exp(self):
@@ -62,14 +62,10 @@ class Dyadic:
     def __eq__(self, other):
         if not isinstance(other, Dyadic):
             return NotImplemented
-        return (
-            self._sign == other._sign
-            and self._man == other._man
-            and self._exp == other._exp
-        )
+        return self._num == other._num and self._exp == other._exp
 
     def __hash__(self):
-        return hash((self._sign, self._man, self._exp))
+        return hash((self._num, self._exp))
 
     def __lt__(self, other):
         return compare(self, other) < 0
@@ -96,10 +92,10 @@ class Dyadic:
         return neg(self)
 
     def __bool__(self):
-        return self._sign != 0
+        return self._num != 0
 
     def __str__(self):
-        body = ("-" if self._sign < 0 else "") + _write_decimal(self._man)
+        body = _write_decimal(self._num)
         return f"{body}/2^{_write_decimal(self._exp)}" if self._exp else body
 
     def __repr__(self):
@@ -122,7 +118,8 @@ def make(man: int, exp: int, sign: int = 1) -> Dyadic:
     shift = (man & -man).bit_length() - 1
     if shift > exp:
         shift = exp
-    return Dyadic(sign, man >> shift, exp - shift)
+    man >>= shift
+    return Dyadic(man if sign > 0 else -man, exp - shift)
 
 
 def _signed(num: int, exp: int) -> Dyadic:
@@ -131,61 +128,47 @@ def _signed(num: int, exp: int) -> Dyadic:
     return make(-num, exp, -1)
 
 
-def _num(d: Dyadic) -> int:
-    return d._sign * d._man
+ZERO = Dyadic(0, 0)
+ONE = Dyadic(1, 0)
+HALF = Dyadic(1, 1)
 
 
-ZERO = Dyadic(0, 0, 0)
-ONE = Dyadic(1, 1, 0)
-HALF = Dyadic(1, 1, 1)
-
-
-def _aligned(d: Dyadic, e: Dyadic):
-    """Numerators of d and e on their common grid 2^(-max(u, v)), and that
-    exponent: only the operand with the coarser grid is shifted, and not by
-    more than POW_BIT_LIMIT bits unless it is zero."""
-    shift = d._exp - e._exp
-    if shift >= 0:
-        if shift > POW_BIT_LIMIT and e._sign:
-            raise _too_wide("sum")
-        return d._sign * d._man, e._sign * e._man << shift, d._exp
-    if shift < -POW_BIT_LIMIT and d._sign:
-        raise _too_wide("sum")
-    return d._sign * d._man << -shift, e._sign * e._man, e._exp
+def _shl(num: int, k: int, what: str) -> int:
+    """num << k, refused before it is built when num is nonzero and k
+    passes POW_BIT_LIMIT."""
+    if k > POW_BIT_LIMIT and num:
+        raise _too_wide(what)
+    return num << k
 
 
 def compare(d: Dyadic, e: Dyadic) -> int:
     """-1, 0, or 1 as d is below, equal to, or above e.
 
-    Comparing numerators on the common grid 2^(-max(u, v)) decides without
-    any rounding.  When _aligned refuses that grid, the exponents lie more
-    than POW_BIT_LIMIT apart and neither operand is zero, whose exponent is
-    0.  Then the signs decide, or else the binary magnitudes: the mantissa
-    on the finer grid is odd, so shifted down to the coarser grid it is no
-    whole number, and its floor orders it against the other mantissa.
+    On one grid the numerators decide.  Otherwise the numerator on the finer
+    grid is odd, so shifted down to the coarser grid it is no whole number,
+    and its floor orders it against the other numerator; nothing is built
+    larger than the operands, whatever the distance of the exponents.
     """
-    try:
-        left, right, _ = _aligned(d, e)
-    except SizeLimit:
-        if d._sign != e._sign:
-            return d._sign
-        if d._exp > e._exp:
-            above = d._man >> (d._exp - e._exp) >= e._man
-        else:
-            above = d._man > e._man >> (e._exp - d._exp)
-        return d._sign if above else -d._sign
-    return (left > right) - (left < right)
+    shift = d._exp - e._exp
+    if shift > 0:
+        return 1 if d._num >> shift >= e._num else -1
+    if shift < 0:
+        return 1 if d._num > e._num >> -shift else -1
+    return (d._num > e._num) - (d._num < e._num)
 
 
 def add(d: Dyadic, e: Dyadic) -> Dyadic:
-    left, right, exp = _aligned(d, e)
-    return _signed(left + right, exp)
+    # On the common grid 2^(-max(u, v)): only the coarser operand shifts.
+    shift = d._exp - e._exp
+    if shift >= 0:
+        return _signed(d._num + _shl(e._num, shift, "sum"), d._exp)
+    return _signed(_shl(d._num, -shift, "sum") + e._num, e._exp)
 
 
 def neg(d: Dyadic) -> Dyadic:
-    if d._sign == 0:
+    if not d._num:
         return d
-    return Dyadic(-d._sign, d._man, d._exp)
+    return Dyadic(-d._num, d._exp)
 
 
 def sub(d: Dyadic, e: Dyadic) -> Dyadic:
@@ -193,7 +176,7 @@ def sub(d: Dyadic, e: Dyadic) -> Dyadic:
 
 
 def mul(d: Dyadic, e: Dyadic) -> Dyadic:
-    return _signed(_num(d) * _num(e), d._exp + e._exp)
+    return _signed(d._num * e._num, d._exp + e._exp)
 
 
 def dy_pow(d: Dyadic, m: int) -> Dyadic:
@@ -207,16 +190,13 @@ def dy_pow(d: Dyadic, m: int) -> Dyadic:
     _nat(m, "exponent")
     if m == 0:
         return ONE
-    sign = 1 if (d._sign >= 0 or m % 2 == 0) else -1
-    if d._sign == 0:
-        return ZERO
-    if (d._man.bit_length() - 1) * m > POW_BIT_LIMIT:
+    if (d._num.bit_length() - 1) * m > POW_BIT_LIMIT:
         raise _too_wide("power")
-    return make(d._man**m, d._exp * m, sign)
+    return _signed(d._num**m, d._exp * m)
 
 
 def dy_abs(d: Dyadic) -> Dyadic:
-    return d if d._sign >= 0 else neg(d)
+    return d if d._num >= 0 else neg(d)
 
 
 def dy_max(d: Dyadic, e: Dyadic) -> Dyadic:
@@ -238,20 +218,15 @@ def between(d: Dyadic, e: Dyadic) -> Dyadic:
     if compare(d, e) >= 0:
         raise BadOrder(f"between needs d < e, got {d} >= {e}")
     shift = e._exp + 1
-    if shift > POW_BIT_LIMIT and d._sign:
-        raise _too_wide("between")
-    return _signed((_num(d) << shift) + 1, d._exp + shift)
+    return _signed(_shl(d._num, shift, "between") + 1, d._exp + shift)
 
 
 def _directed(a: Dyadic, b: Dyadic, p: int):
     # Numerator and denominator of a/b * 2^p, after checking b and p.
-    if b._sign <= 0:
+    if b._num <= 0:
         raise NonPositiveDivisor(f"directed division needs b > 0, got {b}")
     _nat(p, "precision")
-    # b's mantissa is nonzero, and a's exponent is 0 when a is zero.
-    if a._exp > POW_BIT_LIMIT or b._exp + p > POW_BIT_LIMIT and a._sign:
-        raise _too_wide("quotient")
-    return _num(a) << (b._exp + p), b._man << a._exp
+    return _shl(a._num, b._exp + p, "quotient"), _shl(b._num, a._exp, "quotient")
 
 
 def div_floor(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
@@ -273,16 +248,12 @@ def exact_div(d: Dyadic, e: Dyadic):
     canonicalization the only interesting case is exponent 0 with an even
     mantissa, e.g. 2 or 8).
     """
-    if e._sign == 0:
+    man = abs(e._num)
+    if not man or man & (man - 1):
         return None
-    if e._man & (e._man - 1):
-        return None
-    j = e._man.bit_length() - 1
-    if e._exp > POW_BIT_LIMIT and d._sign:
-        raise _too_wide("quotient")
     # 1/e = sign_e * 2^(exp_e - j), folded into d on the common grid
-    scaled = e._sign * (_num(d) << e._exp)
-    return _signed(scaled, d._exp + j)
+    scaled = _shl(d._num, e._exp, "quotient")
+    return _signed(scaled if e._num > 0 else -scaled, d._exp + man.bit_length() - 1)
 
 
 def from_int(k: int) -> Dyadic:
@@ -335,9 +306,11 @@ def parse_dyadic(text: str) -> Dyadic:
 
 def format_decimal(d: Dyadic) -> str:
     """Exact decimal rendering (always terminates for binary fractions)."""
-    scaled = d._man * 5**d._exp
-    whole, frac = divmod(scaled, 10**d._exp)
+    # 2^-u has u fraction digits: refuse a large u before 5^u is built.
+    if d._exp > POW_BIT_LIMIT:
+        raise _too_wide("decimal")
+    whole, frac = divmod(abs(d._num) * 5**d._exp, 10**d._exp)
     out = _write_decimal(whole)
     if frac:
         out += "." + _write_decimal(frac).zfill(d._exp).rstrip("0")
-    return "-" + out if d._sign < 0 else out
+    return "-" + out if d._num < 0 else out

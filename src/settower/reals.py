@@ -416,10 +416,3 @@ def format_interval(c: CutReal, n: int) -> str:
 def format_real_interval(x: Real, n: int) -> str:
     lo, hi = real_interval(x, n)
     return f"[{lo}, {hi}]@{n}"
-
-
-def format_approx(c: CutReal, n: int) -> str:
-    """Midpoint rendering with an explicit error radius."""
-    lo, hi = c.query(n)
-    mid = dy.mul(dy.add(lo, hi), dy.HALF)
-    return f"≈ {dy.format_decimal(mid)} ± 2^-{n}"

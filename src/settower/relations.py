@@ -151,9 +151,7 @@ class Relation:
     @property
     def carrier(self):
         """The shared carrier of an endorelation."""
-        if self._source != self._target:
-            raise CarrierMismatch("relation has distinct source and target")
-        return self._source
+        return _require_endo(self)
 
     def __contains__(self, pair):
         if not (isinstance(pair, tuple) and len(pair) == 2):
@@ -238,10 +236,10 @@ _set = object.__setattr__
 
 class _Record:
     """An immutable record of named fields, the base of the report classes
-    below.  A subclass lists its fields in ``__slots__`` and takes them in
-    that order, by position or keyword, in an ``__init__`` that stores them
-    with ``_set``.  Records compare equal only to records of their own
-    class with equal fields, hash as the tuple of their fields, print as
+    below.  A subclass lists its fields in ``__slots__``, and the one
+    ``__init__`` here takes them in that order, by position or keyword.
+    Records compare equal only to records of their own class with equal
+    fields, hash as the tuple of their fields, print as
     ``Name(field=value, ...)``, refuse assignment and deletion with
     AttributeError, and pickle and copy by their fields."""
 
@@ -252,6 +250,19 @@ class _Record:
         # attrgetter returns a tuple.
         cls._values = property(attrgetter(*cls.__slots__))
         cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *args, **kwargs):
+        names, kind = self.__slots__, type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{kind} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args) :]:
+            if name not in kwargs:
+                raise TypeError(f"{kind} is missing field {name!r}")
+            _set(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{kind} got unknown or repeated fields {sorted(kwargs)}")
 
     def as_dict(self):
         return dict(zip(self.__slots__, self._values))
@@ -302,40 +313,6 @@ class PropertyReport(_Record):
         "well_ordering",
     )
 
-    def __init__(
-        self,
-        reflexive: bool,
-        antireflexive: bool,
-        symmetric: bool,
-        antisymmetric: bool,
-        transitive: bool,
-        connective: bool,
-        directive: bool,
-        pre_ordering: bool,
-        ordering: bool,
-        ordering_lt: bool,
-        ordering_le: bool,
-        direction: bool,
-        equivalence: bool,
-        total_ordering: bool,
-        well_ordering: bool,
-    ):
-        _set(self, "reflexive", reflexive)
-        _set(self, "antireflexive", antireflexive)
-        _set(self, "symmetric", symmetric)
-        _set(self, "antisymmetric", antisymmetric)
-        _set(self, "transitive", transitive)
-        _set(self, "connective", connective)
-        _set(self, "directive", directive)
-        _set(self, "pre_ordering", pre_ordering)
-        _set(self, "ordering", ordering)
-        _set(self, "ordering_lt", ordering_lt)
-        _set(self, "ordering_le", ordering_le)
-        _set(self, "direction", direction)
-        _set(self, "equivalence", equivalence)
-        _set(self, "total_ordering", total_ordering)
-        _set(self, "well_ordering", well_ordering)
-
 
 class Extremal(_Record):
     """The extremal atoms :func:`extremal` finds for a subset of the
@@ -352,36 +329,12 @@ class Extremal(_Record):
         "infima",
     )
 
-    def __init__(
-        self,
-        minima: frozenset,
-        maxima: frozenset,
-        weak_minima: frozenset,
-        weak_maxima: frozenset,
-        upper_bounds: frozenset,
-        lower_bounds: frozenset,
-        suprema: frozenset,
-        infima: frozenset,
-    ):
-        _set(self, "minima", minima)
-        _set(self, "maxima", maxima)
-        _set(self, "weak_minima", weak_minima)
-        _set(self, "weak_maxima", weak_maxima)
-        _set(self, "upper_bounds", upper_bounds)
-        _set(self, "lower_bounds", lower_bounds)
-        _set(self, "suprema", suprema)
-        _set(self, "infima", infima)
-
 
 class IndependenceReport(_Record):
     """Whether a system of relations is independent upwards and downwards,
     as :func:`check_independence` decides it."""
 
     __slots__ = ("upwards", "downwards")
-
-    def __init__(self, upwards: bool, downwards: bool):
-        _set(self, "upwards", upwards)
-        _set(self, "downwards", downwards)
 
 
 def _require_endo(r: Relation) -> Carrier:
@@ -674,14 +627,14 @@ def order_variants(r: Relation):
 
 def pullback(r: Relation, domain: Carrier, mapping) -> Relation:
     """R_f: pairs whose images under f are related by r."""
-    _require_endo(r)
+    carrier = _require_endo(r)
     f = dict(mapping)
     for x in domain:
         if x not in f:
             raise NonTotalMap(f"map undefined on {x!r}")
-        if f[x] not in r.source:
+        if f[x] not in carrier:
             raise NonTotalMap(f"map sends {x!r} outside the relation's carrier")
-    image_of = [r.source.index(f[x]) for x in domain]
+    image_of = [carrier.index(f[x]) for x in domain]
     rows = [_gather(r._rows[k], image_of) for k in image_of]
     return _from_rows(domain, domain, rows)
 

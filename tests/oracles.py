@@ -23,6 +23,7 @@ from settower.errors import (
     NotOrdering,
     NotPreordering,
     ParseError,
+    SizeLimit,
     UnknownAtom,
 )
 from settower.hfset import HFSet
@@ -630,6 +631,37 @@ def compare_normalized(d, e):
     left = d.man << (width - d.man.bit_length())
     right = e.man << (width - e.man.bit_length())
     return d.sign * ((left > right) - (left < right))
+
+
+def _aligned_numerators(d, e):
+    """Numerators of d and e on the grid 2^-max(u, v): the coarser operand
+    shifts up, and SizeLimit when it is nonzero and the shift passes
+    POW_BIT_LIMIT bits."""
+    shift = d.exp - e.exp
+    coarse = e if shift >= 0 else d
+    if abs(shift) > dy.POW_BIT_LIMIT and coarse.sign:
+        raise SizeLimit("sum")
+    if shift >= 0:
+        return d.sign * d.man, e.sign * e.man << shift
+    return d.sign * d.man << -shift, e.sign * e.man
+
+
+def compare_aligned(d, e):
+    """The library's two-path compare, kept as the reference for the one
+    path that replaced it: numerators on the common grid, and only when
+    that grid is refused, the signs and then the floor of the finer
+    mantissa shifted down to the coarser grid."""
+    try:
+        left, right = _aligned_numerators(d, e)
+    except SizeLimit:
+        if d.sign != e.sign:
+            return d.sign
+        if d.exp > e.exp:
+            above = d.man >> (d.exp - e.exp) >= e.man
+        else:
+            above = d.man > e.man >> (e.exp - d.exp)
+        return d.sign if above else -d.sign
+    return (left > right) - (left < right)
 
 
 def triple(d):

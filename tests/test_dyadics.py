@@ -1,5 +1,7 @@
 import re
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -166,7 +168,8 @@ class TestCompare:
 class TestFarApartExponents:
     """No shift of a nonzero mantissa passes POW_BIT_LIMIT bits: compare
     orders such operands without one, and add, sub, exact_div, div_floor,
-    div_ceil and between refuse with SizeLimit before they allocate."""
+    div_ceil and between refuse with SizeLimit before they allocate, as
+    format_decimal does for an exponent past the limit."""
 
     @given(st.one_of(far_apart(), st.tuples(long_dyadics, long_dyadics)))
     def test_compare_matches_normalized_order(self, pair):
@@ -176,6 +179,34 @@ class TestFarApartExponents:
         assert dy.compare(e, d) == -want
         assert dy.dy_max(d, e) == (e if want < 0 else d)
         assert dy.dy_min(d, e) == (d if want < 0 else e)
+
+    @given(
+        st.one_of(
+            far_apart(),
+            st.tuples(dyadics, dyadics),
+            st.tuples(long_dyadics, long_dyadics),
+        )
+    )
+    def test_compare_matches_aligned_reference(self, pair):
+        d, e = pair
+        assert dy.compare(d, e) == oracles.compare_aligned(d, e)
+        assert dy.compare(e, d) == oracles.compare_aligned(e, d)
+
+    def test_compare_allocates_no_common_grid(self):
+        # Exponents exactly POW_BIT_LIMIT apart: a common grid would take a
+        # number of 2^20 bits (128 KiB).
+        far = make(1, LIMIT)
+        pairs = [(x, y) for x in (far, -far) for y in (ONE, -ONE)]
+        pairs += [(y, x) for x, y in pairs]
+        tracemalloc.start()
+        try:
+            for d, e in pairs:
+                for op in (dy.compare, dy.dy_max, dy.dy_min):
+                    op(d, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
 
     def test_compare_far_apart(self):
         assert dy.compare(TINY, ONE) == -1
@@ -199,11 +230,19 @@ class TestFarApartExponents:
             (lambda: dy.div_ceil(ONE, make(1, LIMIT), 1), "quotient"),
             (lambda: dy.between(make(1, 0, -1), TINY), "between"),
             (lambda: dy.between(make(1, 0, -1), make(1, LIMIT)), "between"),
+            (lambda: dy.format_decimal(TINY), "decimal"),
+            (lambda: dy.format_decimal(make(3, LIMIT + 1, -1)), "decimal"),
         ],
     )
     def test_shifts_past_the_limit_are_refused(self, call, what):
         with pytest.raises(SizeLimit, match=f"^{what} needs more than {LIMIT} mantissa bits$"):
             call()
+
+    def test_decimal_of_a_far_exponent_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit):
+            dy.format_decimal(TINY)
+        assert time.perf_counter() - start < 0.01
 
     def test_shifts_up_to_the_limit_answer(self):
         edge = make(1, LIMIT)

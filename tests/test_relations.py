@@ -1160,6 +1160,7 @@ class TestReportsMatchDataclasses:
                 (values + [values[0]], {}),
                 ((), missing),
                 ((), {**keywords, "bogus": values[0]}),
+                (values[:1], keywords),
             ]:
                 with pytest.raises(TypeError):
                     cls(*args, **kwargs)
