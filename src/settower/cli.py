@@ -453,6 +453,10 @@ def _cmd_relcheck(args, out) -> int:
 
 
 def _cmd_enum(args, out) -> int:
+    if args.what == "pair" and args.second is None:
+        raise SettowerError("enum pair needs two naturals")
+    if args.what != "pair" and args.second is not None:
+        raise SettowerError(f"enum {args.what} takes one argument")
     if args.what == "pair":
         p, q = parse_nat(args.first), parse_nat(args.second)
         value = pair(p, q)
@@ -550,13 +554,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "enum":
-        if args.what == "pair" and args.second is None:
-            print("error: enum pair needs two naturals", file=sys.stderr)
-            return 1
-        if args.what != "pair" and args.second is not None:
-            print(f"error: enum {args.what} takes one argument", file=sys.stderr)
-            return 1
     handlers = {
         "eval": _cmd_eval,
         "cmp": _cmd_cmp,
@@ -565,10 +562,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, sys.stdout)
-    except SettowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SettowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

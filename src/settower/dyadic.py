@@ -5,6 +5,10 @@ Canonical form makes equality structural: the numerator is odd unless the
 exponent is already 0, and zero is the unique (0, 0).  All arithmetic is
 exact big-integer work on a common grid; nothing here rounds except the
 directed divisions div_floor and div_ceil, which round to a stated grid.
+Every power of two is a shift: the quotients div_floor, div_ceil and
+exact_div shift the dividend's numerator onto the result's grid and divide
+it only by the divisor's numerator, exact_div by that numerator's odd part,
+so exact_div answers every quotient that is itself a binary fraction.
 
 POW_BIT_LIMIT bounds what that work may allocate.  dy_pow refuses a power
 whose mantissa would pass it, and every left shift of a nonzero numerator
@@ -12,7 +16,8 @@ by more than it goes through _shl, which refuses it; both end in SizeLimit
 before that number is built.  So add, sub, exact_div, div_floor, div_ceil
 and between refuse operands whose exponents lie too far apart, and
 format_decimal refuses an exponent past it.  compare, and so dy_max and
-dy_min, shift only down and answer at any distance.
+dy_min, shift only down and answer at any distance, as do div_floor and
+div_ceil when the result's grid is the coarser one.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     NotAnInteger,
     SizeLimit,
 )
-from .naturals import _nat, _read_decimal, _write_decimal
+from .naturals import _check_printable, _nat, _read_decimal, _write_decimal
 
 _SIGNS = (-1, 0, 1)
 # Bit cap on the mantissa of a power and on the shift of a nonzero mantissa
@@ -221,39 +226,41 @@ def between(d: Dyadic, e: Dyadic) -> Dyadic:
     return _signed(_shl(d._num, shift, "between") + 1, d._exp + shift)
 
 
-def _directed(a: Dyadic, b: Dyadic, p: int):
-    # Numerator and denominator of a/b * 2^p, after checking b and p.
+def _floor_quotient(num: int, exp: int, b: Dyadic, p: int) -> int:
+    # floor(num * 2^(-exp) / b * 2^p): num shifted onto the grid 2^(-p)
+    # times b's, where a right shift floors, then one floor division by b's
+    # numerator; floor(floor(x) / n) = floor(x / n) for n > 0.
     if b._num <= 0:
         raise NonPositiveDivisor(f"directed division needs b > 0, got {b}")
     _nat(p, "precision")
-    return _shl(a._num, b._exp + p, "quotient"), _shl(b._num, a._exp, "quotient")
+    k = b._exp + p - exp
+    return (_shl(num, k, "quotient") if k >= 0 else num >> -k) // b._num
 
 
 def div_floor(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
     """Largest multiple of 2^(-p) that is <= a/b.  Requires b > 0."""
-    num, den = _directed(a, b, p)
-    return _signed(num // den, p)
+    return _signed(_floor_quotient(a._num, a._exp, b, p), p)
 
 
 def div_ceil(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
     """Smallest multiple of 2^(-p) that is >= a/b.  Requires b > 0."""
-    num, den = _directed(a, b, p)
-    return _signed(-(-num // den), p)
+    return _signed(-_floor_quotient(-a._num, a._exp, b, p), p)
 
 
 def exact_div(d: Dyadic, e: Dyadic):
     """d/e when the quotient is itself a binary fraction, else None.
 
-    That happens exactly when e's mantissa is a power of two (after
-    canonicalization the only interesting case is exponent 0 with an even
-    mantissa, e.g. 2 or 8).
+    With e's numerator written as odd * 2^twos, d/e is the binary fraction
+    (d's numerator / odd) * 2^(e.exp) * 2^(-(d.exp + twos)) exactly when odd
+    divides d's numerator; so 6/3 is 2 and 1/3 is None.
     """
-    man = abs(e._num)
-    if not man or man & (man - 1):
+    if not e._num:
         return None
-    # 1/e = sign_e * 2^(exp_e - j), folded into d on the common grid
-    scaled = _shl(d._num, e._exp, "quotient")
-    return _signed(scaled if e._num > 0 else -scaled, d._exp + man.bit_length() - 1)
+    twos = (e._num & -e._num).bit_length() - 1
+    q, r = divmod(d._num, e._num >> twos)
+    if r:
+        return None
+    return _signed(_shl(q, e._exp, "quotient"), d._exp + twos)
 
 
 def from_int(k: int) -> Dyadic:
@@ -307,10 +314,15 @@ def parse_dyadic(text: str) -> Dyadic:
 def format_decimal(d: Dyadic) -> str:
     """Exact decimal rendering (always terminates for binary fractions)."""
     # 2^-u has u fraction digits: refuse a large u before 5^u is built.
-    if d._exp > POW_BIT_LIMIT:
+    u = d._exp
+    if u > POW_BIT_LIMIT:
         raise _too_wide("decimal")
-    whole, frac = divmod(abs(d._num) * 5**d._exp, 10**d._exp)
+    whole = abs(d._num) >> u
     out = _write_decimal(whole)
-    if frac:
-        out += "." + _write_decimal(frac).zfill(d._exp).rstrip("0")
+    if u:
+        # The numerator is odd, so the fraction (|num| mod 2^u) * 5^u is at
+        # least 5^u, of more than u * log10(5) > u * 0.69897 digits.
+        _check_printable(u * 69897 // 100000 + 1)
+        frac = (abs(d._num) - _shl(whole, u, "decimal")) * 5**u
+        out += "." + _write_decimal(frac).zfill(u).rstrip("0")
     return "-" + out if d._num < 0 else out

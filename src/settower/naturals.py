@@ -15,7 +15,8 @@ the first argument into the step function of :func:`recurse`.
 
 Decimal text has its owner here, both ways: every layer reads a run of
 digits through ``_read_decimal`` and writes an int through
-``_write_decimal``, and these are the only readers of the interpreter's
+``_write_decimal``, and these, with ``_check_printable`` for a result whose
+size is known before it is built, are the only readers of the interpreter's
 int<->str digit limit.  Past it they raise SizeLimit, not ValueError.
 """
 
@@ -79,15 +80,13 @@ def unpair(r: int) -> tuple[int, int]:
     """Inverse of :func:`pair`.
 
     Finds the unique m with s(m) <= r < s(m+1); then q = r - s(m) and
-    p = m - q.  The search is closed-form via an exact integer square root,
-    with a guard loop in case the root lands one off.
+    p = m - q.  The search is closed-form via an exact integer square root:
+    with t = isqrt(8r + 1) and m = (t - 1) // 2,
+    (2m + 1)^2 <= t^2 <= 8r + 1 < (t + 1)^2 <= (2m + 3)^2, and
+    8s(m) + 1 = (2m + 1)^2, so s(m) <= r < s(m+1) needs no correction.
     """
     _nat(r)
     m = (math.isqrt(8 * r + 1) - 1) // 2
-    while triangular(m + 1) <= r:
-        m += 1
-    while triangular(m) > r:
-        m -= 1
     q = r - triangular(m)
     p = m - q
     return p, q
@@ -130,11 +129,16 @@ def recurse(seed: T, step: Callable[[T], T]) -> Callable[[int], T]:
     return _Recursion(seed, step)
 
 
+def _digit_limit() -> int:
+    """The interpreter's int<->str digit limit; 0, for none, where sys has
+    no getter (before Python 3.11)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def _past_the_limit(what: str, doing: str) -> SizeLimit:
-    # Only an interpreter with a digit limit raises the ValueError that
-    # this replaces, so sys has the getter here.
     return SizeLimit(
-        f"{what} has more than {sys.get_int_max_str_digits()} decimal digits, "
+        f"{what} has more than {_digit_limit()} decimal digits, "
         f"the interpreter's limit for {doing} integers"
     )
 
@@ -159,6 +163,14 @@ def _write_decimal(k: int) -> str:
         return str(k)
     except ValueError:
         raise _past_the_limit("result", "printing") from None
+
+
+def _check_printable(digits: int) -> None:
+    """Raise the SizeLimit that _write_decimal would raise for a result of
+    at least `digits` decimal digits, before that result is built."""
+    limit = _digit_limit()
+    if limit and digits > limit:
+        raise _past_the_limit("result", "printing")
 
 
 def parse_nat(text: str) -> int:

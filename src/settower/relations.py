@@ -639,6 +639,29 @@ def pullback(r: Relation, domain: Carrier, mapping) -> Relation:
     return _from_rows(domain, domain, rows)
 
 
+def _upwards(rows, cols, direction: str) -> bool:
+    """Upwards independence of the family with bit rows rows[i] and columns
+    cols[i], with the segment identity asserted when it holds."""
+    # S-rows and S-columns: the AND of the family's masks.
+    s_rows = [reduce(and_, masks) for masks in zip(*rows)]
+    s_cols = [reduce(and_, masks) for masks in zip(*cols)]
+    # Each pair (x, s) of a member factors as (x, y) in S and (y, s) in the
+    # member.
+    independent = all(
+        s_rows[x] & member_cols[s]
+        for member_rows, member_cols in zip(rows, cols)
+        for x, row in enumerate(member_rows)
+        for s in _bits(row)
+    )
+    if independent:
+        for member_cols in cols:
+            for col in member_cols:
+                assert col == _union(s_cols, col), (
+                    f"{direction} segment identity failed"
+                )
+    return independent
+
+
 def check_independence(system) -> IndependenceReport:
     """Upwards/downwards independence of a family of transitive relations.
 
@@ -658,38 +681,12 @@ def check_independence(system) -> IndependenceReport:
         if not _transitive(rel._rows):
             raise NotPreordering("system members must be transitive")
 
-    # S-rows and S-columns: the AND of the family's masks.
-    s_rows = [reduce(and_, masks) for masks in zip(*(rel._rows for rel in system))]
-    s_cols = [reduce(and_, masks) for masks in zip(*(rel._cols for rel in system))]
-
-    # Upwards: each pair (x, s) of a member factors as (x, y) in S and
-    # (y, s) in the member; downwards dually, (s, y) in the member and
-    # (y, x) in S.
-    upwards = all(
-        s_rows[x] & rel._cols[s]
-        for rel in system
-        for x, row in enumerate(rel._rows)
-        for s in _bits(row)
-    )
-    downwards = all(
-        s_cols[x] & rel._rows[s]
-        for rel in system
-        for s, row in enumerate(rel._rows)
-        for x in _bits(row)
-    )
-
-    if upwards:
-        for rel in system:
-            for col in rel._cols:
-                assert col == _union(s_cols, col), (
-                    "upwards segment identity failed"
-                )
-    if downwards:
-        for rel in system:
-            for row in rel._rows:
-                assert row == _union(s_rows, row), (
-                    "downwards segment identity failed"
-                )
+    # Downwards independence of the family is upwards independence of its
+    # inverses, whose rows are the members' columns.
+    rows = [rel._rows for rel in system]
+    cols = [rel._cols for rel in system]
+    upwards = _upwards(rows, cols, "upwards")
+    downwards = _upwards(cols, rows, "downwards")
     return IndependenceReport(upwards=upwards, downwards=downwards)
 
 

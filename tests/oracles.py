@@ -18,6 +18,7 @@ from settower.errors import (
     EmptyCarrier,
     EmptyFamily,
     ExprSyntaxError,
+    NonPositiveDivisor,
     NonTotalMap,
     NotEquivalence,
     NotOrdering,
@@ -662,6 +663,40 @@ def compare_aligned(d, e):
             above = d.man > e.man >> (e.exp - d.exp)
         return d.sign if above else -d.sign
     return (left > right) - (left < right)
+
+
+def _directed_shift_both(a, b, p):
+    """Numerator and denominator of a/b * 2^p, each shifted up by the
+    other's exponent, after the library's checks of b and p."""
+    if b.sign <= 0:
+        raise NonPositiveDivisor(f"directed division needs b > 0, got {b}")
+    dy._nat(p, "precision")
+    return (
+        dy._shl(a.sign * a.man, b.exp + p, "quotient"),
+        dy._shl(b.man, a.exp, "quotient"),
+    )
+
+
+def div_floor_shift_both(a, b, p):
+    """The library's div_floor before it shifted only the dividend, kept as
+    the reference for the one shift that replaced the two: a floor division
+    by b's mantissa shifted up by a's exponent."""
+    num, den = _directed_shift_both(a, b, p)
+    return dy._signed(num // den, p)
+
+
+def div_ceil_shift_both(a, b, p):
+    num, den = _directed_shift_both(a, b, p)
+    return dy._signed(-(-num // den), p)
+
+
+def exact_div_power_of_two(d, e):
+    """The library's exact_div before it divided by odd parts: d/e only for
+    a divisor whose mantissa is a power of two, else None."""
+    if not e.man or e.man & (e.man - 1):
+        return None
+    scaled = dy._shl(d.sign * d.man, e.exp, "quotient")
+    return dy._signed(scaled * e.sign, d.exp + e.man.bit_length() - 1)
 
 
 def triple(d):

@@ -112,6 +112,8 @@ class TestEvalCommand:
             ("-2^2", "-4"),
             ("between(0, 1)", "1/2^1"),
             ("5/8", "5/2^3"),
+            ("6/3", "2"),
+            ("-21/12", "-7/2^2"),
         ],
     )
     def test_exact_output(self, expr, line, capsys):
@@ -136,10 +138,10 @@ class TestEvalCommand:
         assert hi - lo <= Fraction(1, 1 << 29)
 
     def test_non_power_division_falls_back_to_interval(self, capsys):
-        code, out, _ = run_cli(["eval", "6/3"], capsys)
+        code, out, _ = run_cli(["eval", "7/3"], capsys)
         assert code == 0
         lo, hi, _ = interval_of(out)
-        assert lo <= 2 <= hi
+        assert lo <= Fraction(7, 3) <= hi
         assert hi - lo <= Fraction(1, 1 << 29)
 
     @pytest.mark.parametrize(
@@ -571,6 +573,7 @@ class TestCmpCommand:
             ("1/2", "1", "less", 0),
             ("1", "1/2", "greater", 0),
             ("2", "2", "equal", 0),
+            ("6/3", "2", "equal", 0),
             ("inv(3)", "1/2", "less", 0),
             ("inv(3)", "inv(3)", "indistinguishable", 2),
         ],
@@ -793,10 +796,10 @@ class TestEnumCommand:
         assert (code, out) == (0, "3/2^2\n")
 
     def test_argument_counts(self, capsys):
-        code, _, err = run_cli(["enum", "pair", "3"], capsys)
-        assert code == 1 and "two naturals" in err
-        code, _, err = run_cli(["enum", "unpair", "3", "4"], capsys)
-        assert code == 1 and "one argument" in err
+        code, out, err = run_cli(["enum", "pair", "3"], capsys)
+        assert (code, out, err) == (1, "", "error: enum pair needs two naturals\n")
+        code, out, err = run_cli(["enum", "unpair", "3", "4"], capsys)
+        assert (code, out, err) == (1, "", "error: enum unpair takes one argument\n")
 
     def test_non_natural_rejected(self, capsys):
         code, _, err = run_cli(["enum", "pair", "x", "2"], capsys)

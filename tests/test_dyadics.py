@@ -1,8 +1,10 @@
+import math
 import re
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +43,23 @@ long_dyadics = st.builds(make, long_mantissas, long_exps, st.sampled_from([-1, 1
 LIMIT = dy.POW_BIT_LIMIT
 # (1/2)^(2^40): aligning it with 1 would take 2^40 bits.
 TINY = make(1, 2**40)
+# Operands for runs with POW_BIT_LIMIT lowered to SMALL_LIMIT bits, where
+# every refusal happens on numbers that Fraction checks in microseconds.
+SMALL_LIMIT = 64
+small_grid = st.builds(
+    make,
+    st.integers(min_value=0, max_value=2**100),
+    st.integers(min_value=0, max_value=150),
+    st.sampled_from([-1, 1]),
+)
+
+
+def outcome(f, *args):
+    """f(*args), or the class SizeLimit when f refuses."""
+    try:
+        return f(*args)
+    except SizeLimit:
+        return SizeLimit
 
 
 @st.composite
@@ -167,9 +186,11 @@ class TestCompare:
 
 class TestFarApartExponents:
     """No shift of a nonzero mantissa passes POW_BIT_LIMIT bits: compare
-    orders such operands without one, and add, sub, exact_div, div_floor,
-    div_ceil and between refuse with SizeLimit before they allocate, as
-    format_decimal does for an exponent past the limit."""
+    orders such operands without one, div_floor and div_ceil answer
+    without one when the result's grid is the coarser, and otherwise add,
+    sub, exact_div, div_floor, div_ceil and between refuse with SizeLimit
+    before they allocate, as format_decimal does for an exponent past the
+    limit."""
 
     @given(st.one_of(far_apart(), st.tuples(long_dyadics, long_dyadics)))
     def test_compare_matches_normalized_order(self, pair):
@@ -224,8 +245,8 @@ class TestFarApartExponents:
             (lambda: dy.add(make(1, LIMIT + 1), ONE), "sum"),
             (lambda: dy.exact_div(ONE, TINY), "quotient"),
             (lambda: dy.exact_div(make(3, 0), make(1, LIMIT + 1)), "quotient"),
-            (lambda: dy.div_floor(TINY, make(3, 0), 30), "quotient"),
-            (lambda: dy.div_ceil(make(1, LIMIT + 1), ONE, 0), "quotient"),
+            (lambda: dy.exact_div(make(3, 0), make(3, LIMIT + 1)), "quotient"),
+            (lambda: dy.div_floor(make(3, 1), make(5, LIMIT), 2), "quotient"),
             (lambda: dy.div_floor(ONE, ONE, LIMIT + 1), "quotient"),
             (lambda: dy.div_ceil(ONE, make(1, LIMIT), 1), "quotient"),
             (lambda: dy.between(make(1, 0, -1), TINY), "between"),
@@ -250,8 +271,39 @@ class TestFarApartExponents:
         assert dy.exact_div(ONE, edge) == make(1 << LIMIT, 0)
         assert dy.div_floor(edge, ONE, 0) == ZERO
         assert dy.div_ceil(ONE, ONE, LIMIT) == ONE
+        assert dy.div_floor(make(3, 1), make(5, LIMIT), 1) == make((3 << LIMIT) // 5, 1)
         low = make(1, LIMIT - 1)
         assert dy.between(make(1, 0, -1), low) == make((1 << LIMIT) - 1, LIMIT, -1)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
+    def test_decimal_past_the_digit_limit_is_refused_at_once(self):
+        # The fraction of 1/2^u is 5^u, printable while 5^u < 10^DIGIT_LIMIT.
+        u = int(DIGIT_LIMIT / math.log10(5)) - 2
+        while 5 ** (u + 1) < 10**DIGIT_LIMIT:
+            u += 1
+        assert dy.format_decimal(make(1, u)) == "0." + str(5**u).zfill(u)
+        with pytest.raises(SizeLimit, match="limit for printing integers$"):
+            dy.format_decimal(make(1, u + 1))
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit, match="limit for printing integers$"):
+            dy.format_decimal(make(1, LIMIT))
+        assert time.perf_counter() - start < 0.01
+
+    def test_directed_division_shifts_down_any_distance(self):
+        assert dy.div_floor(TINY, make(3, 0), 30) == ZERO
+        assert dy.div_ceil(TINY, make(3, 0), 30) == make(1, 30)
+        assert dy.div_ceil(make(1, LIMIT + 1), ONE, 0) == ONE
+        assert dy.div_floor(make(3, LIMIT + 1, -1), ONE, 0) == make(1, 0, -1)
+        # Shifting the divisor up by the dividend's exponent instead would
+        # take a number of 2^20 bits (128 KiB).
+        far = make(3, LIMIT)
+        tracemalloc.start()
+        try:
+            dy.div_floor(far, ONE, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
 
     def test_zero_shifts_any_distance(self):
         assert dy.add(TINY, ZERO) == TINY
@@ -431,6 +483,25 @@ class TestDivFloorCeil:
         if (q * 2**p).denominator == 1:
             assert lo == hi
 
+    @given(small_grid, small_grid, st.integers(0, 100))
+    def test_matches_shift_both_reference(self, a, b, p):
+        """Where shifting both numerator and denominator answers, shifting
+        the dividend alone agrees; where it refused, this answers the
+        rounded quotient or refuses too."""
+        b = dy.dy_abs(b) or ONE
+        exact = oracles.to_fraction(a) / oracles.to_fraction(b) * 2**p
+        for new, old, rounded in (
+            (dy.div_floor, oracles.div_floor_shift_both, math.floor),
+            (dy.div_ceil, oracles.div_ceil_shift_both, math.ceil),
+        ):
+            with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+                got = outcome(new, a, b, p)
+                want = outcome(old, a, b, p)
+            if want is not SizeLimit:
+                assert got == want
+            elif got is not SizeLimit:
+                assert oracles.to_fraction(got) * 2**p == rounded(exact)
+
     def test_one_third_endpoints(self):
         three = make(3, 0)
         assert dy.div_floor(ONE, three, 4) == make(5, 4)
@@ -459,7 +530,17 @@ class TestExactDiv:
     def test_refuses_others(self):
         assert dy.exact_div(ONE, ZERO) is None
         assert dy.exact_div(ONE, make(3, 0)) is None
-        assert dy.exact_div(make(6, 0), make(3, 0)) is None  # exact but not here
+        assert dy.exact_div(make(7, 0), make(3, 0)) is None
+        assert dy.exact_div(make(3, 2), make(9, 1, -1)) is None
+
+    def test_odd_divisors(self):
+        assert dy.exact_div(make(6, 0), make(3, 0)) == make(2, 0)
+        assert dy.exact_div(make(6, 0, -1), make(3, 0)) == make(2, 0, -1)
+        assert dy.exact_div(make(6, 0), make(3, 0, -1)) == make(2, 0, -1)
+        assert dy.exact_div(make(9, 2), make(3, 0)) == make(3, 2)
+        assert dy.exact_div(make(3, 0), make(3, 5)) == make(32, 0)
+        assert dy.exact_div(make(15, 0), make(6, 0)) == make(5, 1)
+        assert dy.exact_div(make(21, 0), make(12, 0, -1)) == make(7, 2, -1)
 
     @given(dyadics, st.integers(0, 10), st.integers(0, 6), st.sampled_from([-1, 1]))
     def test_inverts_multiplication(self, d, j, u, s):
@@ -467,6 +548,35 @@ class TestExactDiv:
         out = dy.exact_div(d, divisor)
         assert out is not None
         assert out * divisor == d
+
+    @given(dyadics, dyadics)
+    def test_inverts_multiplication_by_any_divisor(self, d, e):
+        if e:
+            assert dy.exact_div(d * e, e) == d
+
+    @given(small_grid, small_grid, st.booleans())
+    def test_matches_power_of_two_reference(self, d, e, multiply):
+        """Where the power-of-two-only exact_div answers, this one agrees;
+        where it refused or gave None, this one gives the exact quotient
+        when that is a binary fraction and the shift fits, else None or
+        the refusal."""
+        if multiply:
+            d = d * e
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            got = outcome(dy.exact_div, d, e)
+            want = outcome(oracles.exact_div_power_of_two, d, e)
+        if want not in (None, SizeLimit):
+            assert got == want
+        elif not e:
+            assert got is None
+        else:
+            q = oracles.to_fraction(d) / oracles.to_fraction(e)
+            if not oracles.is_dyadic_fraction(q):
+                assert got is None
+            elif got is SizeLimit:
+                assert e.exp > SMALL_LIMIT
+            else:
+                assert oracles.to_fraction(got) == q
 
 
 class TestParseAndFormat:
@@ -530,6 +640,16 @@ class TestParseAndFormat:
                 dy.parse_dyadic("9" * 641)
         finally:
             sys.set_int_max_str_digits(DIGIT_LIMIT)
+
+    def test_no_digit_limit_without_the_interpreter_hook(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        if DIGIT_LIMIT:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert dy.format_decimal(make(1, 7000)) == "0." + str(5**7000).zfill(7000)
+        finally:
+            if DIGIT_LIMIT:
+                sys.set_int_max_str_digits(DIGIT_LIMIT)
 
     @given(dyadics)
     def test_str_roundtrip(self, d):

@@ -117,6 +117,15 @@ class TestPairing:
     def test_roundtrip_large(self, p, q):
         assert nat.unpair(nat.pair(p, q)) == (p, q)
 
+    def test_diagonal_boundaries(self):
+        # s(m) is the first code of diagonal m and s(m) - 1 the last of
+        # diagonal m - 1, where a square root one off would land wrong.
+        ms = list(range(1, 300))
+        ms += [(1 << k) + d for k in range(9, 201) for d in (-1, 0, 1)]
+        for m in ms:
+            assert nat.unpair(nat.triangular(m)) == (m, 0)
+            assert nat.unpair(nat.triangular(m) - 1) == (0, m - 1)
+
     @given(st.integers(min_value=0, max_value=10**18))
     def test_every_code_decodes_and_recodes(self, r):
         p, q = nat.unpair(r)

@@ -1179,12 +1179,14 @@ class TestReportsMatchDataclasses:
 
     @given(data=st.data())
     def test_pickle_and_copy_round_trip(self, new, old, value, data):
-        _, values, _ = data.draw(report_values(old, value))
+        names, values, _ = data.draw(report_values(old, value))
         report = new(*values)
         for twin in (
             pickle.loads(pickle.dumps(report)),
             copy.copy(report),
             copy.deepcopy(report),
         ):
+            # Fields, not repr: a set rebuilt from a pickle may iterate in
+            # another order when its members' hashes collide.
             assert type(twin) is new and twin == report
-            assert repr(twin) == repr(report)
+            assert [getattr(twin, n) for n in names] == values
