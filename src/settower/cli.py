@@ -215,17 +215,21 @@ def _as_real(value) -> re.Real:
     return value
 
 
-def _invert(value, prec: int):
-    """Reciprocal of an evaluated value: exact when possible, one
-    reciprocal leaf for any other dyadic, else an interval whose sign was
-    certified at precision prec."""
+def _invert(value, prec: int, leaves: dict):
+    """Reciprocal of an evaluated value: exact when possible, else the
+    reciprocal leaf of the dyadic's magnitude, built once per evaluation in
+    leaves, else an interval whose sign was certified at precision prec."""
     if isinstance(value, dy.Dyadic):
         if value.sign == 0:
             raise DivisionNearZero("division by exact zero")
-        exact = dy.exact_div(dy.ONE, value)
-        if exact is not None:
-            return exact
-        flipped = re.real_from_cut(re.reciprocal(dy.dy_abs(value)))
+        size = dy.dy_abs(value)
+        leaf = leaves.get(size)
+        if leaf is None:
+            leaf = leaves[size] = re.reciprocal(size)
+        # reciprocal tags exactly the leaves that are binary fractions.
+        if leaf.tag is not None:
+            return leaf.tag if value.sign > 0 else dy.neg(leaf.tag)
+        flipped = re.real_from_cut(leaf)
         return re.real_neg(flipped) if value.sign < 0 else flipped
     side = re.compare_eps(value.pos, value.neg, prec + 1)
     if side is re.Comparison.INDISTINGUISHABLE:
@@ -243,11 +247,11 @@ def _nat_exponent(value) -> int:
     raise BadExponent("exponent must be an exact natural number")
 
 
-def _eval(node, env, prec: int):
+def _eval(node, env, prec: int, leaves: dict):
     """Value of a parsed node: a Dyadic while every step stays exact, else
     a Real.  A chain folds left to right and a let binds its names in order
     into one copy of env, both by loops, so the walk recurses only into
-    nested nodes."""
+    nested nodes.  leaves holds the evaluation's reciprocal leaves."""
     op = node[0]
     if op == "num":
         return node[1]
@@ -258,29 +262,50 @@ def _eval(node, env, prec: int):
         return env[name]
     if op == "chain":
         _, ops, operands = node
-        acc = _eval(operands[0], env, prec)
+        if len(ops) > 1 and ops[0] in "+-":
+            return _sum_run(ops, operands, env, prec, leaves)
+        acc = _eval(operands[0], env, prec, leaves)
         for i, sym in enumerate(ops, 1):
-            acc = _apply_bin(sym, acc, _eval(operands[i], env, prec), prec)
+            b = _eval(operands[i], env, prec, leaves)
+            acc = _apply_bin(sym, acc, b, prec, leaves)
         return acc
     if op == "let":
         _, bindings, body = node
         env = dict(env)
         for name, bound in bindings:
-            env[name] = _eval(bound, env, prec)
-        return _eval(body, env, prec)
+            env[name] = _eval(bound, env, prec, leaves)
+        return _eval(body, env, prec, leaves)
     if op == "neg":
-        value = _eval(node[1], env, prec)
+        value = _eval(node[1], env, prec, leaves)
         if isinstance(value, dy.Dyadic):
             return dy.neg(value)
         return re.real_neg(value)
     if op == "call":
         _, name, args = node
-        values = [_eval(a, env, prec) for a in args]
-        return _apply_call(name, values, prec)
+        values = [_eval(a, env, prec, leaves) for a in args]
+        return _apply_call(name, values, prec, leaves)
     raise AssertionError(f"unknown node {op!r}")
 
 
-def _apply_bin(sym, a, b, prec: int):
+def _sum_run(ops, operands, env, prec: int, leaves: dict):
+    """A run of three or more + and - operands.  The exact operands are
+    summed exactly as they are evaluated, so a run with no Real answers and
+    fails as the left-to-right chain of dy.add and dy.sub does; the Real
+    operands, negated for -, and that exact sum make one real_sum."""
+    exact, terms = dy.ZERO, []
+    for sym, operand in zip(["+"] + ops, operands):
+        value = _eval(operand, env, prec, leaves)
+        if isinstance(value, dy.Dyadic):
+            exact = dy.add(exact, value) if sym == "+" else dy.sub(exact, value)
+        else:
+            terms.append(value if sym == "+" else re.real_neg(value))
+    if not terms:
+        return exact
+    terms.append(re.real_from_dyadic(exact))
+    return re.real_sum(terms)
+
+
+def _apply_bin(sym, a, b, prec: int, leaves: dict):
     both_dyadic = isinstance(a, dy.Dyadic) and isinstance(b, dy.Dyadic)
     if sym == "+":
         if both_dyadic:
@@ -304,8 +329,8 @@ def _apply_bin(sym, a, b, prec: int):
             exact = dy.exact_div(a, b)
             if exact is not None:
                 return exact
-        inverted = _invert(b, prec)
-        return _apply_bin("*", a, inverted, prec)
+        inverted = _invert(b, prec, leaves)
+        return _apply_bin("*", a, inverted, prec, leaves)
     if sym == "^":
         m = _nat_exponent(b)
         if isinstance(a, dy.Dyadic):
@@ -316,14 +341,14 @@ def _apply_bin(sym, a, b, prec: int):
     raise AssertionError(f"unknown operator {sym!r}")
 
 
-def _apply_call(name, values, prec: int):
+def _apply_call(name, values, prec: int, leaves: dict):
     if name == "abs":
         value = values[0]
         if isinstance(value, dy.Dyadic):
             return dy.dy_abs(value)
         return re.real_from_cut(re.real_abs(value))
     if name == "inv":
-        return _invert(values[0], prec)
+        return _invert(values[0], prec, leaves)
     if name == "sup":
         if all(isinstance(v, dy.Dyadic) for v in values):
             acc = values[0]
@@ -340,8 +365,9 @@ def _apply_call(name, values, prec: int):
 
 
 def evaluate(text: str, prec: int):
-    """Parse and evaluate; returns either a Dyadic or a Real."""
-    return _eval(parse_expr(text), {}, prec)
+    """Parse and evaluate; returns either a Dyadic or a Real.  inv(d) and
+    x / d share one reciprocal leaf per exact divisor d within the call."""
+    return _eval(parse_expr(text), {}, prec, {})
 
 
 def _check_prec(prec: int) -> int:

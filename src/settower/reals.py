@@ -10,6 +10,12 @@ tag so arithmetic can stay exact along dyadic-only paths.
 
 Guard-bit policy (normative for interoperability):
   * add queries its operands at n+1 and sums endpoints;
+  * sum_cuts of k operands is one node: it queries each operand once at
+    n + g, g = ceil(log2 k) + 1, adds the endpoints exactly and rounds the
+    sums outward onto the 2^(-n-2) grid, so the width stays within 2^(-n),
+    the node's depth is 1 and its endpoints follow n, not k.  real_sum is
+    one such node per side, and the CLI builds it for every run of three
+    or more + and - operands;
   * mul queries at n+t+1 where t is the smallest natural with
     hi_x(0) + hi_y(0) <= 2^t, multiplies endpoints, and rounds the lower
     product down and the upper product up to n+2 fractional bits, so the
@@ -23,7 +29,9 @@ Guard-bit policy (normative for interoperability):
   * the reciprocal of an exact positive dyadic d is a leaf: reciprocal(d)
     is from_dyadic(1/d) when d is a power of two, and otherwise rounds 1/d
     down and up to n+1 fractional bits, querying nothing.  inverse of a
-    tagged operand and the CLI's inv of a literal both build this leaf;
+    tagged operand and the CLI's inv of a literal both build this leaf.
+    Within one CLI evaluation, inv(d) and x / d share one leaf per exact
+    divisor, so repeated terms of a sum are answered from its memo;
   * real_sup of k signed values is a balanced tree of two-way maxima,
     each Real(sup_finite([px + ny, py + nx]), nx + ny), so its depth is
     O(log k) and a query at n reaches the values at n + O(log k);
@@ -31,7 +39,8 @@ Guard-bit policy (normative for interoperability):
     returns, is the exact zero: mul with it and _posdiff(ZERO_CUT, b) are
     ZERO_CUT; add with it, _posdiff(a, ZERO_CUT) and real_abs of a pair
     with a ZERO_CUT side are the other operand shifted one bit,
-    n -> y.query(n + 1), with its tag.  The general nodes return the same
+    n -> y.query(n + 1), with its tag; sum_cuts never queries a ZERO_CUT
+    operand but counts it in k.  The general nodes return the same
     endpoints at every precision, so no answer changes; only a tag None
     may become the node's exact value.  A zero tag alone does not fold:
     real_abs of a pair with equal nonzero tags is tagged 0, but its upper
@@ -94,11 +103,19 @@ class CutReal:
 
 
 def _embed(d: dy.Dyadic) -> CutReal:
+    # d is rounded onto the 2^(-n-1) grid before it is widened, so a d of
+    # any exponent answers with endpoints of about n bits.  On that grid
+    # both roundings are d itself, so they are skipped.
     def fn(n):
-        lo = dy.sub(d, dy.make(1, n + 1))
+        p = n + 1
+        if d.exp <= p:
+            low = hi = d
+        else:
+            low, hi = dy.div_floor(d, dy.ONE, p), dy.div_ceil(d, dy.ONE, p)
+        lo = dy.sub(low, dy.make(1, p))
         if lo.sign < 0:
             lo = dy.ZERO
-        return lo, d
+        return lo, hi
 
     return CutReal(fn, tag=d)
 
@@ -108,8 +125,10 @@ ONE_CUT = _embed(dy.ONE)
 
 
 def from_dyadic(d: dy.Dyadic) -> CutReal:
-    """Embed a binary fraction: intervals [d - 2^(-n-1) clamped at 0, d].
-    Zero embeds as ZERO_CUT itself, so it folds."""
+    """Embed a binary fraction: at precision n the interval
+    [floor(d) - 2^(-n-1) clamped at 0, ceil(d)], both roundings onto the
+    2^(-n-1) grid, which is [d - 2^(-n-1) clamped at 0, d] when d lies on
+    that grid.  Zero embeds as ZERO_CUT itself, so it folds."""
     if d.sign < 0:
         raise NegativeInput(f"cut embedding needs d >= 0, got {d}")
     return ZERO_CUT if d.sign == 0 else _embed(d)
@@ -136,6 +155,42 @@ def add(x: CutReal, y: CutReal) -> CutReal:
     tag = None
     if x.tag is not None and y.tag is not None:
         tag = dy.add(x.tag, y.tag)
+    return CutReal(fn, tag=tag)
+
+
+def sum_cuts(xs) -> CutReal:
+    """Sum of k >= 1 cuts as one node, so its depth is 1 at any k.
+
+    Each operand is queried once at n + g, g = ceil(log2 k) + 1, so the k
+    widths add up to at most 2^(-n-1); the exact endpoint sums are rounded
+    outward onto the 2^(-n-2) grid, as mul rounds its products.  ZERO_CUT
+    operands are never queried, but they count towards k, so the node
+    answers as if it had queried them.
+    """
+    xs = list(xs)
+    if not xs:
+        raise EmptyList("sum_cuts needs at least one value")
+    guard = (len(xs) - 1).bit_length() + 1
+    live = [x for x in xs if x is not ZERO_CUT]
+    if not live:
+        return ZERO_CUT
+
+    def fn(n):
+        k = n + guard
+        lo = hi = dy.ZERO
+        for x in live:
+            lx, hx = x.query(k)
+            lo = dy.add(lo, lx)
+            hi = dy.add(hi, hx)
+        p = n + 2
+        return dy.div_floor(lo, dy.ONE, p), dy.div_ceil(hi, dy.ONE, p)
+
+    tag = dy.ZERO
+    for x in live:
+        if x.tag is None:
+            tag = None
+            break
+        tag = dy.add(tag, x.tag)
     return CutReal(fn, tag=tag)
 
 
@@ -311,6 +366,12 @@ REAL_ZERO = real_from_dyadic(dy.ZERO)
 
 def real_add(x: Real, y: Real) -> Real:
     return Real(add(x.pos, y.pos), add(x.neg, y.neg))
+
+
+def real_sum(xs) -> Real:
+    """Sum of k >= 1 signed values: one sum_cuts node on each side."""
+    xs = list(xs)
+    return Real(sum_cuts([x.pos for x in xs]), sum_cuts([x.neg for x in xs]))
 
 
 def real_neg(x: Real) -> Real:

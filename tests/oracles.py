@@ -30,6 +30,7 @@ from settower.errors import (
 from settower.hfset import HFSet
 from settower.reals import (
     CutReal,
+    add,
     real_abs,
     real_add,
     real_from_cut,
@@ -1006,12 +1007,40 @@ def generic_posdiff(a, b):
     return CutReal(fn)
 
 
+def generic_sum_cuts(xs):
+    xs = list(xs)
+    guard = (len(xs) - 1).bit_length() + 1
+
+    def fn(n):
+        lo = hi = dy.ZERO
+        for x in xs:
+            lx, hx = x.query(n + guard)
+            lo, hi = dy.add(lo, lx), dy.add(hi, hx)
+        p = n + 2
+        return dy.div_floor(lo, dy.ONE, p), dy.div_ceil(hi, dy.ONE, p)
+
+    tag = None
+    if all(x.tag is not None for x in xs):
+        tag = sum((x.tag for x in xs), dy.ZERO)
+    return CutReal(fn, tag=tag)
+
+
 GENERIC_NODES = {
     "add": generic_add,
     "mul": generic_mul,
     "real_abs": generic_real_abs,
     "_posdiff": generic_posdiff,
+    "sum_cuts": generic_sum_cuts,
 }
+
+
+def add_fold(xs):
+    """A sum of cuts as the left fold of binary add, as the CLI summed a
+    run of + before reals.sum_cuts: the reference for that node."""
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = add(acc, x)
+    return acc
 
 
 def formula_max(x, y):
@@ -1145,7 +1174,7 @@ class BinaryDescent:
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 
-def eval_tree(node, env, prec):
+def eval_tree(node, env, prec, leaves):
     """Value of a BinaryDescent tree, by recursion on every node, with the
     CLI's own operations at each operator and function call."""
     op = node[0]
@@ -1158,19 +1187,66 @@ def eval_tree(node, env, prec):
         return env[name]
     if op == "let":
         _, name, bound, body = node
-        value = eval_tree(bound, env, prec)
-        return eval_tree(body, {**env, name: value}, prec)
+        value = eval_tree(bound, env, prec, leaves)
+        return eval_tree(body, {**env, name: value}, prec, leaves)
     if op == "neg":
-        value = eval_tree(node[1], env, prec)
+        value = eval_tree(node[1], env, prec, leaves)
         return dy.neg(value) if isinstance(value, dy.Dyadic) else real_neg(value)
     if op == "bin":
         _, sym, left, right = node
-        a = eval_tree(left, env, prec)
-        b = eval_tree(right, env, prec)
-        return _apply_bin(sym, a, b, prec)
+        a = eval_tree(left, env, prec, leaves)
+        b = eval_tree(right, env, prec, leaves)
+        return _apply_bin(sym, a, b, prec, leaves)
     _, name, args = node
-    return _apply_call(name, [eval_tree(a, env, prec) for a in args], prec)
+    values = [eval_tree(a, env, prec, leaves) for a in args]
+    return _apply_call(name, values, prec, leaves)
 
 
 def evaluate_descent(text: str, prec: int):
-    return eval_tree(BinaryDescent(text).parse(), {}, prec)
+    return eval_tree(BinaryDescent(text).parse(), {}, prec, {})
+
+
+def _dyadic_of(fr: Fraction):
+    sign = 1 if fr >= 0 else -1
+    return dy.make(abs(fr.numerator), fr.denominator.bit_length() - 1, sign)
+
+
+def exact_tree(node, env):
+    """Exact Fraction value of a BinaryDescent tree whose evaluation by
+    eval_tree answered, so every divisor is nonzero, every exponent a
+    natural and every between() endpoint a binary fraction."""
+    op = node[0]
+    if op == "num":
+        return to_fraction(node[1])
+    if op == "var":
+        return env[node[1]]
+    if op == "let":
+        _, name, bound, body = node
+        return exact_tree(body, {**env, name: exact_tree(bound, env)})
+    if op == "neg":
+        return -exact_tree(node[1], env)
+    if op == "bin":
+        _, sym, left, right = node
+        a, b = exact_tree(left, env), exact_tree(right, env)
+        if sym == "+":
+            return a + b
+        if sym == "-":
+            return a - b
+        if sym == "*":
+            return a * b
+        if sym == "/":
+            return a / b
+        return a ** int(b)
+    _, name, args = node
+    values = [exact_tree(a, env) for a in args]
+    if name == "abs":
+        return abs(values[0])
+    if name == "inv":
+        return 1 / values[0]
+    if name == "sup":
+        return max(values)
+    return to_fraction(dy.between(*map(_dyadic_of, values)))
+
+
+def exact_value(text: str) -> Fraction:
+    return exact_tree(BinaryDescent(text).parse(), {})

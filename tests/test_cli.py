@@ -170,6 +170,31 @@ class TestEvalCommand:
         assert run_cli(["eval", expr], capsys) == (0, line + "\n", "")
         assert all(d in (dy.ONE, make(2, 0)) for d in embedded)
 
+    def test_divisors_share_one_leaf_per_evaluation(self, monkeypatch):
+        # One exact check per distinct divisor magnitude, in reals.reciprocal.
+        built, checks = [], []
+
+        def record(d, build=reals.reciprocal):
+            built.append(d)
+            return build(d)
+
+        def count(d, e, check=dy.exact_div):
+            checks.append((d, e))
+            return check(d, e)
+
+        monkeypatch.setattr(reals, "reciprocal", record)
+        text = "inv(3) + 1/3 + inv(-3) - 2/6 + inv(6) + inv(4)"
+        value = cli.evaluate(text, 30)
+        assert built == [make(3, 0), make(6, 0), make(4, 0)]
+        lo, hi = reals.real_interval(value, 30)
+        want = Fraction(1, 6) + Fraction(1, 4)
+        assert oracles.to_fraction(lo) <= want <= oracles.to_fraction(hi)
+        # The leaves live for one call: a second evaluation builds its own.
+        monkeypatch.setattr(dy, "exact_div", count)
+        cli.evaluate("inv(7) - inv(3) + inv(7) - inv(3)", 30)
+        assert built[3:] == [make(7, 0), make(3, 0)]
+        assert checks == [(dy.ONE, make(7, 0)), (dy.ONE, make(3, 0))]
+
     def test_abs_of_interval(self, capsys):
         code, out, _ = run_cli(["eval", "abs(inv(3) - 1)"], capsys)
         assert code == 0
@@ -286,7 +311,7 @@ class TestPowers:
         want = Fraction(1, root) ** m
         a = cli.evaluate(base, 30)
         chain = oracles.pow_chain(
-            a, m, lambda u, v: cli._apply_bin("*", u, v, 30), dy.ONE
+            a, m, lambda u, v: cli._apply_bin("*", u, v, 30, {}), dy.ONE
         )
         got = cli.evaluate(f"{base}^{m}", 30)
         for value in (got, chain):
@@ -371,6 +396,8 @@ class TestFarApartExponents:
             (["eval", "(1/2)^(2^40) - (1/2)^(2^40)"], "0"),
             (["eval", "(1/2)^(2^40) * 2^(2^19)"], "1/2^1099511103488"),
             (["cmp", "(1/2)^(2^40)", "(1/2)^(2^40)"], "equal"),
+            # The embedding rounds the tiny factor onto the query grid.
+            (["eval", "(1/2)^(2^40) / 3"], "[0, 1/2^34]@30"),
         ],
     )
     def test_answers(self, argv, line, capsys):
@@ -382,7 +409,6 @@ class TestFarApartExponents:
         "expr,what",
         [
             ("(1/2)^(2^40) + 1", "sum"),
-            ("(1/2)^(2^40) / 3", "sum"),
             ("inv((1/2)^(2^40))", "quotient"),
             ("(1/2)^(2^14300) + 1", "sum"),
         ],
@@ -951,6 +977,49 @@ def outcome(evaluate, text, prec=30):
         return type(exc), str(exc)
 
 
+def assert_outcome_agrees(text, prec=30):
+    """The CLI's outcome against binary descent's: an exact answer or an
+    error is the same; where descent gives intervals, the CLI's at each
+    precision n bracket the exact value within 2^(1-n).  A run of three
+    or more + and - operands is one Sum node, so its intervals differ."""
+    want = outcome(oracles.evaluate_descent, text, prec)
+    got = outcome(cli.evaluate, text, prec)
+    if not isinstance(want, list):
+        assert got == want
+        return
+    assert isinstance(got, list), got
+    value = oracles.exact_value(text)
+    for n, (lo, hi) in enumerate(got):
+        lo, hi = oracles.to_fraction(lo), oracles.to_fraction(hi)
+        assert lo <= value <= hi and hi - lo <= Fraction(2, 1 << n), n
+
+
+def assert_stdout_agrees(argv, got, want):
+    """quiet_main's (code, stdout, stderr) for argv against binary
+    descent's: exact answers, errors and exit status are the same; an
+    interval brackets the exact value within 2^(1-prec), and a cmp verdict
+    never contradicts the exact order."""
+    if got == want:
+        return
+    prec = int(argv[argv.index("--prec") + 1]) if "--prec" in argv else 30
+    values = [oracles.exact_value(e) for e in argv[argv.index("--") + 1:]]
+    assert 1 not in (got[0], want[0]) and got[2] == want[2] == "", argv
+    if argv[0] == "eval":
+        assert (got[0], want[0]) == (0, 0) and "@" in want[1]
+        lo, hi, at = interval_of(got[1])
+        assert at == prec and lo <= values[0] <= hi
+        assert hi - lo <= Fraction(2, 1 << prec)
+        return
+    word, gap = got[1].strip(), values[0] - values[1]
+    assert want[1].strip() != "equal"
+    assert got[0] == (2 if word == "indistinguishable" else 0)
+    assert {
+        "less": gap < 0,
+        "greater": gap > 0,
+        "indistinguishable": abs(gap) <= Fraction(2, 1 << prec),
+    }[word]
+
+
 def recursion_edge(parse, shape):
     """The least size in 1..1000 at which parse(shape(size)) raises
     RecursionError."""
@@ -971,6 +1040,7 @@ LONG_RUNS = [
     ("*".join(["3"] * 2000), str(3**2000)),
     ("".join(f"let v{k} = 0 in " for k in range(1500)) + "v1499", "0"),
     ("-" * 3001 + "1", "-1"),
+    ("+".join(["inv(3)"] * 3000), "[8589934591999/2^33, 8589934592001/2^33]@30"),
 ]
 
 
@@ -978,30 +1048,49 @@ class TestChains:
     @given(expr_token_strings)
     @settings(max_examples=200)
     def test_token_strings_match_binary_descent(self, text):
-        assert outcome(cli.evaluate, text) == outcome(oracles.evaluate_descent, text)
+        assert_outcome_agrees(text)
 
     @given(chain_texts)
     @settings(max_examples=200)
     def test_chains_match_binary_descent(self, text):
-        assert outcome(cli.evaluate, text) == outcome(oracles.evaluate_descent, text)
+        assert_outcome_agrees(text)
 
     def test_stdout_matches_binary_descent(self, monkeypatch):
         corpus = fold_corpus(seed=11, evals=300, cmps=100)
         rng = random.Random(11)
         corpus += [["eval", "--", random_chain(rng)] for _ in range(300)]
+        corpus += [["cmp", "--", random_chain(rng), random_chain(rng)] for _ in range(100)]
         chained = [quiet_main(argv) for argv in corpus]
         monkeypatch.setattr(cli, "evaluate", oracles.evaluate_descent)
         descent = [quiet_main(argv) for argv in corpus]
         for argv, c, d in zip(corpus, chained, descent):
-            assert c == d, argv
+            assert_stdout_agrees(argv, c, d)
 
-    @pytest.mark.parametrize("text,want", LONG_RUNS, ids=["sum", "product", "lets", "minus"])
+    @pytest.mark.parametrize(
+        "text,want", LONG_RUNS, ids=["sum", "product", "lets", "minus", "inv_sum"]
+    )
     def test_long_runs_answer(self, text, want, capsys):
         with pytest.raises(RecursionError):
             oracles.evaluate_descent(text, 30)
         assert run_cli(["eval", "--", text], capsys) == (0, want + "\n", "")
         proc = run_in_a_process(["eval", "--", text])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("k", [3, 100, 10**4])
+    @pytest.mark.parametrize("prec", [0, 30, 120])
+    def test_sum_endpoints_follow_the_precision(self, k, prec, capsys):
+        # One Sum node rounds onto the 2^-(prec+3) grid, whatever k.
+        bases = [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15]
+        terms = [bases[i % len(bases)] for i in range(k)]
+        text = " - ".join(f"inv({b})" for b in terms)
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", "--prec", str(prec), "--", text], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        lo, hi, at = interval_of(out)
+        value = Fraction(1, terms[0]) - sum(Fraction(1, b) for b in terms[1:])
+        assert at == prec and lo <= value <= hi and hi - lo <= Fraction(1, 1 << prec)
+        assert max(end.denominator.bit_length() - 1 for end in (lo, hi)) <= prec + 3
 
     def test_parentheses_cost_the_frames_of_binary_descent(self):
         def nested(depth):

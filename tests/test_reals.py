@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import re
 import sys
@@ -85,6 +86,22 @@ class TestFromDyadic:
         with pytest.raises(NotANatural):
             ONE_CUT.query(-1)
 
+    @given(nonneg_dyadics, st.integers(0, 20))
+    @settings(max_examples=50)
+    def test_rounds_before_it_widens(self, d, n):
+        lo, hi = from_dyadic(d).query(n)
+        grid = Fraction(1, 1 << (n + 1))
+        fr = oracles.to_fraction(d)
+        assert oracles.to_fraction(hi) == math.ceil(fr / grid) * grid
+        assert oracles.to_fraction(lo) == max(0, (math.floor(fr / grid) - 1) * grid)
+        if d.exp <= n + 1:
+            assert hi == d
+
+    def test_far_exponent_answers_on_the_query_grid(self):
+        tiny = make(1, 1 << 40)
+        assert from_dyadic(tiny).query(30) == (ZERO, make(1, 31))
+        assert from_dyadic(tiny).tag == tiny
+
 
 class TestCompareEps:
     def test_half_below_one(self):
@@ -138,6 +155,46 @@ class TestAdd:
         assert s.tag is None
         oracles.assert_cut_invariants(s, upto=36)
         assert oracles.cut_brackets(s, Fraction(2, 3), 36)
+
+
+# (cut, exact value) pairs: tagged embeddings, ZERO_CUT and untagged
+# reciprocal leaves.
+sum_operands = st.lists(
+    st.one_of(
+        nonneg_dyadics.map(lambda d: (from_dyadic(d), oracles.to_fraction(d))),
+        st.just((ZERO_CUT, Fraction(0))),
+        st.integers(1, 40).map(
+            lambda k: (reals.reciprocal(make(2 * k + 1, 0)), Fraction(1, 2 * k + 1))
+        ),
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+class TestSumCuts:
+    @given(sum_operands)
+    @settings(max_examples=60, deadline=None)
+    @example([(ZERO_CUT, Fraction(0))] * 3)
+    @example([(ZERO_CUT, Fraction(0)), (inv3(), Fraction(1, 3))])
+    def test_brackets_like_the_add_fold(self, pairs):
+        xs = [x for x, _ in pairs]
+        total = sum(v for _, v in pairs)
+        node, fold = reals.sum_cuts(xs), oracles.add_fold(xs)
+        assert node.tag == fold.tag
+        if node.tag is not None:
+            assert oracles.to_fraction(node.tag) == total
+        generic = oracles.generic_sum_cuts(xs)
+        for n in range(41):
+            # Skipped ZERO_CUT operands still count towards the guard bits.
+            assert node.query(n) == generic.query(n), n
+        for x in (node, fold):
+            oracles.assert_cut_invariants(x, upto=40)
+            assert all(oracles.cut_brackets(x, total, n) for n in (0, 7, 30, 40, 64))
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyList):
+            reals.sum_cuts([])
 
 
 class TestMul:
@@ -569,12 +626,14 @@ FOLDED = {
     "mul": mul,
     "posdiff": reals._posdiff,
     "abs": lambda a, b: real_abs(Real(a, b)),
+    "sum": lambda a, b: reals.sum_cuts([a, b, a]),
 }
 GENERIC = {
     "add": oracles.generic_add,
     "mul": oracles.generic_mul,
     "posdiff": oracles.generic_posdiff,
     "abs": lambda a, b: oracles.generic_real_abs(Real(a, b)),
+    "sum": lambda a, b: oracles.generic_sum_cuts([a, b, a]),
 }
 
 fold_steps = st.lists(
