@@ -249,9 +249,10 @@ def _nat_exponent(value) -> int:
 
 def _eval(node, env, prec: int, leaves: dict):
     """Value of a parsed node: a Dyadic while every step stays exact, else
-    a Real.  A chain folds left to right and a let binds its names in order
-    into one copy of env, both by loops, so the walk recurses only into
-    nested nodes.  leaves holds the evaluation's reciprocal leaves."""
+    a Real.  A + and - chain is one sum, another chain folds left to right,
+    and a let binds its names in order into one copy of env, all by loops,
+    so the walk recurses only into nested nodes.  leaves holds the
+    evaluation's reciprocal leaves."""
     op = node[0]
     if op == "num":
         return node[1]
@@ -262,7 +263,7 @@ def _eval(node, env, prec: int, leaves: dict):
         return env[name]
     if op == "chain":
         _, ops, operands = node
-        if len(ops) > 1 and ops[0] in "+-":
+        if ops[0] in "+-":
             return _sum_run(ops, operands, env, prec, leaves)
         acc = _eval(operands[0], env, prec, leaves)
         for i, sym in enumerate(ops, 1):
@@ -288,10 +289,10 @@ def _eval(node, env, prec: int, leaves: dict):
 
 
 def _sum_run(ops, operands, env, prec: int, leaves: dict):
-    """A run of three or more + and - operands.  The exact operands are
-    summed exactly as they are evaluated, so a run with no Real answers and
-    fails as the left-to-right chain of dy.add and dy.sub does; the Real
-    operands, negated for -, and that exact sum make one real_sum."""
+    """A run of + and - operands.  The exact operands are summed exactly
+    as they are evaluated, so a run with no Real answers and fails as the
+    left-to-right chain of dy.add and dy.sub does; the Real operands,
+    negated for -, and that exact sum make one real_sum."""
     exact, terms = dy.ZERO, []
     for sym, operand in zip(["+"] + ops, operands):
         value = _eval(operand, env, prec, leaves)
@@ -307,14 +308,6 @@ def _sum_run(ops, operands, env, prec: int, leaves: dict):
 
 def _apply_bin(sym, a, b, prec: int, leaves: dict):
     both_dyadic = isinstance(a, dy.Dyadic) and isinstance(b, dy.Dyadic)
-    if sym == "+":
-        if both_dyadic:
-            return dy.add(a, b)
-        return re.real_add(_as_real(a), _as_real(b))
-    if sym == "-":
-        if both_dyadic:
-            return dy.sub(a, b)
-        return re.real_sub(_as_real(a), _as_real(b))
     if sym == "*":
         # Sign rule: anything times exact zero is exact zero.
         if isinstance(a, dy.Dyadic) and a.sign == 0:

@@ -17,6 +17,7 @@ from .errors import (
     EmptyBlock,
     EmptyCarrier,
     NonTotalMap,
+    NotANatural,
     NotOrdering,
 )
 from .naturals import _nat, pair, unpair
@@ -35,8 +36,8 @@ from .relations import (  # noqa: F401
 class Enumeration:
     """A countability witness: forward is total, back partial.
 
-    back raises LookupError on items outside the enumerated range (or, for
-    search-based enumerations, outside the searched prefix).
+    back returns the least index that forward maps to the item, and raises
+    LookupError on items outside the enumerated range.
     """
 
     __slots__ = ("_forward", "_back")
@@ -115,12 +116,16 @@ def enum_product(left: Enumeration, right: Enumeration) -> Enumeration:
     return Enumeration(forward, back)
 
 
-def enum_union(members, search_limit: int = 10_000) -> Enumeration:
+def enum_union(members) -> Enumeration:
     """Union of finitely many enumerations by diagonal traversal.
 
     forward(n) decodes n to (which member, inner index).  Members may
-    overlap, so forward need not be injective; back injectivizes by
-    first hit, scanning indices up to search_limit.
+    overlap, so forward need not be injective; back returns the least index
+    that forward maps to the item.  pair grows with each argument, so that
+    is the least pair(i, members[i].back(item)) over the members that hold
+    the item.  A member's back may answer for an item outside its range,
+    with a negative index or the index of another item, so each answer is
+    confirmed by forward.
     """
     members = list(members)
     if not members:
@@ -131,10 +136,17 @@ def enum_union(members, search_limit: int = 10_000) -> Enumeration:
         return members[i % len(members)].forward(j)
 
     def back(item):
-        for n in range(search_limit):
-            if forward(n) == item:
-                return n
-        raise LookupError(f"{item!r} not found within {search_limit} indices")
+        best = None
+        for i, member in enumerate(members):
+            try:
+                n = pair(i, member.back(item))
+            except (LookupError, NotANatural):
+                continue
+            if (best is None or n < best) and forward(n) == item:
+                best = n
+        if best is None:
+            raise LookupError(f"{item!r} is in no member of the union")
+        return best
 
     return Enumeration(forward, back)
 

@@ -9,6 +9,8 @@ Every power of two is a shift: the quotients div_floor, div_ceil and
 exact_div shift the dividend's numerator onto the result's grid and divide
 it only by the divisor's numerator, exact_div by that numerator's odd part,
 so exact_div answers every quotient that is itself a binary fraction.
+div_floor and div_ceil by a divisor of numerator 1, such as the ONE by
+which reals rounds onto a query grid, do not divide at all.
 
 POW_BIT_LIMIT bounds what that work may allocate.  dy_pow refuses a power
 whose mantissa would pass it, and every left shift of a nonzero numerator
@@ -229,12 +231,15 @@ def between(d: Dyadic, e: Dyadic) -> Dyadic:
 def _floor_quotient(num: int, exp: int, b: Dyadic, p: int) -> int:
     # floor(num * 2^(-exp) / b * 2^p): num shifted onto the grid 2^(-p)
     # times b's, where a right shift floors, then one floor division by b's
-    # numerator; floor(floor(x) / n) = floor(x / n) for n > 0.
+    # numerator, skipped when it is 1; floor(floor(x) / n) = floor(x / n)
+    # for n > 0.
     if b._num <= 0:
         raise NonPositiveDivisor(f"directed division needs b > 0, got {b}")
-    _nat(p, "precision")
+    if type(p) is not int or p < 0:
+        _nat(p, "precision")
     k = b._exp + p - exp
-    return (_shl(num, k, "quotient") if k >= 0 else num >> -k) // b._num
+    q = _shl(num, k, "quotient") if k >= 0 else num >> -k
+    return q if b._num == 1 else q // b._num
 
 
 def div_floor(a: Dyadic, b: Dyadic, p: int) -> Dyadic:

@@ -9,13 +9,15 @@ stated tolerance.  Values that happen to be binary fractions carry an exact
 tag so arithmetic can stay exact along dyadic-only paths.
 
 Guard-bit policy (normative for interoperability):
-  * add queries its operands at n+1 and sums endpoints;
-  * sum_cuts of k operands is one node: it queries each operand once at
-    n + g, g = ceil(log2 k) + 1, adds the endpoints exactly and rounds the
-    sums outward onto the 2^(-n-2) grid, so the width stays within 2^(-n),
-    the node's depth is 1 and its endpoints follow n, not k.  real_sum is
-    one such node per side, and the CLI builds it for every run of three
-    or more + and - operands;
+  * sum_cuts is the one addition node.  ZERO_CUT operands are skipped
+    and not counted; with none left the sum is ZERO_CUT, and with one left
+    it is that operand shifted one bit, n -> y.query(n + 1), with its tag.
+    Otherwise it queries each of the k operands left once at n + g,
+    g = ceil(log2 k) + 1, adds the endpoints exactly and rounds the sums
+    outward onto the 2^(-n-2) grid, so the width stays within 2^(-n), the
+    node's depth is 1 and its endpoints follow n, not k.  add is its k = 2
+    case, real_sum is one such node per side, and the CLI builds it for
+    every run of + and - operands;
   * mul queries at n+t+1 where t is the smallest natural with
     hi_x(0) + hi_y(0) <= 2^t, multiplies endpoints, and rounds the lower
     product down and the upper product up to n+2 fractional bits, so the
@@ -37,14 +39,13 @@ Guard-bit policy (normative for interoperability):
     O(log k) and a query at n reaches the values at n + O(log k);
   * exact zeros fold when a node is built.  ZERO_CUT, which from_dyadic(0)
     returns, is the exact zero: mul with it and _posdiff(ZERO_CUT, b) are
-    ZERO_CUT; add with it, _posdiff(a, ZERO_CUT) and real_abs of a pair
-    with a ZERO_CUT side are the other operand shifted one bit,
-    n -> y.query(n + 1), with its tag; sum_cuts never queries a ZERO_CUT
-    operand but counts it in k.  The general nodes return the same
-    endpoints at every precision, so no answer changes; only a tag None
-    may become the node's exact value.  A zero tag alone does not fold:
-    real_abs of a pair with equal nonzero tags is tagged 0, but its upper
-    endpoints are positive.
+    ZERO_CUT; _posdiff(a, ZERO_CUT) and real_abs of a pair with a ZERO_CUT
+    side are the other operand shifted one bit, as a sum with one operand
+    left is.  The general mul, _posdiff and real_abs, which query every
+    operand, return the same endpoints at every precision, so no answer
+    changes; only a tag None may become the node's exact value.  A zero
+    tag alone does not fold: real_abs of a pair with equal nonzero tags
+    is tagged 0, but its upper endpoints are positive.
 
 Signed values are pairs (pos, neg) standing for pos - neg; canonicalize
 shifts the pair so the smaller component is within 2^(-n) of zero at every
@@ -138,60 +139,57 @@ def _shift(y: CutReal) -> CutReal:
     # The node y + 0 or y - 0: y queried one bit deeper, with y's tag.
     if y is ZERO_CUT:
         return ZERO_CUT
-    return CutReal(lambda n: y.query(n + 1), tag=y.tag)
-
-
-def add(x: CutReal, y: CutReal) -> CutReal:
-    if x is ZERO_CUT:
-        return _shift(y)
-    if y is ZERO_CUT:
-        return _shift(x)
-
-    def fn(n):
-        lx, hx = x.query(n + 1)
-        ly, hy = y.query(n + 1)
-        return dy.add(lx, ly), dy.add(hx, hy)
-
-    tag = None
-    if x.tag is not None and y.tag is not None:
-        tag = dy.add(x.tag, y.tag)
-    return CutReal(fn, tag=tag)
+    return CutReal(lambda n: y.query(n + 1), y._tag)
 
 
 def sum_cuts(xs) -> CutReal:
-    """Sum of k >= 1 cuts as one node, so its depth is 1 at any k.
+    """Sum of a list or tuple of k >= 1 cuts as one node, so its depth is 1
+    at any k.
 
-    Each operand is queried once at n + g, g = ceil(log2 k) + 1, so the k
-    widths add up to at most 2^(-n-1); the exact endpoint sums are rounded
-    outward onto the 2^(-n-2) grid, as mul rounds its products.  ZERO_CUT
-    operands are never queried, but they count towards k, so the node
-    answers as if it had queried them.
+    ZERO_CUT operands are skipped and not counted: with none left the sum
+    is ZERO_CUT, and with one left it is that operand shifted one bit.
+    Otherwise each of the k operands left is queried once at n + g,
+    g = ceil(log2 k) + 1, so the k widths add up to at most 2^(-n-1); the
+    exact endpoint sums are rounded outward onto the 2^(-n-2) grid, as mul
+    rounds its products.  The tag is the exact sum when every operand left
+    has one.
     """
-    xs = list(xs)
     if not xs:
         raise EmptyList("sum_cuts needs at least one value")
-    guard = (len(xs) - 1).bit_length() + 1
-    live = [x for x in xs if x is not ZERO_CUT]
-    if not live:
-        return ZERO_CUT
+    # A loop, not a comprehension: most sums are built from two operands.
+    live = []
+    for x in xs:
+        if x is not ZERO_CUT:
+            live.append(x)
+    if len(live) <= 1:
+        return _shift(live[0]) if live else ZERO_CUT
+    guard = (len(live) - 1).bit_length() + 1
+    first, rest = live[0], live[1:]
 
     def fn(n):
         k = n + guard
-        lo = hi = dy.ZERO
-        for x in live:
+        lo, hi = first.query(k)
+        for x in rest:
             lx, hx = x.query(k)
             lo = dy.add(lo, lx)
             hi = dy.add(hi, hx)
         p = n + 2
         return dy.div_floor(lo, dy.ONE, p), dy.div_ceil(hi, dy.ONE, p)
 
-    tag = dy.ZERO
     for x in live:
-        if x.tag is None:
+        if x._tag is None:
             tag = None
             break
-        tag = dy.add(tag, x.tag)
+    else:
+        tag = first._tag
+        for x in rest:
+            tag = dy.add(tag, x._tag)
     return CutReal(fn, tag=tag)
+
+
+def add(x: CutReal, y: CutReal) -> CutReal:
+    """x + y: the Sum node of two operands."""
+    return sum_cuts((x, y))
 
 
 def _mul_guard(x: CutReal, y: CutReal) -> int:
@@ -365,7 +363,7 @@ REAL_ZERO = real_from_dyadic(dy.ZERO)
 
 
 def real_add(x: Real, y: Real) -> Real:
-    return Real(add(x.pos, y.pos), add(x.neg, y.neg))
+    return real_sum((x, y))
 
 
 def real_sum(xs) -> Real:

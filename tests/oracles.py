@@ -27,10 +27,11 @@ from settower.errors import (
     SizeLimit,
     UnknownAtom,
 )
+from settower import reals
 from settower.hfset import HFSet
 from settower.reals import (
     CutReal,
-    add,
+    Real,
     real_abs,
     real_add,
     real_from_cut,
@@ -938,8 +939,12 @@ def pow_chain(x, m, times, one):
 
 
 # The general oracle nodes of settower.reals, without zero folding: every
-# operand is queried, whatever its tag.  Folding must reproduce their
-# endpoints at every precision and may only add tags.
+# operand is queried, whatever its tag.  Folding in mul, _posdiff and
+# real_abs must reproduce their endpoints at every precision and may only
+# add tags.  generic_add is the binary add that reals.add was before it
+# became the Sum node of two operands, and generic_sum_cuts the Sum node
+# that still counted its ZERO_CUT operands in k; the library's sums must
+# agree with them in tags and in what they bracket, not in endpoints.
 
 
 def generic_add(x, y):
@@ -1035,11 +1040,12 @@ GENERIC_NODES = {
 
 
 def add_fold(xs):
-    """A sum of cuts as the left fold of binary add, as the CLI summed a
-    run of + before reals.sum_cuts: the reference for that node."""
+    """A sum of cuts as the left fold of generic_add, the binary add with
+    which the CLI summed a run of + before reals.sum_cuts: the reference
+    for that node."""
     acc = xs[0]
     for x in xs[1:]:
-        acc = add(acc, x)
+        acc = generic_add(acc, x)
     return acc
 
 
@@ -1175,8 +1181,9 @@ class BinaryDescent:
 
 
 def eval_tree(node, env, prec, leaves):
-    """Value of a BinaryDescent tree, by recursion on every node, with the
-    CLI's own operations at each operator and function call."""
+    """Value of a BinaryDescent tree, by recursion on every node, with
+    binary_sum at + and -, and the CLI's own operations at every other
+    operator and function call."""
     op = node[0]
     if op == "num":
         return node[1]
@@ -1196,10 +1203,24 @@ def eval_tree(node, env, prec, leaves):
         _, sym, left, right = node
         a = eval_tree(left, env, prec, leaves)
         b = eval_tree(right, env, prec, leaves)
+        if sym in "+-":
+            return binary_sum(sym, a, b)
         return _apply_bin(sym, a, b, prec, leaves)
     _, name, args = node
     values = [eval_tree(a, env, prec, leaves) for a in args]
     return _apply_call(name, values, prec, leaves)
+
+
+def binary_sum(sym, a, b):
+    """a + b or a - b: exact for two dyadics, else reals.add on each side
+    of the signed pair, looked up when called so that a test can put
+    generic_add in its place."""
+    if isinstance(a, dy.Dyadic) and isinstance(b, dy.Dyadic):
+        return dy.add(a, b) if sym == "+" else dy.sub(a, b)
+    a, b = (real_from_dyadic(v) if isinstance(v, dy.Dyadic) else v for v in (a, b))
+    if sym == "-":
+        b = real_neg(b)
+    return Real(reals.add(a.pos, b.pos), reals.add(a.neg, b.neg))
 
 
 def evaluate_descent(text: str, prec: int):

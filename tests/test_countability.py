@@ -154,10 +154,34 @@ class TestEnumUnion:
             assert union.forward(n) == item
             assert all(union.forward(k) != item for k in range(n))
 
-    def test_back_gives_up_beyond_search_limit(self):
-        union = ct.enum_union([identity_enum()], search_limit=50)
+    def test_back_answers_beyond_any_search_prefix(self):
+        union = ct.enum_union([identity_enum()])
+        assert union.back(10**9) == pair(0, 10**9)
         with pytest.raises(LookupError):
-            union.back(10**9)
+            union.back(-1)
+
+    def test_back_confirms_each_member_answer(self):
+        # evens.back(3) answers 1, but forward(1) is 2, and evens.back(-1)
+        # answers -1: neither 3 nor -1 is in a member.
+        evens = ct.Enumeration(lambda n: 2 * n, lambda k: k // 2)
+        union = ct.enum_union([evens, identity_enum()])
+        assert union.back(3) == pair(1, 3)
+        for item in (3, -1):
+            with pytest.raises(LookupError):
+                ct.enum_union([evens]).back(item)
+
+    def test_back_is_the_least_index_over_overlapping_members(self):
+        # Naturals 0, 1, 2, ... are both ints in the first member and
+        # dyadics in the second; Dyadic and int never compare equal.
+        union = ct.enum_union([identity_enum(), ct.enum_dyadics(), identity_enum()])
+        firsts = {}
+        for n in range(600):
+            firsts.setdefault(union.forward(n), n)
+        for item, n in firsts.items():
+            assert union.back(item) == n
+        # Every member refuses "a" with LookupError.
+        with pytest.raises(LookupError):
+            union.back("a")
 
     def test_rejects_empty_union(self):
         with pytest.raises(EmptyBlock):

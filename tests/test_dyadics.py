@@ -483,12 +483,11 @@ class TestDivFloorCeil:
         if (q * 2**p).denominator == 1:
             assert lo == hi
 
-    @given(small_grid, small_grid, st.integers(0, 100))
-    def test_matches_shift_both_reference(self, a, b, p):
+    @staticmethod
+    def assert_matches_shift_both(a, b, p):
         """Where shifting both numerator and denominator answers, shifting
         the dividend alone agrees; where it refused, this answers the
         rounded quotient or refuses too."""
-        b = dy.dy_abs(b) or ONE
         exact = oracles.to_fraction(a) / oracles.to_fraction(b) * 2**p
         for new, old, rounded in (
             (dy.div_floor, oracles.div_floor_shift_both, math.floor),
@@ -501,6 +500,15 @@ class TestDivFloorCeil:
                 assert got == want
             elif got is not SizeLimit:
                 assert oracles.to_fraction(got) * 2**p == rounded(exact)
+
+    @given(small_grid, small_grid, st.integers(0, 100))
+    def test_matches_shift_both_reference(self, a, b, p):
+        self.assert_matches_shift_both(a, dy.dy_abs(b) or ONE, p)
+
+    @given(small_grid, st.integers(0, 150), st.integers(0, 100))
+    def test_power_of_two_divisors_match_shift_both_reference(self, a, u, p):
+        # A divisor of numerator 1 makes the quotient a shift alone.
+        self.assert_matches_shift_both(a, make(1, u), p)
 
     def test_one_third_endpoints(self):
         three = make(3, 0)
@@ -518,6 +526,13 @@ class TestDivFloorCeil:
         for directed in (dy.div_floor, dy.div_ceil):
             with pytest.raises(NotANatural):
                 directed(ONE, make(3, 0), -1)
+
+    @pytest.mark.parametrize("p", [-1, True, 2.0, "3"])
+    def test_rejects_non_natural_precision_for_any_divisor(self, p):
+        for directed in (dy.div_floor, dy.div_ceil):
+            for b in (make(3, 0), ONE, make(1, 5)):
+                with pytest.raises(NotANatural):
+                    directed(ONE, b, p)
 
 
 class TestExactDiv:

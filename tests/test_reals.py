@@ -184,13 +184,29 @@ class TestSumCuts:
         assert node.tag == fold.tag
         if node.tag is not None:
             assert oracles.to_fraction(node.tag) == total
-        generic = oracles.generic_sum_cuts(xs)
-        for n in range(41):
-            # Skipped ZERO_CUT operands still count towards the guard bits.
-            assert node.query(n) == generic.query(n), n
         for x in (node, fold):
             oracles.assert_cut_invariants(x, upto=40)
             assert all(oracles.cut_brackets(x, total, n) for n in (0, 7, 30, 40, 64))
+        # Skipped ZERO_CUT operands do not count towards the guard bits, and
+        # a lone operand left is shifted one bit.
+        live = [x for x in xs if x is not ZERO_CUT]
+        if not live:
+            assert node is ZERO_CUT
+        for n in range(41):
+            if len(live) == 1:
+                assert node.query(n) == live[0].query(n + 1), n
+            elif live:
+                assert node.query(n) == oracles.generic_sum_cuts(live).query(n), n
+
+    def test_tag_waits_for_every_operand(self):
+        # An untagged operand leaves the sum untagged, wherever it stands,
+        # so the exact sum of the others is never built: 1 + (1/2)^(2^40)
+        # would need 2^40 mantissa bits.
+        tiny, third = from_dyadic(make(1, 2**40)), reals.reciprocal(make(3, 0))
+        for xs in ([tiny, ONE_CUT, third], [third, tiny, ONE_CUT]):
+            node = reals.sum_cuts(xs)
+            assert node.tag is None
+            assert reals.format_interval(node, 10) == "[5461/2^12, 2731/2^11]@10"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyList):
@@ -647,10 +663,25 @@ fold_steps = st.lists(
 )
 
 
-def build_fold_dag(leaves, steps, nodes):
+# The exact values of FOLD_LEAVES and of FOLDED's nodes.
+FOLD_VALUES = tuple(
+    lambda v=v: Fraction(v)
+    for v in (0, 0, Fraction(1, 2), 1, Fraction(3, 4), Fraction(1, 3),
+              Fraction(1, 5), Fraction(3, 4), 0)
+)
+VALUES = {
+    "add": lambda a, b: a + b,
+    "mul": lambda a, b: a * b,
+    "posdiff": lambda a, b: max(a - b, 0),
+    "abs": lambda a, b: abs(a - b),
+    "sum": lambda a, b: 2 * a + b,
+}
+
+
+def build_fold_dag(leaves, steps, nodes, makers=FOLD_LEAVES):
     """Every node of a DAG over the leaf indices: each step applies one
     node constructor to two earlier nodes picked by index."""
-    built = [FOLD_LEAVES[i]() for i in leaves]
+    built = [makers[i]() for i in leaves]
     for op, i, j in steps:
         built.append(nodes[op](built[i % len(built)], built[j % len(built)]))
     return built
@@ -671,15 +702,21 @@ class TestZeroFolding:
     def test_folded_nodes_match_generic_nodes(self, leaves, steps):
         folded = build_fold_dag(leaves, steps, FOLDED)
         generic = build_fold_dag(leaves, steps, GENERIC)
-        for f, g in zip(folded, generic):
-            for n in range(41):
-                assert f.query(n) == g.query(n), n
+        values = build_fold_dag(leaves, steps, VALUES, FOLD_VALUES)
+        # add and sum round onto their own grids; every other fold keeps
+        # the generic node's endpoints.
+        same_grid = all(op not in ("add", "sum") for op, _, _ in steps)
+        for f, g, value in zip(folded, generic, values):
+            for x in (f, g):
+                oracles.assert_cut_invariants(x, upto=40)
+                assert all(oracles.cut_brackets(x, value, n) for n in range(41))
+            if same_grid:
+                assert all(f.query(n) == g.query(n) for n in range(41))
             if g.tag is not None:
                 assert f.tag == g.tag
             elif f.tag is not None:
                 # A tag may only appear where the node is exactly that value.
-                fr = oracles.to_fraction(f.tag)
-                assert all(oracles.cut_brackets(g, fr, n) for n in range(41))
+                assert oracles.to_fraction(f.tag) == value
 
     def test_zero_factor_is_never_queried(self):
         x = _raising_cut()
@@ -708,11 +745,17 @@ class TestZeroFolding:
 
     def test_equal_tags_do_not_fold(self):
         # |1/2 - 1/2| is tagged 0, but its upper endpoints are positive, so
-        # it is not an exact zero and a sum keeps querying it.
+        # it is not an exact zero and a sum counts and queries it.
         z = real_abs(Real(from_dyadic(HALF), from_dyadic(HALF)))
         assert z.tag == ZERO and z.hi(3).sign > 0
         y = inv3()
-        assert add(z, y).query(10) == oracles.generic_add(z, y).query(10)
+        s, old = add(z, y), oracles.generic_add(z, y)
+        assert s.tag is None and old.tag is None
+        counted = oracles.generic_sum_cuts([z, y])
+        assert all(s.query(n) == counted.query(n) for n in range(41))
+        for x in (s, old):
+            oracles.assert_cut_invariants(x, upto=40)
+            assert all(oracles.cut_brackets(x, Fraction(1, 3), n) for n in range(41))
 
 
 positive_dyadics = st.builds(
