@@ -15,6 +15,8 @@ as ordinary division, and decimals with a finite binary expansion (3.25
 yes, 0.1 no).  Division falls back from exact to interval arithmetic when
 the quotient is not a binary fraction; the divisor's positivity is probed
 at --prec and failure to certify a sign is an error rather than a guess.
+The parser reads the three precedence levels in one loop and recurses only
+where the input nests, so a parenthesis level costs it two frames.
 
 The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
@@ -87,126 +89,114 @@ def _tokenize(text: str):
     return tokens
 
 
-_LEVELS = ("+-", "*/", "^")
-
-
-class _Parser:
-    """Descent over the token list.  chain(level) reads one run of the
-    left-associative operators in _LEVELS[level] by a loop, ^ binding
-    tighter than * and /, which bind tighter than + and -; expr reads a run
-    of leading let clauses and unary a run of prefix minus signs the same
-    way.  So the parser recurses only where the input nests: parentheses,
-    function arguments and a let's bound expression."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, ch):
-        kind, text, at = self.take()
-        if kind != "op" or text != ch:
-            raise ExprSyntaxError(f"expected {ch!r}", at)
-
-    def parse(self):
-        node = self.expr()
-        kind, text, at = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"trailing input {text!r}", at)
-        return node
-
-    def expr(self):
-        bindings = []
-        # Only the keyword let has the text "let", and only the operator -
-        # the text "-", so a token's text alone tells them apart.
-        while self.peek()[1] == "let":
-            self.take()
-            nkind, name, nat_ = self.take()
-            if nkind != "name":
-                raise ExprSyntaxError("expected a name after 'let'", nat_)
-            self.expect_op("=")
-            bound = self.expr()
-            kkind, ktext, kat = self.take()
-            if kkind != "kw" or ktext != "in":
-                raise ExprSyntaxError("expected 'in'", kat)
-            bindings.append((name, bound))
-        body = self.chain(0)
-        return ("let", bindings, body) if bindings else body
-
-    def chain(self, level):
-        """("chain", ops, operands) for a run of _LEVELS[level]'s
-        operators, or the lone operand when there is none."""
-        symbols = _LEVELS[level]
-        node = self.chain(1) if level == 0 else self.unary() if level == 1 else self.atom()
-        kind, text, _ = self.peek()
-        if kind != "op" or text not in symbols:
-            return node
-        ops, operands = [], [node]
-        while kind == "op" and text in symbols:
-            self.take()
-            ops.append(text)
-            operands.append(
-                self.chain(1) if level == 0 else self.unary() if level == 1 else self.atom()
-            )
-            kind, text, _ = self.peek()
-        return ("chain", ops, operands)
-
-    def unary(self):
-        # Two minus signs cancel, so only an odd run leaves a neg node.
-        odd = False
-        while self.peek()[1] == "-":
-            self.take()
-            odd = not odd
-        node = self.chain(2)
-        return ("neg", node) if odd else node
-
-    def atom(self):
-        kind, text, at = self.take()
-        if kind == "num":
-            try:
-                return ("num", dy.parse_dyadic(text))
-            except ExprSyntaxError as exc:
-                raise ExprSyntaxError(exc.message, at) from None
-        if kind == "name":
-            pkind, ptext, _ = self.peek()
-            if pkind == "op" and ptext == "(":
-                if text not in _FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {text!r}", at)
-                self.take()
-                args = [self.expr()]
-                while True:
-                    ckind, ctext, cat = self.take()
-                    if ckind == "op" and ctext == ",":
-                        args.append(self.expr())
-                    elif ckind == "op" and ctext == ")":
-                        break
-                    else:
-                        raise ExprSyntaxError("expected ',' or ')'", cat)
-                low, high = _FUNCTIONS[text]
-                if len(args) < low or (high is not None and len(args) > high):
-                    raise ExprSyntaxError(
-                        f"{text}() takes {low}{'' if high == low else '+'} "
-                        f"argument(s), got {len(args)}",
-                        at,
-                    )
-                return ("call", text, args)
-            return ("var", text, at)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", at)
-
-
 def parse_expr(text: str):
-    return _Parser(text).parse()
+    """The tree of an eval expression: ("num", d), ("var", name, at),
+    ("neg", x), ("call", name, args), ("chain", ops, operands) for a run of
+    one precedence level's operators and ("let", bindings, body)."""
+    tokens = _tokenize(text)
+    node, i = _expr(tokens, 0)
+    kind, word, at = tokens[i]
+    if kind != "end":
+        raise ExprSyntaxError(f"trailing input {word!r}", at)
+    return node
+
+
+# An operator's or a keyword's text alone tells its token apart: names are
+# words other than let and in, and numbers start with a digit.
+
+
+def _expr(tokens, i):
+    """(node, index after it) for the expression at tokens[i]: a run of let
+    clauses, then one loop over operands and operators.  ^ binds tighter
+    than a prefix - run, which binds tighter than * and /, which bind
+    tighter than + and -, and each run of one level's operators is one
+    chain.  Only a let's bound expression recurses here, and _atom only
+    into a parenthesis or a function argument, so a level of nesting costs
+    two frames."""
+    bindings = []
+    while tokens[i][1] == "let":
+        kind, name, at = tokens[i + 1]
+        if kind != "name":
+            raise ExprSyntaxError("expected a name after 'let'", at)
+        if tokens[i + 2][1] != "=":
+            raise ExprSyntaxError("expected '='", tokens[i + 2][2])
+        bound, i = _expr(tokens, i + 3)
+        if tokens[i][1] != "in":
+            raise ExprSyntaxError("expected 'in'", tokens[i][2])
+        bindings.append((name, bound))
+        i += 1
+    terms, term_ops = [], []
+    factors, factor_ops = [], []
+    powers = []
+    odd = False
+    while True:
+        if not powers:
+            # Two minus signs cancel, so only an odd run leaves a neg node.
+            while tokens[i][1] == "-":
+                odd = not odd
+                i += 1
+        node, i = _atom(tokens, i)
+        powers.append(node)
+        sym = tokens[i][1]
+        if sym == "^":
+            i += 1
+            continue
+        if len(powers) > 1:
+            node = ("chain", ["^"] * (len(powers) - 1), powers)
+        factors.append(("neg", node) if odd else node)
+        powers, odd = [], False
+        if sym == "*" or sym == "/":
+            factor_ops.append(sym)
+            i += 1
+            continue
+        terms.append(("chain", factor_ops, factors) if factor_ops else factors[0])
+        factors, factor_ops = [], []
+        if sym != "+" and sym != "-":
+            break
+        term_ops.append(sym)
+        i += 1
+    body = ("chain", term_ops, terms) if term_ops else terms[0]
+    return (("let", bindings, body) if bindings else body), i
+
+
+def _atom(tokens, i):
+    """(node, index after it) for a number, a name, a call or a
+    parenthesis at tokens[i]."""
+    kind, text, at = tokens[i]
+    i += 1
+    if kind == "num":
+        try:
+            return ("num", dy.parse_dyadic(text)), i
+        except ExprSyntaxError as exc:
+            raise ExprSyntaxError(exc.message, at) from None
+    if kind == "name":
+        if tokens[i][1] != "(":
+            return ("var", text, at), i
+        if text not in _FUNCTIONS:
+            raise ExprSyntaxError(f"unknown function {text!r}", at)
+        args = []
+        while True:
+            arg, i = _expr(tokens, i + 1)
+            args.append(arg)
+            sym = tokens[i][1]
+            if sym == ")":
+                break
+            if sym != ",":
+                raise ExprSyntaxError("expected ',' or ')'", tokens[i][2])
+        low, high = _FUNCTIONS[text]
+        if len(args) < low or (high is not None and len(args) > high):
+            raise ExprSyntaxError(
+                f"{text}() takes {low}{'' if high == low else '+'} "
+                f"argument(s), got {len(args)}",
+                at,
+            )
+        return ("call", text, args), i + 1
+    if text == "(":
+        node, i = _expr(tokens, i)
+        if tokens[i][1] != ")":
+            raise ExprSyntaxError("expected ')'", tokens[i][2])
+        return node, i + 1
+    raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 
 def _as_real(value) -> re.Real:

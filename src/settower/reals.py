@@ -37,15 +37,20 @@ Guard-bit policy (normative for interoperability):
   * real_sup of k signed values is a balanced tree of two-way maxima,
     each Real(sup_finite([px + ny, py + nx]), nx + ny), so its depth is
     O(log k) and a query at n reaches the values at n + O(log k);
+  * real_abs of a pair (pos, neg) is sup_finite of its two positive parts
+    _posdiff(pos, neg) and _posdiff(neg, pos), each of which queries its
+    operands at n+1; at precision n its endpoints are
+    lo = max(0, lp - hn, ln - hp) and hi = max(hp - ln, hn - lp);
   * exact zeros fold when a node is built.  ZERO_CUT, which from_dyadic(0)
     returns, is the exact zero: mul with it and _posdiff(ZERO_CUT, b) are
-    ZERO_CUT; _posdiff(a, ZERO_CUT) and real_abs of a pair with a ZERO_CUT
-    side are the other operand shifted one bit, as a sum with one operand
-    left is.  The general mul, _posdiff and real_abs, which query every
-    operand, return the same endpoints at every precision, so no answer
-    changes; only a tag None may become the node's exact value.  A zero
-    tag alone does not fold: real_abs of a pair with equal nonzero tags
-    is tagged 0, but its upper endpoints are positive.
+    ZERO_CUT; _posdiff(a, ZERO_CUT) is a shifted one bit, as a sum with
+    one operand left is; sup_finite skips ZERO_CUT operands, so real_abs
+    of a pair with a ZERO_CUT side is the other side shifted one bit.
+    The general mul and _posdiff, which query every operand, return the
+    same endpoints at every precision, so no answer changes; only a tag
+    None may become the node's exact value.  A zero tag alone does not
+    fold: real_abs of a pair with equal nonzero tags is tagged 0, but its
+    upper endpoints are positive.
 
 Signed values are pairs (pos, neg) standing for pos - neg; canonicalize
 shifts the pair so the smaller component is within 2^(-n) of zero at every
@@ -53,8 +58,6 @@ queried precision.
 """
 
 from __future__ import annotations
-
-import enum
 
 from . import dyadic as dy
 from .errors import EmptyList, NegativeInput, NotBoundedAwayFromZero
@@ -228,10 +231,30 @@ def mul(x: CutReal, y: CutReal) -> CutReal:
     return CutReal(fn, tag=tag)
 
 
-class Comparison(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    INDISTINGUISHABLE = "indistinguishable"
+class Comparison:
+    """What compare_eps decides: one of the three instances LESS, GREATER
+    and INDISTINGUISHABLE, each with a name and the word the CLI prints as
+    its value.  copy and pickle return the instance itself."""
+
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: str):
+        self.name = name
+        self.value = value
+
+    def __repr__(self):
+        return f"<Comparison.{self.name}: {self.value!r}>"
+
+    def __str__(self):
+        return f"Comparison.{self.name}"
+
+    def __reduce__(self):
+        return f"Comparison.{self.name}"
+
+
+Comparison.LESS = Comparison("LESS", "less")
+Comparison.GREATER = Comparison("GREATER", "greater")
+Comparison.INDISTINGUISHABLE = Comparison("INDISTINGUISHABLE", "indistinguishable")
 
 
 def compare_eps(x: CutReal, y: CutReal, n: int) -> Comparison:
@@ -250,10 +273,15 @@ def compare_eps(x: CutReal, y: CutReal, n: int) -> Comparison:
 
 
 def sup_finite(xs) -> CutReal:
-    """Least upper bound of finitely many values: endpoint-wise maxima."""
+    """Least upper bound of finitely many values: endpoint-wise maxima.
+    Every cut is >= 0, so ZERO_CUT operands are skipped: with none left the
+    sup is ZERO_CUT, and with one left it is that operand."""
     xs = list(xs)
     if not xs:
         raise EmptyList("sup_finite needs at least one value")
+    xs = [x for x in xs if x is not ZERO_CUT]
+    if len(xs) <= 1:
+        return xs[0] if xs else ZERO_CUT
 
     def fn(n):
         pairs = [x.query(n) for x in xs]
@@ -407,23 +435,8 @@ def real_sup(xs) -> Real:
 
 
 def real_abs(x: Real) -> CutReal:
-    """|pos - neg| as a single cut."""
-    if x.neg is ZERO_CUT:
-        return _shift(x.pos)
-    if x.pos is ZERO_CUT:
-        return _shift(x.neg)
-
-    def fn(n):
-        lp, hp = x.pos.query(n + 1)
-        ln, hn = x.neg.query(n + 1)
-        lo = dy.dy_max(dy.ZERO, dy.dy_max(dy.sub(lp, hn), dy.sub(ln, hp)))
-        hi = dy.dy_max(dy.sub(hp, ln), dy.sub(hn, lp))
-        return lo, hi
-
-    tag = None
-    if x.pos.tag is not None and x.neg.tag is not None:
-        tag = dy.dy_abs(dy.sub(x.pos.tag, x.neg.tag))
-    return CutReal(fn, tag=tag)
+    """|pos - neg| as a single cut: the larger of its two positive parts."""
+    return sup_finite([_posdiff(x.pos, x.neg), _posdiff(x.neg, x.pos)])
 
 
 def _posdiff(a: CutReal, b: CutReal) -> CutReal:
@@ -440,7 +453,10 @@ def _posdiff(a: CutReal, b: CutReal) -> CutReal:
         hi = dy.dy_max(dy.ZERO, dy.sub(ha, lb))
         return lo, hi
 
-    return CutReal(fn)
+    tag = None
+    if a.tag is not None and b.tag is not None:
+        tag = dy.dy_max(dy.ZERO, dy.sub(a.tag, b.tag))
+    return CutReal(fn, tag=tag)
 
 
 def canonicalize(x: Real) -> Real:

@@ -28,8 +28,7 @@ left, as with function composition.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_, attrgetter
+from operator import attrgetter
 
 from .errors import (
     BadExponent,
@@ -643,8 +642,10 @@ def _upwards(rows, cols, direction: str) -> bool:
     """Upwards independence of the family with bit rows rows[i] and columns
     cols[i], with the segment identity asserted when it holds."""
     # S-rows and S-columns: the AND of the family's masks.
-    s_rows = [reduce(and_, masks) for masks in zip(*rows)]
-    s_cols = [reduce(and_, masks) for masks in zip(*cols)]
+    s_rows, s_cols = rows[0], cols[0]
+    for member_rows, member_cols in zip(rows[1:], cols[1:]):
+        s_rows = [a & b for a, b in zip(s_rows, member_rows)]
+        s_cols = [a & b for a, b in zip(s_cols, member_cols)]
     # Each pair (x, s) of a member factors as (x, y) in S and (y, s) in the
     # member.
     independent = all(

@@ -1180,6 +1180,118 @@ class BinaryDescent:
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 
+_LEVELS = ("+-", "*/", "^")
+
+
+class RunDescent:
+    """The eval grammar by descent, one method per precedence level, each
+    reading a run of its operators by a loop into one ("chain", ops,
+    operands) node, as cli.parse_expr builds it: the reference for that
+    one-loop parser.  A parenthesis level costs six frames, as it does in
+    BinaryDescent."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, ch):
+        kind, text, at = self.take()
+        if kind != "op" or text != ch:
+            raise ExprSyntaxError(f"expected {ch!r}", at)
+
+    def parse(self):
+        node = self.expr()
+        kind, text, at = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"trailing input {text!r}", at)
+        return node
+
+    def expr(self):
+        bindings = []
+        while self.peek()[1] == "let":
+            self.take()
+            nkind, name, nat_ = self.take()
+            if nkind != "name":
+                raise ExprSyntaxError("expected a name after 'let'", nat_)
+            self.expect_op("=")
+            bound = self.expr()
+            kkind, ktext, kat = self.take()
+            if kkind != "kw" or ktext != "in":
+                raise ExprSyntaxError("expected 'in'", kat)
+            bindings.append((name, bound))
+        body = self.chain(0)
+        return ("let", bindings, body) if bindings else body
+
+    def chain(self, level):
+        symbols = _LEVELS[level]
+        node = self.chain(1) if level == 0 else self.unary() if level == 1 else self.atom()
+        kind, text, _ = self.peek()
+        if kind != "op" or text not in symbols:
+            return node
+        ops, operands = [], [node]
+        while kind == "op" and text in symbols:
+            self.take()
+            ops.append(text)
+            operands.append(
+                self.chain(1) if level == 0 else self.unary() if level == 1 else self.atom()
+            )
+            kind, text, _ = self.peek()
+        return ("chain", ops, operands)
+
+    def unary(self):
+        odd = False
+        while self.peek()[1] == "-":
+            self.take()
+            odd = not odd
+        node = self.chain(2)
+        return ("neg", node) if odd else node
+
+    def atom(self):
+        kind, text, at = self.take()
+        if kind == "num":
+            try:
+                return ("num", dy.parse_dyadic(text))
+            except ExprSyntaxError as exc:
+                raise ExprSyntaxError(exc.message, at) from None
+        if kind == "name":
+            pkind, ptext, _ = self.peek()
+            if pkind == "op" and ptext == "(":
+                if text not in _FUNCTIONS:
+                    raise ExprSyntaxError(f"unknown function {text!r}", at)
+                self.take()
+                args = [self.expr()]
+                while True:
+                    ckind, ctext, cat = self.take()
+                    if ckind == "op" and ctext == ",":
+                        args.append(self.expr())
+                    elif ckind == "op" and ctext == ")":
+                        break
+                    else:
+                        raise ExprSyntaxError("expected ',' or ')'", cat)
+                low, high = _FUNCTIONS[text]
+                if len(args) < low or (high is not None and len(args) > high):
+                    raise ExprSyntaxError(
+                        f"{text}() takes {low}{'' if high == low else '+'} "
+                        f"argument(s), got {len(args)}",
+                        at,
+                    )
+                return ("call", text, args)
+            return ("var", text, at)
+        if kind == "op" and text == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", at)
+
+
 def eval_tree(node, env, prec, leaves):
     """Value of a BinaryDescent tree, by recursion on every node, with
     binary_sum at + and -, and the CLI's own operations at every other

@@ -1065,6 +1065,7 @@ LONG_RUNS = [
     ("".join(f"let v{k} = 0 in " for k in range(1500)) + "v1499", "0"),
     ("-" * 3001 + "1", "-1"),
     ("+".join(["inv(3)"] * 3000), "[8589934591999/2^33, 8589934592001/2^33]@30"),
+    ("(" * 400 + "inv(3) + 1" + ")" * 400, "[5726623061/2^32, 11453246123/2^33]@30"),
 ]
 
 
@@ -1091,7 +1092,7 @@ class TestChains:
             assert_stdout_agrees(argv, c, d)
 
     @pytest.mark.parametrize(
-        "text,want", LONG_RUNS, ids=["sum", "product", "lets", "minus", "inv_sum"]
+        "text,want", LONG_RUNS, ids=["sum", "product", "lets", "minus", "inv_sum", "parens"]
     )
     def test_long_runs_answer(self, text, want, capsys):
         with pytest.raises(RecursionError):
@@ -1116,11 +1117,34 @@ class TestChains:
         assert at == prec and lo <= value <= hi and hi - lo <= Fraction(1, 1 << prec)
         assert max(end.denominator.bit_length() - 1 for end in (lo, hi)) <= prec + 3
 
-    def test_parentheses_cost_the_frames_of_binary_descent(self):
+    def test_parentheses_cost_two_frames(self):
         def nested(depth):
             return "(" * depth + "1" + ")" * depth
 
+        # Six frames a level in both descents, two in parse_expr; the
+        # lambda's frame stands in for parse_expr's.
+        descent = recursion_edge(lambda text: oracles.RunDescent(text).parse(), nested)
+        assert descent == recursion_edge(lambda text: oracles.BinaryDescent(text).parse(), nested)
         edge = recursion_edge(cli.parse_expr, nested)
-        assert edge < 1000
-        # The lambda's frame stands in for parse_expr's.
-        assert edge == recursion_edge(lambda text: oracles.BinaryDescent(text).parse(), nested)
+        assert 2 * descent <= edge < 1000
+
+
+def parsed(parse, text):
+    """parse's tree for text, or its ExprSyntaxError's message and position."""
+    try:
+        return parse(text)
+    except ExprSyntaxError as exc:
+        return exc.message, exc.position
+
+
+class TestParser:
+    """cli.parse_expr against RunDescent, the descent with one method per
+    precedence level that it replaced: the same tree, or the same error at
+    the same position."""
+
+    @given(st.one_of(expr_token_strings, chain_texts))
+    @settings(max_examples=600)
+    def test_parses_as_run_descent(self, text):
+        assert parsed(cli.parse_expr, text) == parsed(
+            lambda t: oracles.RunDescent(t).parse(), text
+        )

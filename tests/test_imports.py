@@ -3,8 +3,8 @@
 The package imports every layer, so a library user pays at start-up for
 whatever any layer imports at module level.  The command line's argparse
 and json load only when ``cli.main`` needs them, and no layer pulls in
-dataclasses (which brings inspect, ast, dis and tokenize), typing or
-threading.
+dataclasses (which brings inspect, ast, dis and tokenize), typing,
+threading, enum, functools or collections.
 """
 
 import ast
@@ -20,7 +20,10 @@ SRC = str(Path(settower.__file__).resolve().parent.parent)
 
 # A denylist rather than an allowlist: what the interpreter itself loads
 # at start-up differs between Python versions.
-NOT_LOADED_BY_IMPORT = ("argparse", "json", "dataclasses", "inspect", "typing", "threading")
+NOT_LOADED_BY_IMPORT = (
+    "argparse", "json", "dataclasses", "inspect", "typing", "threading",
+    "enum", "functools", "collections",
+)
 
 MODULES = ("cli", "countability", "dyadic", "errors", "hfset", "naturals", "reals", "relations")
 

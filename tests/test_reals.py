@@ -1,5 +1,7 @@
+import copy
 import inspect
 import math
+import pickle
 import random
 import re
 import sys
@@ -127,6 +129,26 @@ class TestCompareEps:
     def test_less_certifies_order(self):
         x, y = inv3(), from_dyadic(HALF)
         assert compare_eps(x, y, 8) == Comparison.LESS
+
+
+class TestComparison:
+    MEMBERS = {"LESS": "less", "GREATER": "greater", "INDISTINGUISHABLE": "indistinguishable"}
+
+    @pytest.mark.parametrize("name", sorted(MEMBERS))
+    def test_prints_and_names_as_the_enum_did(self, name):
+        member = getattr(Comparison, name)
+        value = self.MEMBERS[name]
+        assert isinstance(member, Comparison)
+        assert (member.name, member.value) == (name, value)
+        assert repr(member) == f"<Comparison.{name}: {value!r}>"
+        assert str(member) == f"Comparison.{name}"
+
+    @pytest.mark.parametrize("name", sorted(MEMBERS))
+    def test_copies_and_pickles_are_the_member(self, name):
+        member = getattr(Comparison, name)
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
 
 
 class TestAdd:
@@ -278,6 +300,12 @@ class TestSupFinite:
             top = dy.dy_max(top, d)
         assert s.tag == top
         oracles.assert_cut_invariants(s, upto=30)
+
+    def test_exact_zeros_are_skipped(self):
+        x = inv3()
+        assert sup_finite([x, ZERO_CUT]) is x
+        assert sup_finite([ZERO_CUT, x, from_dyadic(ZERO)]) is x
+        assert sup_finite([ZERO_CUT, ZERO_CUT]) is ZERO_CUT
 
     def test_mixed_tagged_untagged(self):
         s = sup_finite([inv3(), from_dyadic(make(1, 3))])
@@ -742,6 +770,14 @@ class TestZeroFolding:
                   reals._posdiff(half, ZERO_CUT), real_abs(Real(ZERO_CUT, half))):
             assert c.tag == HALF
             assert c.query(5) == half.query(6)
+
+    @given(nonneg_dyadics, nonneg_dyadics)
+    @settings(max_examples=40)
+    def test_posdiff_of_tagged_operands_is_tagged(self, d, e):
+        a, b = from_dyadic(d), from_dyadic(e)
+        c, generic = reals._posdiff(a, b), oracles.generic_posdiff(a, b)
+        assert c.tag == dy.dy_max(ZERO, dy.sub(d, e))
+        assert all(c.query(n) == generic.query(n) for n in range(41))
 
     def test_equal_tags_do_not_fold(self):
         # |1/2 - 1/2| is tagged 0, but its upper endpoints are positive, so
