@@ -279,20 +279,31 @@ def _eval(node, env, prec: int, leaves: dict):
 
 
 def _sum_run(ops, operands, env, prec: int, leaves: dict):
-    """A run of + and - operands.  The exact operands are summed exactly
-    as they are evaluated, so a run with no Real answers and fails as the
-    left-to-right chain of dy.add and dy.sub does; the Real operands,
-    negated for -, and that exact sum make one real_sum."""
-    exact, terms = dy.ZERO, []
+    """A run of + and - operands, evaluated in order; then its exact
+    operands, negated for -, are summed exactly from left to right.  A run
+    with no Real is that sum, so it answers and fails as the chain of
+    dy.add and dy.sub does, except that an operand's own error comes first.
+    Otherwise the Real operands and that sum make one real_sum; when the
+    sum passes the size limit, each exact operand joins the real_sum as its
+    own leaf instead, which rounds it onto the query grid."""
+    exact, terms = [], []
     for sym, operand in zip(["+"] + ops, operands):
         value = _eval(operand, env, prec, leaves)
         if isinstance(value, dy.Dyadic):
-            exact = dy.add(exact, value) if sym == "+" else dy.sub(exact, value)
+            exact.append(value if sym == "+" else dy.neg(value))
         else:
             terms.append(value if sym == "+" else re.real_neg(value))
+    total = dy.ZERO
+    try:
+        for value in exact:
+            total = dy.add(total, value)
+    except SizeLimit:
+        if not terms:
+            raise
+        return re.real_sum(terms + [re.real_from_dyadic(v) for v in exact])
     if not terms:
-        return exact
-    terms.append(re.real_from_dyadic(exact))
+        return total
+    terms.append(re.real_from_dyadic(total))
     return re.real_sum(terms)
 
 

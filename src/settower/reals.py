@@ -6,7 +6,9 @@ A CutReal answers precision queries: query(n) returns exact dyadic bounds
 The lower endpoints generate a cut (a union of lower segments of binary
 fractions); the upper endpoint is what makes comparison decidable up to a
 stated tolerance.  Values that happen to be binary fractions carry an exact
-tag so arithmetic can stay exact along dyadic-only paths.
+tag so arithmetic can stay exact along dyadic-only paths.  A node reads
+its operands only through query, so a query costs two frames, query and
+the node's oracle, per node on its path.
 
 Guard-bit policy (normative for interoperability):
   * sum_cuts is the one addition node.  ZERO_CUT operands are skipped
@@ -19,7 +21,8 @@ Guard-bit policy (normative for interoperability):
     case, real_sum is one such node per side, and the CLI builds it for
     every run of + and - operands;
   * mul queries at n+t+1 where t is the smallest natural with
-    hi_x(0) + hi_y(0) <= 2^t, multiplies endpoints, and rounds the lower
+    hi_x(0) + hi_y(0) <= 2^t, read from the operands' queries at 0 when
+    the node is first queried, multiplies endpoints, and rounds the lower
     product down and the upper product up to n+2 fractional bits, so the
     width stays within 2^(-n-1) + 2^(-n-1) and endpoint sizes follow n,
     not the size of the expression;
@@ -28,12 +31,16 @@ Guard-bit policy (normative for interoperability):
   * inverse divides 1 by the swapped endpoints with directed rounding to
     n+2 fractional bits, querying the operand at max(n0, n + 2e + 1) where
     2^(-e) lower-bounds the witness interval's lo;
-  * the reciprocal of an exact positive dyadic d is a leaf: reciprocal(d)
-    is from_dyadic(1/d) when d is a power of two, and otherwise rounds 1/d
-    down and up to n+1 fractional bits, querying nothing.  inverse of a
-    tagged operand and the CLI's inv of a literal both build this leaf.
-    Within one CLI evaluation, inv(d) and x / d share one leaf per exact
-    divisor, so repeated terms of a sum are answered from its memo;
+  * every exact value is one kind of leaf, which queries nothing: the
+    leaf of a/b, for dyadics a >= 0 and b > 0, answers at precision n with
+    hi = a/b rounded up onto the 2^(-n-1) grid and lo = hi - 2^(-n-1)
+    clamped at 0, so off that grid it is [floor, ceil] of a/b, and on it
+    no division runs.  from_dyadic(d) is the leaf of d/1, tagged d, and
+    reciprocal(d) the leaf of 1/d, tagged when 1/d is a binary fraction.
+    inverse of a tagged operand and the CLI's inv of a literal both build
+    the reciprocal leaf.  Within one CLI evaluation, inv(d) and x / d share
+    one leaf per exact divisor, so repeated terms of a sum are answered
+    from its memo;
   * real_sup of k signed values is a balanced tree of two-way maxima,
     each Real(sup_finite([px + ny, py + nx]), nx + ny), so its depth is
     O(log k) and a query at n reaches the values at n + O(log k);
@@ -60,7 +67,7 @@ queried precision.
 from __future__ import annotations
 
 from . import dyadic as dy
-from .errors import EmptyList, NegativeInput, NotBoundedAwayFromZero
+from .errors import EmptyList, NegativeInput, NotBoundedAwayFromZero, SizeLimit
 from .naturals import _nat, square_and_multiply
 
 
@@ -106,36 +113,35 @@ class CutReal:
         return f"CutReal({format_interval(self, 10)})"
 
 
-def _embed(d: dy.Dyadic) -> CutReal:
-    # d is rounded onto the 2^(-n-1) grid before it is widened, so a d of
-    # any exponent answers with endpoints of about n bits.  On that grid
-    # both roundings are d itself, so they are skipped.
+def _leaf(a: dy.Dyadic, b: dy.Dyadic, tag) -> CutReal:
+    # The exact value a/b, for dyadics a >= 0 and b > 0, tagged with tag:
+    # a/b itself when it is a binary fraction, else None.  At precision n,
+    # hi is a/b rounded up onto the 2^(-n-1) grid and lo is one grid step
+    # below it, clamped at 0.  Off the grid that step down is the floor; on
+    # it hi is the tag itself, so nothing is divided.
     def fn(n):
         p = n + 1
-        if d.exp <= p:
-            low = hi = d
-        else:
-            low, hi = dy.div_floor(d, dy.ONE, p), dy.div_ceil(d, dy.ONE, p)
-        lo = dy.sub(low, dy.make(1, p))
-        if lo.sign < 0:
-            lo = dy.ZERO
-        return lo, hi
+        if tag is None or tag.exp > p:
+            return dy.div_floor(a, b, p), dy.div_ceil(a, b, p)
+        lo = dy.sub(tag, dy.make(1, p))
+        return (dy.ZERO if lo.sign < 0 else lo), tag
 
-    return CutReal(fn, tag=d)
+    return CutReal(fn, tag)
 
 
-ZERO_CUT = _embed(dy.ZERO)
-ONE_CUT = _embed(dy.ONE)
+ZERO_CUT = _leaf(dy.ZERO, dy.ONE, dy.ZERO)
+ONE_CUT = _leaf(dy.ONE, dy.ONE, dy.ONE)
 
 
 def from_dyadic(d: dy.Dyadic) -> CutReal:
-    """Embed a binary fraction: at precision n the interval
-    [floor(d) - 2^(-n-1) clamped at 0, ceil(d)], both roundings onto the
-    2^(-n-1) grid, which is [d - 2^(-n-1) clamped at 0, d] when d lies on
-    that grid.  Zero embeds as ZERO_CUT itself, so it folds."""
+    """Embed a binary fraction as the leaf d/1: at precision n the interval
+    [hi - 2^(-n-1) clamped at 0, hi], where hi is d rounded up onto the
+    2^(-n-1) grid.  That is [d - 2^(-n-1) clamped at 0, d] when d lies on
+    the grid, and d rounded down and up onto it when d does not.  Zero
+    embeds as ZERO_CUT itself, so it folds."""
     if d.sign < 0:
         raise NegativeInput(f"cut embedding needs d >= 0, got {d}")
-    return ZERO_CUT if d.sign == 0 else _embed(d)
+    return ZERO_CUT if d.sign == 0 else _leaf(d, dy.ONE, d)
 
 
 def _shift(y: CutReal) -> CutReal:
@@ -155,7 +161,9 @@ def sum_cuts(xs) -> CutReal:
     g = ceil(log2 k) + 1, so the k widths add up to at most 2^(-n-1); the
     exact endpoint sums are rounded outward onto the 2^(-n-2) grid, as mul
     rounds its products.  The tag is the exact sum when every operand left
-    has one.
+    has one and dy.add builds that sum without SizeLimit; otherwise the
+    node has no tag and answers by intervals alone, so exact operands whose
+    exponents lie far apart still sum.
     """
     if not xs:
         raise EmptyList("sum_cuts needs at least one value")
@@ -185,23 +193,17 @@ def sum_cuts(xs) -> CutReal:
             break
     else:
         tag = first._tag
-        for x in rest:
-            tag = dy.add(tag, x._tag)
+        try:
+            for x in rest:
+                tag = dy.add(tag, x._tag)
+        except SizeLimit:
+            tag = None
     return CutReal(fn, tag=tag)
 
 
 def add(x: CutReal, y: CutReal) -> CutReal:
     """x + y: the Sum node of two operands."""
     return sum_cuts((x, y))
-
-
-def _mul_guard(x: CutReal, y: CutReal) -> int:
-    # Smallest t >= 0 with hi_x(0) + hi_y(0) <= 2^t: the product of widths
-    # then stays within 2^(-n) after querying both factors at n + t.
-    s = dy.add(x.hi(0), y.hi(0))
-    if s.sign <= 0:
-        return 0
-    return max(0, (s.man - 1).bit_length() - s.exp)
 
 
 def mul(x: CutReal, y: CutReal) -> CutReal:
@@ -211,7 +213,10 @@ def mul(x: CutReal, y: CutReal) -> CutReal:
 
     def fn(n):
         if not guard:
-            guard.append(_mul_guard(x, y))
+            # The smallest t >= 0 with hi_x(0) + hi_y(0) <= 2^t: the product
+            # of widths then stays within 2^(-n) after querying at n + t.
+            s = dy.add(x.query(0)[1], y.query(0)[1])
+            guard.append(max(0, (s.man - 1).bit_length() - s.exp) if s.sign else 0)
         # Endpoint products are within 2^(-n-1) of each other at n + t + 1;
         # outward rounding onto the 2^(-n-2) grid adds less than 2^(-n-2)
         # per side.  A floor of a larger value on a finer grid is never
@@ -302,20 +307,13 @@ def sup_finite(xs) -> CutReal:
 
 
 def reciprocal(d: dy.Dyadic) -> CutReal:
-    """1/d for an exact positive dyadic d, as a leaf that queries nothing:
-    the embedding of 1/d when d is a power of two, else 1/d rounded down
-    and up to n+1 fractional bits at precision n."""
+    """1/d for an exact positive dyadic d, as the leaf 1/d that queries
+    nothing: at precision n, 1/d rounded down and up onto the 2^(-n-1)
+    grid, or the embedding's interval when 1/d is a binary fraction, which
+    is then its tag."""
     if d.sign <= 0:
         raise NotBoundedAwayFromZero(f"reciprocal needs d > 0, got {d}")
-    flipped = dy.exact_div(dy.ONE, d)
-    if flipped is not None:
-        return from_dyadic(flipped)
-
-    def fn(n):
-        p = n + 1
-        return dy.div_floor(dy.ONE, d, p), dy.div_ceil(dy.ONE, d, p)
-
-    return CutReal(fn)
+    return _leaf(dy.ONE, d, dy.exact_div(dy.ONE, d))
 
 
 def inverse(x: CutReal, n0: int) -> CutReal:
@@ -327,7 +325,7 @@ def inverse(x: CutReal, n0: int) -> CutReal:
     division keeps lo rounded down and hi rounded up.
     """
     _nat(n0, "positivity witness")
-    lo0 = x.lo(n0)
+    lo0 = x.query(n0)[0]
     if lo0.sign <= 0:
         raise NotBoundedAwayFromZero(
             f"lower endpoint at precision {n0} is {lo0}, not positive"

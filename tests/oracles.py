@@ -929,6 +929,39 @@ def reciprocal_oracle(d, n):
     return Fraction(math.floor(q * scale), scale), Fraction(math.ceil(q * scale), scale)
 
 
+def floor_then_widen(d):
+    """The embedding of a binary fraction d >= 0 before reals had one leaf
+    rule: d rounded down and up onto the 2^-(n+1) grid, then the lower end
+    moved one grid step down, clamped at 0.  The reference that every
+    interval of reals.from_dyadic lies inside."""
+
+    def fn(n):
+        p = n + 1
+        if d.exp <= p:
+            low = hi = d
+        else:
+            low, hi = dy.div_floor(d, dy.ONE, p), dy.div_ceil(d, dy.ONE, p)
+        lo = dy.sub(low, dy.make(1, p))
+        return (dy.ZERO if lo.sign < 0 else lo), hi
+
+    return CutReal(fn, tag=d)
+
+
+def reciprocal_closure(d):
+    """reals.reciprocal before it became the leaf of 1/d: floor_then_widen
+    of 1/d when d is a power of two, else its own closure, 1/d rounded down
+    and up onto the 2^-(n+1) grid.  The leaf must answer as it did."""
+    flipped = dy.exact_div(dy.ONE, d)
+    if flipped is not None:
+        return floor_then_widen(flipped)
+
+    def fn(n):
+        p = n + 1
+        return dy.div_floor(dy.ONE, d, p), dy.div_ceil(dy.ONE, d, p)
+
+    return CutReal(fn)
+
+
 def pow_chain(x, m, times, one):
     """x^m as the linear product chain one * x * ... * x: the reference
     for powers by squaring (in reals.pow_nat and the CLI's ^)."""

@@ -398,6 +398,9 @@ class TestFarApartExponents:
             (["cmp", "(1/2)^(2^40)", "(1/2)^(2^40)"], "equal"),
             # The embedding rounds the tiny factor onto the query grid.
             (["eval", "(1/2)^(2^40) / 3"], "[0, 1/2^34]@30"),
+            # A run with a Real sums its far-apart exact terms as leaves.
+            (["eval", "inv(3) + (1/2)^(2^40) + 1"], "[5726623061/2^32, 11453246123/2^33]@30"),
+            (["eval", "1 - inv(3) + (1/2)^(2^40)"], "[1431655765/2^31, 5726623063/2^33]@30"),
         ],
     )
     def test_answers(self, argv, line, capsys):
@@ -420,6 +423,11 @@ class TestFarApartExponents:
         assert (code, out) == (1, "")
         assert err == f"error: {what} needs more than {dy.POW_BIT_LIMIT} mantissa bits\n"
         assert_no_traceback_in_a_process(["eval", expr])
+
+    def test_an_operand_error_comes_before_the_sum_refusal(self, capsys):
+        # A run's operands are all evaluated before its exact terms are summed.
+        argv = ["eval", "(1/2)^(2^40) + 1 + inv(0)"]
+        assert run_cli(argv, capsys) == (1, "", "error: division by exact zero\n")
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
@@ -1100,6 +1108,26 @@ class TestChains:
         assert run_cli(["eval", "--", text], capsys) == (0, want + "\n", "")
         proc = run_in_a_process(["eval", "--", text])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "*".join(["inv(3)"] * 200),
+            "let x = inv(5) in " + "let x = x * inv(5) in " * 199 + "x",
+        ],
+        ids=["product", "let_product"],
+    )
+    def test_non_exact_products_answer(self, text, capsys, monkeypatch):
+        # A factor costs four frames: query and the oracle of its Sum and of
+        # its mul node.  generic_mul's guard reads hi(0) through two frames
+        # more, so 200 factors pass the recursion limit.
+        want = (0, "[0, 1/2^34]@30\n", "")
+        assert run_cli(["eval", "--", text], capsys) == want
+        proc = run_in_a_process(["eval", "--", text])
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+        monkeypatch.setattr(reals, "mul", oracles.generic_mul)
+        with pytest.raises(RecursionError):
+            run_cli(["eval", "--", text], capsys)
 
     @pytest.mark.parametrize("k", [3, 100, 10**4])
     @pytest.mark.parametrize("prec", [0, 30, 120])

@@ -91,13 +91,25 @@ class TestFromDyadic:
     @given(nonneg_dyadics, st.integers(0, 20))
     @settings(max_examples=50)
     def test_rounds_before_it_widens(self, d, n):
+        # hi is d rounded up onto the 2^-(n+1) grid, lo one step below it.
         lo, hi = from_dyadic(d).query(n)
         grid = Fraction(1, 1 << (n + 1))
         fr = oracles.to_fraction(d)
         assert oracles.to_fraction(hi) == math.ceil(fr / grid) * grid
-        assert oracles.to_fraction(lo) == max(0, (math.floor(fr / grid) - 1) * grid)
+        assert oracles.to_fraction(lo) == max(0, oracles.to_fraction(hi) - grid)
         if d.exp <= n + 1:
             assert hi == d
+
+    @given(nonneg_dyadics, st.integers(0, 40))
+    @settings(max_examples=100)
+    @example(make(3, 5), 1)
+    @example(make(1, 2**40), 30)
+    def test_lies_inside_the_floor_then_widen_rule(self, d, n):
+        # Off the grid lo is the floor, one step above the old rule's lo.
+        lo, hi = from_dyadic(d).query(n)
+        old_lo, old_hi = oracles.floor_then_widen(d).query(n)
+        assert hi == old_hi and old_lo <= lo
+        assert (lo == old_lo) == (d.exp <= n + 1 or lo == ZERO)
 
     def test_far_exponent_answers_on_the_query_grid(self):
         tiny = make(1, 1 << 40)
@@ -229,6 +241,16 @@ class TestSumCuts:
             node = reals.sum_cuts(xs)
             assert node.tag is None
             assert reals.format_interval(node, 10) == "[5461/2^12, 2731/2^11]@10"
+
+    def test_far_apart_tags_leave_no_tag(self):
+        # 1 + (1/2)^(2^40) as a tag would need 2^40 mantissa bits, so the
+        # node answers by intervals alone.
+        tiny = from_dyadic(make(1, 2**40))
+        for xs in ([ONE_CUT, tiny], [tiny, ONE_CUT, from_dyadic(HALF)]):
+            node = reals.sum_cuts(xs)
+            assert node.tag is None
+            oracles.assert_cut_invariants(node, upto=40)
+        assert reals.format_interval(node, 10) == "[6143/2^12, 6145/2^12]@10"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyList):
@@ -824,6 +846,19 @@ class TestReciprocalLeaf:
         if leaf.tag is not None:
             assert oracles.to_fraction(leaf.tag) == 1 / oracles.to_fraction(d)
         oracles.assert_cut_invariants(leaf, upto=80)
+
+    @given(positive_dyadics)
+    @settings(max_examples=100)
+    @example(make(3, 0))
+    @example(make(6, 0))
+    @example(make(1, 200))
+    @example(make(5, 9))
+    def test_answers_as_the_closure_it_replaced(self, d):
+        # The same Dyadics, so the same printed bytes, at every precision.
+        leaf, closure = reals.reciprocal(d), oracles.reciprocal_closure(d)
+        assert leaf.tag == closure.tag
+        for n in range(41):
+            assert leaf.query(n) == closure.query(n), n
 
     def test_queries_nothing(self):
         leaf = reals.reciprocal(make(7, 0))
