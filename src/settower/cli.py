@@ -15,8 +15,12 @@ as ordinary division, and decimals with a finite binary expansion (3.25
 yes, 0.1 no).  Division falls back from exact to interval arithmetic when
 the quotient is not a binary fraction; the divisor's positivity is probed
 at --prec and failure to certify a sign is an error rather than a guess.
-The parser reads the three precedence levels in one loop and recurses only
-where the input nests, so a parenthesis level costs it two frames.
+The tokenizer tests for operators and whitespace first, and the parser
+reads the three precedence levels in one loop and recurses only where the
+input nests, so a parenthesis level costs it two frames; an operand that no
+operator follows builds no run, and each distinct literal text is parsed
+once per expression.  The evaluator keeps the reciprocal of each exact
+divisor for the whole evaluation, so a repeated inv(d) costs one lookup.
 
 The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
@@ -54,47 +58,52 @@ _OP_CHARS = set("+-*/^(),=")
 
 
 def _tokenize(text: str):
+    """(kind, text, position) tokens of an expression, ending with an "end"
+    token at len(text).  Operators and whitespace are tested first, as most
+    characters are one or the other; a number is a run of str.isdigit
+    characters, with one "." inside it, so a non-ASCII digit reaches
+    dy.parse_dyadic and is refused there."""
     tokens = []
+    push = tokens.append
+    end = len(text)
     i = 0
-    while i < len(text):
+    while i < end:
         ch = text[i]
-        if ch.isspace():
+        if ch in _OP_CHARS:
+            push(("op", ch, i))
             i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+        elif ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i + 1
+            while j < end and text[j].isdigit():
                 j += 1
-            if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdigit():
-                j += 1
-                while j < len(text) and text[j].isdigit():
+            if j + 1 < end and text[j] == "." and text[j + 1].isdigit():
+                j += 2
+                while j < end and text[j].isdigit():
                     j += 1
-            tokens.append(("num", text[i:j], i))
+            push(("num", text[i:j], i))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < end and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            tokens.append(("kw" if word in _KEYWORDS else "name", word, i))
+            push(("kw" if word in _KEYWORDS else "name", word, i))
             i = j
-            continue
-        if ch in _OP_CHARS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    push(("end", "", end))
     return tokens
 
 
 def parse_expr(text: str):
     """The tree of an eval expression: ("num", d), ("var", name, at),
     ("neg", x), ("call", name, args), ("chain", ops, operands) for a run of
-    one precedence level's operators and ("let", bindings, body)."""
+    one precedence level's operators and ("let", bindings, body).  Each
+    distinct literal text is parsed once, and its node is shared."""
     tokens = _tokenize(text)
-    node, i = _expr(tokens, 0)
+    node, i = _expr(tokens, 0, {})
     kind, word, at = tokens[i]
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {word!r}", at)
@@ -105,14 +114,17 @@ def parse_expr(text: str):
 # words other than let and in, and numbers start with a digit.
 
 
-def _expr(tokens, i):
+def _expr(tokens, i, literals):
     """(node, index after it) for the expression at tokens[i]: a run of let
     clauses, then one loop over operands and operators.  ^ binds tighter
     than a prefix - run, which binds tighter than * and /, which bind
     tighter than + and -, and each run of one level's operators is one
-    chain.  Only a let's bound expression recurses here, and _atom only
-    into a parenthesis or a function argument, so a level of nesting costs
-    two frames."""
+    chain.  Each run list is built when its first operator is read, so an
+    operand that no operator follows, such as a call's argument or a
+    parenthesis body, builds none.  Only a
+    let's bound expression recurses here, and _atom only into a parenthesis
+    or a function argument, so a level of nesting costs two frames.
+    literals maps each literal text read so far to its node."""
     bindings = []
     while tokens[i][1] == "let":
         kind, name, at = tokens[i + 1]
@@ -120,55 +132,62 @@ def _expr(tokens, i):
             raise ExprSyntaxError("expected a name after 'let'", at)
         if tokens[i + 2][1] != "=":
             raise ExprSyntaxError("expected '='", tokens[i + 2][2])
-        bound, i = _expr(tokens, i + 3)
+        bound, i = _expr(tokens, i + 3, literals)
         if tokens[i][1] != "in":
             raise ExprSyntaxError("expected 'in'", tokens[i][2])
         bindings.append((name, bound))
         i += 1
-    terms, term_ops = [], []
-    factors, factor_ops = [], []
-    powers = []
+    terms = factors = powers = None
     odd = False
     while True:
-        if not powers:
+        if powers is None:
             # Two minus signs cancel, so only an odd run leaves a neg node.
             while tokens[i][1] == "-":
                 odd = not odd
                 i += 1
-        node, i = _atom(tokens, i)
-        powers.append(node)
+        node, i = _atom(tokens, i, literals)
         sym = tokens[i][1]
         if sym == "^":
+            if powers is None:
+                powers = []
+            powers.append(node)
             i += 1
             continue
-        if len(powers) > 1:
+        if powers is not None:
+            powers.append(node)
             node = ("chain", ["^"] * (len(powers) - 1), powers)
-        factors.append(("neg", node) if odd else node)
-        powers, odd = [], False
+            powers = None
+        if odd:
+            node, odd = ("neg", node), False
         if sym == "*" or sym == "/":
+            if factors is None:
+                factors, factor_ops = [], []
+            factors.append(node)
             factor_ops.append(sym)
             i += 1
             continue
-        terms.append(("chain", factor_ops, factors) if factor_ops else factors[0])
-        factors, factor_ops = [], []
+        if factors is not None:
+            factors.append(node)
+            node = ("chain", factor_ops, factors)
+            factors = None
         if sym != "+" and sym != "-":
             break
+        if terms is None:
+            terms, term_ops = [], []
+        terms.append(node)
         term_ops.append(sym)
         i += 1
-    body = ("chain", term_ops, terms) if term_ops else terms[0]
-    return (("let", bindings, body) if bindings else body), i
+    if terms is not None:
+        terms.append(node)
+        node = ("chain", term_ops, terms)
+    return (("let", bindings, node) if bindings else node), i
 
 
-def _atom(tokens, i):
+def _atom(tokens, i, literals):
     """(node, index after it) for a number, a name, a call or a
     parenthesis at tokens[i]."""
     kind, text, at = tokens[i]
     i += 1
-    if kind == "num":
-        try:
-            return ("num", dy.parse_dyadic(text)), i
-        except ExprSyntaxError as exc:
-            raise ExprSyntaxError(exc.message, at) from None
     if kind == "name":
         if tokens[i][1] != "(":
             return ("var", text, at), i
@@ -176,7 +195,7 @@ def _atom(tokens, i):
             raise ExprSyntaxError(f"unknown function {text!r}", at)
         args = []
         while True:
-            arg, i = _expr(tokens, i + 1)
+            arg, i = _expr(tokens, i + 1, literals)
             args.append(arg)
             sym = tokens[i][1]
             if sym == ")":
@@ -191,8 +210,16 @@ def _atom(tokens, i):
                 at,
             )
         return ("call", text, args), i + 1
+    if kind == "num":
+        node = literals.get(text)
+        if node is None:
+            try:
+                node = literals[text] = ("num", dy.parse_dyadic(text))
+            except ExprSyntaxError as exc:
+                raise ExprSyntaxError(exc.message, at) from None
+        return node, i
     if text == "(":
-        node, i = _expr(tokens, i)
+        node, i = _expr(tokens, i, literals)
         if tokens[i][1] != ")":
             raise ExprSyntaxError("expected ')'", tokens[i][2])
         return node, i + 1
@@ -207,20 +234,24 @@ def _as_real(value) -> re.Real:
 
 def _invert(value, prec: int, leaves: dict):
     """Reciprocal of an evaluated value: exact when possible, else the
-    reciprocal leaf of the dyadic's magnitude, built once per evaluation in
-    leaves, else an interval whose sign was certified at precision prec."""
+    reciprocal leaf of the dyadic's magnitude as a signed Real, else an
+    interval whose sign was certified at precision prec.  leaves holds the
+    finished reciprocal of each exact divisor, so a repeated one costs a
+    lookup, and d and -d share one reciprocal leaf."""
     if isinstance(value, dy.Dyadic):
-        if value.sign == 0:
-            raise DivisionNearZero("division by exact zero")
-        size = dy.dy_abs(value)
-        leaf = leaves.get(size)
-        if leaf is None:
-            leaf = leaves[size] = re.reciprocal(size)
-        # reciprocal tags exactly the leaves that are binary fractions.
-        if leaf.tag is not None:
-            return leaf.tag if value.sign > 0 else dy.neg(leaf.tag)
-        flipped = re.real_from_cut(leaf)
-        return re.real_neg(flipped) if value.sign < 0 else flipped
+        got = leaves.get(value)
+        if got is None:
+            if value.sign == 0:
+                raise DivisionNearZero("division by exact zero")
+            if value.sign < 0:
+                got = _invert(dy.neg(value), prec, leaves)
+                got = dy.neg(got) if isinstance(got, dy.Dyadic) else re.real_neg(got)
+            else:
+                leaf = re.reciprocal(value)
+                # reciprocal tags exactly the leaves that are binary fractions.
+                got = re.real_from_cut(leaf) if leaf.tag is None else leaf.tag
+            leaves[value] = got
+        return got
     side = re.compare_eps(value.pos, value.neg, prec + 1)
     if side is re.Comparison.INDISTINGUISHABLE:
         raise DivisionNearZero(
@@ -242,7 +273,7 @@ def _eval(node, env, prec: int, leaves: dict):
     a Real.  A + and - chain is one sum, another chain folds left to right,
     and a let binds its names in order into one copy of env, all by loops,
     so the walk recurses only into nested nodes.  leaves holds the
-    evaluation's reciprocal leaves."""
+    evaluation's reciprocals of exact divisors."""
     op = node[0]
     if op == "num":
         return node[1]
@@ -360,7 +391,8 @@ def _apply_call(name, values, prec: int, leaves: dict):
 
 def evaluate(text: str, prec: int):
     """Parse and evaluate; returns either a Dyadic or a Real.  inv(d) and
-    x / d share one reciprocal leaf per exact divisor d within the call."""
+    x / d share one reciprocal per exact divisor d within the call, and d
+    and -d one reciprocal leaf."""
     return _eval(parse_expr(text), {}, prec, {})
 
 

@@ -14,12 +14,13 @@ Guard-bit policy (normative for interoperability):
   * sum_cuts is the one addition node.  ZERO_CUT operands are skipped
     and not counted; with none left the sum is ZERO_CUT, and with one left
     it is that operand shifted one bit, n -> y.query(n + 1), with its tag.
-    Otherwise it queries each of the k operands left once at n + g,
-    g = ceil(log2 k) + 1, adds the endpoints exactly and rounds the sums
-    outward onto the 2^(-n-2) grid, so the width stays within 2^(-n), the
-    node's depth is 1 and its endpoints follow n, not k.  add is its k = 2
-    case, real_sum is one such node per side, and the CLI builds it for
-    every run of + and - operands;
+    Otherwise it queries each distinct operand left once at n + g,
+    g = ceil(log2 k) + 1 where k counts every operand left, repeats
+    included, multiplies the endpoints by the operand's count, adds them
+    exactly and rounds the sums outward onto the 2^(-n-2) grid, so the
+    width stays within 2^(-n), the node's depth is 1 and its endpoints
+    follow n, not k.  add is its k = 2 case, real_sum is one such node per
+    side, and the CLI builds it for every run of + and - operands;
   * mul queries at n+t+1 where t is the smallest natural with
     hi_x(0) + hi_y(0) <= 2^t, read from the operands' queries at 0 when
     the node is first queried, multiplies endpoints, and rounds the lower
@@ -39,8 +40,8 @@ Guard-bit policy (normative for interoperability):
     reciprocal(d) the leaf of 1/d, tagged when 1/d is a binary fraction.
     inverse of a tagged operand and the CLI's inv of a literal both build
     the reciprocal leaf.  Within one CLI evaluation, inv(d) and x / d share
-    one leaf per exact divisor, so repeated terms of a sum are answered
-    from its memo;
+    one leaf per exact divisor, so a sum queries it once however often it
+    repeats;
   * real_sup of k signed values is a balanced tree of two-way maxima,
     each Real(sup_finite([px + ny, py + nx]), nx + ny), so its depth is
     O(log k) and a query at n reaches the values at n + O(log k);
@@ -157,13 +158,15 @@ def sum_cuts(xs) -> CutReal:
 
     ZERO_CUT operands are skipped and not counted: with none left the sum
     is ZERO_CUT, and with one left it is that operand shifted one bit.
-    Otherwise each of the k operands left is queried once at n + g,
-    g = ceil(log2 k) + 1, so the k widths add up to at most 2^(-n-1); the
-    exact endpoint sums are rounded outward onto the 2^(-n-2) grid, as mul
-    rounds its products.  The tag is the exact sum when every operand left
-    has one and dy.add builds that sum without SizeLimit; otherwise the
-    node has no tag and answers by intervals alone, so exact operands whose
-    exponents lie far apart still sum.
+    Otherwise each distinct operand left (by identity) is queried once at
+    n + g, g = ceil(log2 k) + 1 where k counts every operand left, so the
+    k widths add up to at most 2^(-n-1).  An operand's endpoints are
+    multiplied by the number of times it occurs, so the exact endpoint sums
+    are those of the k operands, and they are rounded outward onto the
+    2^(-n-2) grid, as mul rounds its products.  The tag is the exact sum
+    when every operand left has one and dy.add builds that sum without
+    SizeLimit; otherwise the node has no tag and answers by intervals
+    alone, so exact operands whose exponents lie far apart still sum.
     """
     if not xs:
         raise EmptyList("sum_cuts needs at least one value")
@@ -175,13 +178,25 @@ def sum_cuts(xs) -> CutReal:
     if len(live) <= 1:
         return _shift(live[0]) if live else ZERO_CUT
     guard = (len(live) - 1).bit_length() + 1
-    first, rest = live[0], live[1:]
+    # Each distinct operand once, with its count as a Dyadic when it is
+    # more than 1; a CutReal hashes by identity.
+    counts = {}
+    for x in live:
+        counts[x] = counts.get(x, 0) + 1
+    terms = []
+    for x, c in counts.items():
+        terms.append((x, None if c == 1 else dy.make(c, 0)))
+    (first, times), rest = terms[0], terms[1:]
 
     def fn(n):
         k = n + guard
         lo, hi = first.query(k)
-        for x in rest:
+        if times is not None:
+            lo, hi = dy.mul(lo, times), dy.mul(hi, times)
+        for x, c in rest:
             lx, hx = x.query(k)
+            if c is not None:
+                lx, hx = dy.mul(lx, c), dy.mul(hx, c)
             lo = dy.add(lo, lx)
             hi = dy.add(hi, hx)
         p = n + 2
@@ -192,9 +207,9 @@ def sum_cuts(xs) -> CutReal:
             tag = None
             break
     else:
-        tag = first._tag
+        tag = live[0]._tag
         try:
-            for x in rest:
+            for x in live[1:]:
                 tag = dy.add(tag, x._tag)
         except SizeLimit:
             tag = None

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from settower import dyadic as dy
-from settower.cli import _FUNCTIONS, _apply_bin, _apply_call, _tokenize
+from settower.cli import _FUNCTIONS, _apply_bin, _apply_call
 from settower.errors import (
     CarrierMismatch,
     EmptyBlock,
@@ -1093,13 +1093,56 @@ def formula_max(x, y):
 # ---------------------------------------------------------------- cli
 
 
+_KEYWORDS = {"let", "in"}
+_OP_CHARS = set("+-*/^(),=")
+
+
+def tokenize_by_char(text: str):
+    """The CLI's tokenizer before it bound its hot names and tested
+    operators and whitespace first: one character class test after another,
+    with len(text) read at every step.  The reference for cli._tokenize."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdigit():
+                j += 1
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(("kw" if word in _KEYWORDS else "name", word, i))
+            i = j
+            continue
+        if ch in _OP_CHARS:
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
 class BinaryDescent:
     """The eval grammar by recursive descent, one method per precedence
     level, each building a left-deep ("bin", op, left, right) tree; a
     prefix minus and a let recurse once per sign and per clause."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize_by_char(text)
         self.pos = 0
 
     def peek(self):
@@ -1224,7 +1267,7 @@ class RunDescent:
     BinaryDescent."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize_by_char(text)
         self.pos = 0
 
     def peek(self):

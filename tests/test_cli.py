@@ -1176,3 +1176,117 @@ class TestParser:
         assert parsed(cli.parse_expr, text) == parsed(
             lambda t: oracles.RunDescent(t).parse(), text
         )
+
+    def test_each_literal_text_is_parsed_once(self, monkeypatch):
+        # One parse_dyadic call per distinct literal text in a parse_expr
+        # call; repeated literals share one node.  A second call parses
+        # again, so nothing is kept between calls.
+        texts = []
+
+        def record(text, parse=dy.parse_dyadic):
+            texts.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(dy, "parse_dyadic", record)
+        tree = cli.parse_expr("inv(3) + 1/3 - 3 * inv(3) + 0.5^3")
+        assert texts == ["3", "1", "0.5"]
+        _, ops, terms = tree
+        assert terms[0][2][0] is terms[1][2][1] is terms[2][2][0] is terms[3][2][1]
+        cli.parse_expr("3 + 3")
+        assert texts[3:] == ["3"]
+
+    def test_a_bad_literal_reports_its_first_position(self):
+        with pytest.raises(ExprSyntaxError) as err:
+            cli.parse_expr("1 + 0.1 + 0.1")
+        assert err.value.position == 4
+
+
+# Characters the tokenizer must class as str methods do: the grammar's own,
+# whitespace that is not ASCII, digits that are not ASCII (which isdigit
+# takes and parse_dyadic refuses, such as the superscript two), letters and
+# numerals that are not ASCII, and junk.
+TOKEN_CHARS = (
+    "0123456789.+-*/^(),= _xvlet"
+    "\t\n\x0b\x0c\r\x1c\x85\xa0 　"
+    "٣१²①\U0001d7d9"
+    "éλǅ½Ⅷ"
+    "@#$%\x00€\U0001f600﻿"
+)
+
+tokenizer_texts = st.one_of(
+    expr_token_strings,
+    st.text(st.sampled_from(TOKEN_CHARS), max_size=30),
+    # Digit runs around a ".", where a number may or may not go on.
+    st.text(st.sampled_from("019.٣²x "), max_size=10),
+    st.text(max_size=30),
+)
+
+
+def tokenized(tokenize, text):
+    """tokenize's tokens for text, or its ExprSyntaxError's message and
+    position."""
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as exc:
+        return exc.message, exc.position
+
+
+class TestTokenizer:
+    """cli._tokenize against tokenize_by_char, the loop it replaced: the
+    same tokens and positions, or the same error at the same position."""
+
+    @given(tokenizer_texts)
+    @settings(max_examples=1500)
+    def test_tokens_match_the_character_loop(self, text):
+        assert tokenized(cli._tokenize, text) == tokenized(oracles.tokenize_by_char, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5", "1.", "1..5", ".5", "1.5.5", "x1.5", "_a1", "²", "1²", "٣.5",
+         "1.٣", "1.²", "let in letin", "a½", "½", "    ", "", "1\x85+2"],
+    )
+    def test_edges_match_the_character_loop(self, text):
+        assert tokenized(cli._tokenize, text) == tokenized(oracles.tokenize_by_char, text)
+
+    @pytest.mark.parametrize("text", ["²", "1٣", "٣.5"])
+    def test_non_ascii_digits_reach_the_literal_parser(self, text):
+        assert cli._tokenize(text)[0] == ("num", text, 0)
+        with pytest.raises(ExprSyntaxError) as err:
+            cli.parse_expr(text)
+        assert err.value.position == 0
+
+
+class TestRepeatedDivisors:
+    def test_share_one_real(self, monkeypatch):
+        # Every inv(d) with one exact divisor d is one value per evaluation,
+        # inv(-d) is its negation over the same leaf, and x / d multiplies
+        # x by that value.
+        runs = []
+
+        def record(xs, build=reals.real_sum):
+            xs = list(xs)
+            runs.append(xs)
+            return build(xs)
+
+        monkeypatch.setattr(reals, "real_sum", record)
+        products = []
+
+        def multiply(x, y, build=reals.real_mul):
+            products.append((x, y))
+            return build(x, y)
+
+        monkeypatch.setattr(reals, "real_mul", multiply)
+        cli.evaluate("inv(3) + inv(5) + inv(3) + 2/3 + inv(-3) + inv(3)", 30)
+        (terms,) = runs
+        third = terms[0]
+        assert terms[2] is third and terms[5] is third and terms[1] is not third
+        assert products[0][1] is third
+        assert terms[4].neg is third.pos and terms[4].pos is reals.ZERO_CUT
+
+    def test_exact_reciprocals_are_dyadics(self):
+        leaves = {}
+        assert cli._invert(make(4, 0), 30, leaves) == make(1, 2)
+        assert cli._invert(make(4, 0, -1), 30, leaves) == make(1, 2, -1)
+        assert set(leaves) == {make(4, 0), make(4, 0, -1)}
+        with pytest.raises(SettowerError, match="division by exact zero"):
+            cli._invert(dy.ZERO, 30, leaves)

@@ -156,6 +156,37 @@ class TestKernelAgainstReferences:
             assert oracles.triple(got) == want
             assert oracles.to_fraction(got) == value
 
+    @given(long_dyadics, long_dyadics, st.integers(0, 3), st.integers(0, 300))
+    def test_results_are_what_make_builds(self, d, e, m, p):
+        """Every result of the arithmetic is make of the same value: the
+        same sign, numerator and exponent, with an int numerator."""
+
+        def made(fr):
+            return make(abs(fr.numerator), fr.denominator.bit_length() - 1, (fr > 0) - (fr < 0))
+
+        fd, fe = oracles.to_fraction(d), oracles.to_fraction(e)
+        results = [
+            (dy.add(d, e), fd + fe),
+            (dy.sub(d, e), fd - fe),
+            (dy.mul(d, e), fd * fe),
+            (dy.dy_pow(d, m), fd**m),
+        ]
+        if e.sign > 0:
+            results += [
+                (dy.div_floor(d, e, p), Fraction(math.floor(fd / fe * 2**p), 2**p)),
+                (dy.div_ceil(d, e, p), Fraction(math.ceil(fd / fe * 2**p), 2**p)),
+            ]
+        if e.sign:
+            q = dy.exact_div(d, e)
+            if q is not None:
+                results.append((q, fd / fe))
+        if fd < fe:
+            results.append((dy.between(d, e), None))
+        for got, value in results:
+            assert type(got._num) is int and type(got._exp) is int
+            want = made(oracles.to_fraction(got) if value is None else value)
+            assert (got._num, got._exp) == (want._num, want._exp)
+
     @given(long_dyadics, long_dyadics)
     def test_compare(self, d, e):
         fd, fe = oracles.to_fraction(d), oracles.to_fraction(e)

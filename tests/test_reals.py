@@ -232,6 +232,58 @@ class TestSumCuts:
             elif live:
                 assert node.query(n) == oracles.generic_sum_cuts(live).query(n), n
 
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    @example([0, 0, 0], 0)
+    @example([1, 0, 1, 1], 0)
+    @example([1], 1)
+    def test_repeated_operands_match_the_sequential_fold(self, picks, zeros):
+        # Operands drawn by index from a pool, so a cut repeats by identity;
+        # the pool holds ZERO_CUT, a tagged leaf, untagged leaves and an
+        # untagged inner node.  generic_sum_cuts queries every operand in
+        # turn, repeats included, and adds the endpoints one by one.
+        pool = [
+            ZERO_CUT,
+            reals.reciprocal(make(3, 0)),
+            from_dyadic(make(5, 3)),
+            reals.reciprocal(make(7, 0)),
+            inv3(),
+            mul(reals.reciprocal(make(5, 0)), inv3()),
+        ]
+        xs = [pool[i] for i in picks] + [ZERO_CUT] * zeros
+        live = [x for x in xs if x is not ZERO_CUT]
+        node = reals.sum_cuts(xs)
+        if not live:
+            assert node is ZERO_CUT
+            return
+        reference = reals._shift(live[0]) if len(live) == 1 else oracles.generic_sum_cuts(live)
+        assert node.tag == reference.tag
+        for n in range(61):
+            assert node.query(n) == reference.query(n), n
+
+    @pytest.mark.parametrize("k,d", [(2, 1), (10, 3), (1000, 11), (17, 17)])
+    def test_each_distinct_operand_is_queried_once_per_precision(self, k, d):
+        class Counting(CutReal):
+            def __init__(self, value):
+                super().__init__(reals.reciprocal(make(value, 0)).query)
+                self.asked = []
+
+            def query(self, n):
+                self.asked.append(n)
+                return super().query(n)
+
+        leaves = [Counting(2 * j + 3) for j in range(d)]
+        node = reals.sum_cuts([leaves[i % d] for i in range(k)])
+        guard = (k - 1).bit_length() + 1
+        precisions = [0, 5, 30, 5, 61]
+        for n in precisions:
+            node.query(n)
+        # The node's memo answers the repeated 5 without a query.
+        for leaf in leaves:
+            assert leaf.asked == [n + guard for n in (0, 5, 30, 61)]
+        total = sum(Fraction(k // d + (j < k % d), 2 * j + 3) for j in range(d))
+        assert oracles.cut_brackets(node, total, 61)
+
     def test_tag_waits_for_every_operand(self):
         # An untagged operand leaves the sum untagged, wherever it stands,
         # so the exact sum of the others is never built: 1 + (1/2)^(2^40)
