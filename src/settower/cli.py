@@ -46,7 +46,9 @@ from .errors import (
     SettowerError,
     SizeLimit,
 )
-from .naturals import _read_decimal, _write_decimal, pair, parse_nat, unpair
+from .naturals import (
+    _read_decimal, _write_decimal, pair, parse_nat, square_and_multiply, unpair
+)
 from .relations import classify, extremal, parse_relation
 
 PRECISION_CAP = 200
@@ -362,7 +364,7 @@ def _apply_bin(sym, a, b, prec: int, leaves: dict):
             return dy.dy_pow(a, m)
         if m == 0:
             return dy.ONE
-        return re.square_and_multiply(a, m, re.real_mul)
+        return square_and_multiply(a, m, re.real_mul)
     raise AssertionError(f"unknown operator {sym!r}")
 
 

@@ -12,9 +12,10 @@ so exact_div answers every quotient that is itself a binary fraction.
 div_floor and div_ceil by a divisor of numerator 1, such as the ONE by
 which reals rounds onto a query grid, do not divide at all.
 
-POW_BIT_LIMIT bounds what that work may allocate.  dy_pow refuses a power
-whose mantissa would pass it, and every left shift of a nonzero numerator
-by more than it goes through _shl, which refuses it; both end in SizeLimit
+POW_BIT_LIMIT bounds what that work may allocate.  mul refuses a product
+and dy_pow a power whose mantissa would pass it, by one measure, so d * d
+is refused exactly when d^2 is; and every left shift of a nonzero numerator
+by more than it goes through _shl, which refuses it; all end in SizeLimit
 before that number is built.  So add, sub, exact_div, div_floor, div_ceil
 and between refuse operands whose exponents lie too far apart, and
 format_decimal refuses an exponent past it.  compare, and so dy_max and
@@ -183,6 +184,10 @@ def sub(d: Dyadic, e: Dyadic) -> Dyadic:
 
 
 def mul(d: Dyadic, e: Dyadic) -> Dyadic:
+    """d * e, refused with SizeLimit before it is built when
+    (bits(d) - 1) + (bits(e) - 1), dy_pow's measure, passes POW_BIT_LIMIT."""
+    if d._num.bit_length() + e._num.bit_length() - 2 > POW_BIT_LIMIT:
+        raise _too_wide("product")
     return _signed(d._num * e._num, d._exp + e._exp)
 
 

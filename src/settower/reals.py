@@ -10,6 +10,15 @@ tag so arithmetic can stay exact along dyadic-only paths.  A node reads
 its operands only through query, so a query costs two frames, query and
 the node's oracle, per node on its path.
 
+Tags follow one rule, kept in _tag: a node's tag is its dyadic operation
+folded over its operands' tags (dy.add for sum_cuts, dy.mul for mul,
+dy.dy_max for sup_finite, dy.sub for _posdiff, clamped at 0, and for
+canonicalize), and None when an operand has no tag or the operation
+refuses the result with SizeLimit.  So a tag obeys dyadic's POW_BIT_LIMIT
+like every exact result, and a node with no tag answers by intervals
+alone, however large its operands' tags or however far apart.  Leaves
+carry their own tags, and inverse of a tagged operand is a leaf.
+
 Guard-bit policy (normative for interoperability):
   * sum_cuts is the one addition node.  ZERO_CUT operands are skipped
     and not counted; with none left the sum is ZERO_CUT, and with one left
@@ -145,6 +154,22 @@ def from_dyadic(d: dy.Dyadic) -> CutReal:
     return ZERO_CUT if d.sign == 0 else _leaf(d, dy.ONE, d)
 
 
+def _tag(op, xs):
+    # The exact value of a node over a list or tuple of operands: op folded
+    # left to right over their tags.  None at the first operand with no
+    # tag, or when op refuses the result with SizeLimit.
+    tag = None
+    try:
+        for x in xs:
+            t = x._tag
+            if t is None:
+                return None
+            tag = t if tag is None else op(tag, t)
+    except SizeLimit:
+        return None
+    return tag
+
+
 def _shift(y: CutReal) -> CutReal:
     # The node y + 0 or y - 0: y queried one bit deeper, with y's tag.
     if y is ZERO_CUT:
@@ -202,18 +227,7 @@ def sum_cuts(xs) -> CutReal:
         p = n + 2
         return dy.div_floor(lo, dy.ONE, p), dy.div_ceil(hi, dy.ONE, p)
 
-    for x in live:
-        if x._tag is None:
-            tag = None
-            break
-    else:
-        tag = live[0]._tag
-        try:
-            for x in live[1:]:
-                tag = dy.add(tag, x._tag)
-        except SizeLimit:
-            tag = None
-    return CutReal(fn, tag=tag)
+    return CutReal(fn, _tag(dy.add, live))
 
 
 def add(x: CutReal, y: CutReal) -> CutReal:
@@ -245,10 +259,7 @@ def mul(x: CutReal, y: CutReal) -> CutReal:
             dy.div_ceil(dy.mul(hx, hy), dy.ONE, p),
         )
 
-    tag = None
-    if x.tag is not None and y.tag is not None:
-        tag = dy.mul(x.tag, y.tag)
-    return CutReal(fn, tag=tag)
+    return CutReal(fn, _tag(dy.mul, (x, y)))
 
 
 class Comparison:
@@ -312,13 +323,7 @@ def sup_finite(xs) -> CutReal:
             hi = dy.dy_max(hi, phi)
         return lo, hi
 
-    tag = None
-    tags = [x.tag for x in xs]
-    if all(t is not None for t in tags):
-        tag = tags[0]
-        for t in tags[1:]:
-            tag = dy.dy_max(tag, t)
-    return CutReal(fn, tag=tag)
+    return CutReal(fn, _tag(dy.dy_max, xs))
 
 
 def reciprocal(d: dy.Dyadic) -> CutReal:
@@ -346,8 +351,8 @@ def inverse(x: CutReal, n0: int) -> CutReal:
             f"lower endpoint at precision {n0} is {lo0}, not positive"
         )
 
-    if x.tag is not None:
-        return reciprocal(x.tag)
+    if x._tag is not None:
+        return reciprocal(x._tag)
 
     # 2^(-e) <= lo0, so every deeper query keeps the value >= 2^(-e).
     e = max(0, lo0.exp - lo0.man.bit_length() + 1)
@@ -466,10 +471,8 @@ def _posdiff(a: CutReal, b: CutReal) -> CutReal:
         hi = dy.dy_max(dy.ZERO, dy.sub(ha, lb))
         return lo, hi
 
-    tag = None
-    if a.tag is not None and b.tag is not None:
-        tag = dy.dy_max(dy.ZERO, dy.sub(a.tag, b.tag))
-    return CutReal(fn, tag=tag)
+    tag = _tag(dy.sub, (a, b))
+    return CutReal(fn, dy.ZERO if tag is not None and tag.sign < 0 else tag)
 
 
 def canonicalize(x: Real) -> Real:
@@ -479,8 +482,9 @@ def canonicalize(x: Real) -> Real:
     endpoint, so the other stays within the interval [0, 2^(-n)]: the
     finite-precision reading of reducing ⟨pos, neg⟩ to ⟨pos - neg, 0⟩.
     """
-    if x.pos.tag is not None and x.neg.tag is not None:
-        return real_from_dyadic(dy.sub(x.pos.tag, x.neg.tag))
+    tag = _tag(dy.sub, (x.pos, x.neg))
+    if tag is not None:
+        return real_from_dyadic(tag)
     return Real(_posdiff(x.pos, x.neg), _posdiff(x.neg, x.pos))
 
 

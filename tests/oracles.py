@@ -1072,6 +1072,54 @@ GENERIC_NODES = {
 }
 
 
+# The five tag blocks that sum_cuts, mul, sup_finite, _posdiff and
+# canonicalize each wrote out before reals._tag replaced them, as functions
+# of the operands' tags: the reference for that helper wherever the tags
+# stay small.  Only the sum's block caught SizeLimit.
+
+
+def sum_cuts_tag(tags):
+    if any(t is None for t in tags):
+        return None
+    tag = tags[0]
+    try:
+        for t in tags[1:]:
+            tag = dy.add(tag, t)
+    except SizeLimit:
+        return None
+    return tag
+
+
+def mul_tag(x, y):
+    if x is None or y is None:
+        return None
+    return dy.mul(x, y)
+
+
+def sup_finite_tag(tags):
+    if any(t is None for t in tags):
+        return None
+    tag = tags[0]
+    for t in tags[1:]:
+        tag = dy.dy_max(tag, t)
+    return tag
+
+
+def posdiff_tag(a, b):
+    if a is None or b is None:
+        return None
+    return dy.dy_max(dy.ZERO, dy.sub(a, b))
+
+
+def canonicalize_tags(pos, neg):
+    """The tags of canonicalize's (pos, neg) pair: the exact difference on
+    one side and zero on the other, or the tags of its two _posdiff nodes."""
+    if pos is not None and neg is not None:
+        d = dy.sub(pos, neg)
+        return (d, dy.ZERO) if d.sign >= 0 else (dy.ZERO, dy.neg(d))
+    return posdiff_tag(pos, neg), posdiff_tag(neg, pos)
+
+
 def add_fold(xs):
     """A sum of cuts as the left fold of generic_add, the binary add with
     which the CLI summed a run of + before reals.sum_cuts: the reference

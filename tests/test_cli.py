@@ -379,6 +379,41 @@ class TestPowerSizeGuard:
         assert_no_traceback_in_a_process(["eval", expr])
 
 
+def squaring_chain(levels):
+    """let a0 = 3 in let a1 = a0*a0 in ... in aL - aL: aL is 3^(2^L)."""
+    lets = "".join(f"let a{i} = a{i - 1}*a{i - 1} in " for i in range(1, levels + 1))
+    return f"let a0 = 3 in {lets}a{levels} - a{levels}"
+
+
+class TestProductSizeGuard:
+    """An exact product obeys the power's size limit: x * x is refused
+    exactly when x^2 is, before it is built."""
+
+    def test_the_squaring_chain_ends_at_the_limit(self, capsys):
+        assert run_cli(["eval", squaring_chain(19)], capsys) == (0, "0\n", "")
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", squaring_chain(20)], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (1, "")
+        assert err == f"error: product needs more than {dy.POW_BIT_LIMIT} mantissa bits\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cmp", "3^(2^19) * 3^(2^19)", "1"],
+            ["eval", "let a = 3^(2^19) in a*a - a*a"],
+            ["eval", "3^(2^19) * inv(3)"],
+        ],
+    )
+    def test_products_past_the_limit_exit_one(self, argv, capsys):
+        assert run_cli(argv, capsys) == (
+            1, "", f"error: product needs more than {dy.POW_BIT_LIMIT} mantissa bits\n"
+        )
+
+    def test_no_traceback_in_a_process(self):
+        assert_no_traceback_in_a_process(["eval", squaring_chain(20)])
+
+
 class TestFarApartExponents:
     """Exact values whose exponents lie more than 2^20 apart: comparisons
     answer, and a sum, quotient or reciprocal that would shift a mantissa

@@ -404,6 +404,31 @@ class TestArithmetic:
         with pytest.raises(SizeLimit):
             dy.dy_pow(make(3, 7, -1), 2**40)
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_a_square_is_refused_exactly_when_the_power_is(self, sign, extra):
+        # Both measure (bits - 1) * 2: mantissas of LIMIT/2 + 1 bits square
+        # within the limit, and one bit more is refused.
+        bits = LIMIT // 2 + 1 + extra
+        for man in ((1 << (bits - 1)) | 1, (1 << bits) - 1):
+            x = make(man, 3, sign)
+            want = outcome(dy.dy_pow, x, 2)
+            assert (want is SizeLimit) == (extra > 0)
+            assert outcome(dy.mul, x, x) == want
+            if want is SizeLimit:
+                with pytest.raises(SizeLimit, match=f"^product needs more than {LIMIT} mantissa bits$"):
+                    x * x
+
+    @given(small_grid, small_grid)
+    def test_products_obey_the_power_measure(self, d, e):
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            got = outcome(dy.mul, d, e)
+            assert outcome(dy.mul, d, d) == outcome(dy.dy_pow, d, 2)
+        if d.man.bit_length() + e.man.bit_length() - 2 > SMALL_LIMIT:
+            assert got is SizeLimit
+        else:
+            assert oracles.to_fraction(got) == oracles.to_fraction(d) * oracles.to_fraction(e)
+
     def test_pow_of_a_unit_mantissa_is_never_refused(self):
         assert dy.dy_pow(HALF, 2**40) == make(1, 2**40)
         assert dy.dy_pow(make(1, 0, -1), 2**40) == ONE

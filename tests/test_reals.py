@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from settower.errors import (
     NegativeInput,
     NotANatural,
     NotBoundedAwayFromZero,
+    SizeLimit,
 )
 from settower.reals import (
     Comparison,
@@ -285,9 +287,9 @@ class TestSumCuts:
         assert oracles.cut_brackets(node, total, 61)
 
     def test_tag_waits_for_every_operand(self):
-        # An untagged operand leaves the sum untagged, wherever it stands,
-        # so the exact sum of the others is never built: 1 + (1/2)^(2^40)
-        # would need 2^40 mantissa bits.
+        # An untagged operand leaves the sum untagged, wherever it stands.
+        # The tag fold stops there, and 1 + (1/2)^(2^40), which would need
+        # 2^40 mantissa bits, is refused before it is built.
         tiny, third = from_dyadic(make(1, 2**40)), reals.reciprocal(make(3, 0))
         for xs in ([tiny, ONE_CUT, third], [third, tiny, ONE_CUT]):
             node = reals.sum_cuts(xs)
@@ -921,6 +923,112 @@ class TestReciprocalLeaf:
     def test_rejects_non_positive(self, d):
         with pytest.raises(NotBoundedAwayFromZero, match="reciprocal needs d > 0"):
             reals.reciprocal(d)
+
+
+# Leaves for the tag-rule DAGs: small tagged values and untagged cuts, and
+# no ZERO_CUT, whose folds may tag a node that the old blocks left untagged.
+TAG_LEAVES = (
+    lambda: from_dyadic(HALF),
+    lambda: from_dyadic(ONE),
+    lambda: from_dyadic(make(3, 2)),
+    lambda: from_dyadic(make(5, 3)),
+    inv3,
+    lambda: CutReal(from_dyadic(make(3, 2)).query),
+)
+# Each node constructor over two operands, and the old block that tagged
+# it, as a function of the operands' tags.
+TAG_NODES = {
+    "sum": (lambda a, b: reals.sum_cuts([a, b, a]),
+            lambda a, b: oracles.sum_cuts_tag([a, b, a])),
+    "mul": (mul, oracles.mul_tag),
+    "sup": (lambda a, b: sup_finite([a, b, a]),
+            lambda a, b: oracles.sup_finite_tag([a, b, a])),
+    "posdiff": (reals._posdiff, oracles.posdiff_tag),
+    "abs": (lambda a, b: real_abs(Real(a, b)),
+            lambda a, b: oracles.sup_finite_tag(
+                [oracles.posdiff_tag(a, b), oracles.posdiff_tag(b, a)])),
+}
+
+
+def _brackets_just_below_one(lo, hi):
+    # The value 1 - 2^(-2^40), for endpoints on grids coarser than 2^(-100):
+    # no such grid point lies strictly between the value and 1.
+    assert lo.exp < 100 and hi.exp < 100
+    return lo < ONE <= hi
+
+
+class TestTagRule:
+    """Every node's tag is its dyadic operation folded over its operands'
+    tags, None when one has no tag or the operation passes the size limit."""
+
+    # 1 and (1/2)^(2^40): their difference would need 2^40 mantissa bits.
+    FAR = (ONE_CUT, from_dyadic(make(1, 2**40)))
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_far_apart_tags_answer_by_intervals(self, flip):
+        one, tiny = self.FAR
+        a, b = (tiny, one) if flip else (one, tiny)
+        pair = Real(a, b)
+        nodes = [real_abs(pair), reals._posdiff(one, tiny), reals._posdiff(tiny, one)]
+        canon = canonicalize(pair)
+        nodes += [canon.pos, canon.neg]
+        assert all(c.tag is None for c in nodes)
+        for c in nodes:
+            oracles.assert_cut_invariants(c, upto=60)
+        for n in range(61):
+            assert _brackets_just_below_one(*nodes[0].query(n))
+            assert _brackets_just_below_one(*nodes[1].query(n))
+            assert nodes[2].query(n)[0] == ZERO
+            lo, hi = real_interval(canon, n)
+            if flip:
+                lo, hi = dy.neg(hi), dy.neg(lo)
+            assert _brackets_just_below_one(lo, hi)
+            width = oracles.to_fraction(hi) - oracles.to_fraction(lo)
+            assert width <= Fraction(2, 2**n)
+
+    def test_tagged_powers_stay_within_the_budget(self):
+        x = from_dyadic(make(3, 2))
+        assert pow_nat(x, 2**16).tag == dy.dy_pow(make(3, 2), 2**16)
+        start = time.perf_counter()
+        big = pow_nat(x, 2**30)
+        assert big.tag is None
+        assert reals.format_interval(big, 30) == "[0, 1/2^32]@30"
+        assert time.perf_counter() - start < 1.0
+        oracles.assert_cut_invariants(big, upto=40)
+
+    def test_a_product_past_the_budget_is_untagged(self):
+        x = from_dyadic(make(3**(2**19), 0))
+        assert mul(x, x).tag is None
+        with pytest.raises(SizeLimit):
+            dy.dy_pow(x.tag, 2)
+
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=len(TAG_LEAVES) - 1),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(TAG_NODES)),
+                st.integers(min_value=0, max_value=99),
+                st.integers(min_value=0, max_value=99),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_helper_matches_the_old_blocks(self, leaves, steps):
+        built = [TAG_LEAVES[i]() for i in leaves]
+        for op, i, j in steps:
+            a, b = built[i % len(built)], built[j % len(built)]
+            node, old = TAG_NODES[op]
+            c = node(a, b)
+            assert c.tag == old(a.tag, b.tag)
+            canon = canonicalize(Real(a, b))
+            assert (canon.pos.tag, canon.neg.tag) == oracles.canonicalize_tags(a.tag, b.tag)
+            built.append(c)
 
 
 def shared_dag():
