@@ -49,7 +49,7 @@ from .errors import (
 from .naturals import (
     _read_decimal, _write_decimal, pair, parse_nat, square_and_multiply, unpair
 )
-from .relations import classify, extremal, parse_relation
+from .relations import _bits, _extremal_masks, classify, parse_relation
 
 PRECISION_CAP = 200
 DEFAULT_PRECISION = 30
@@ -406,13 +406,16 @@ def _check_prec(prec: int) -> int:
     return prec
 
 
-def _emit(out, record, fmt: str, plain: str):
+def _emit(out, fmt: str, *records):
+    """Write (record, plain line) pairs to out in one write, one line each:
+    the record as JSON with sorted keys for json-lines, else the line."""
     if fmt == "json-lines":
         import json
 
-        print(json.dumps(record, sort_keys=True), file=out)
+        lines = [json.dumps(record, sort_keys=True) for record, _ in records]
     else:
-        print(plain, file=out)
+        lines = [plain for _, plain in records]
+    out.write("\n".join(lines) + "\n")
 
 
 def _read_source(arg: str) -> str:
@@ -443,26 +446,17 @@ def _cmd_eval(args, out) -> int:
     value = evaluate(_read_source(args.expr), prec)
     if isinstance(value, dy.Dyadic):
         text = str(value)
-        _emit(
-            out,
-            {"exact": True, "kind": "dyadic", "value": text},
-            args.format,
-            text,
-        )
+        _emit(out, args.format, ({"exact": True, "kind": "dyadic", "value": text}, text))
         return 0
     # One bit deeper, so the printed interval is at most 2^-prec wide.
     lo, hi = (str(end) for end in re.real_interval(value, prec + 1))
     _emit(
         out,
-        {
-            "exact": False,
-            "hi": hi,
-            "kind": "interval",
-            "lo": lo,
-            "precision": prec,
-        },
         args.format,
-        f"[{lo}, {hi}]@{prec}",
+        (
+            {"exact": False, "hi": hi, "kind": "interval", "lo": lo, "precision": prec},
+            f"[{lo}, {hi}]@{prec}",
+        ),
     )
     return 0
 
@@ -477,32 +471,31 @@ def _cmd_cmp(args, out) -> int:
     else:
         side = re.real_compare_eps(_as_real(a), _as_real(b), prec)
         word = side.value
-    _emit(out, {"kind": "comparison", "result": word}, args.format, word)
+    _emit(out, args.format, ({"kind": "comparison", "result": word}, word))
     return 2 if word == "indistinguishable" else 0
 
 
 def _cmd_relcheck(args, out) -> int:
+    """The fifteen classify flags, then the minima, maxima, weak minima and
+    weak maxima of the whole carrier, each listed in carrier order from its
+    mask's bits; the report is written at once."""
     rel = parse_relation(_read_text(args.path))
-    report = classify(rel)
-    for name, value in report.as_dict().items():
+    records = []
+    for name, value in classify(rel).as_dict().items():
         shown = name.replace("_", "-")
-        _emit(
-            out,
-            {"kind": "property", "name": shown, "value": value},
-            args.format,
-            f"{shown}: {'yes' if value else 'no'}",
+        records.append(
+            ({"kind": "property", "name": shown, "value": value},
+             f"{shown}: {'yes' if value else 'no'}")
         )
-    ext = extremal(rel, rel.carrier.atoms)
-    for label in ("minima", "maxima", "weak_minima", "weak_maxima"):
-        atoms = getattr(ext, label)
-        ordered = [a for a in rel.carrier if a in atoms]
-        shown = label.replace("_", "-")
-        _emit(
-            out,
-            {"atoms": ordered, "kind": "extremal", "name": shown},
-            args.format,
-            f"{shown}: {' '.join(ordered) if ordered else '(none)'}",
+    atoms = rel.carrier.atoms
+    masks = _extremal_masks(rel, (1 << len(atoms)) - 1)
+    for shown, mask in zip(("minima", "maxima", "weak-minima", "weak-maxima"), masks):
+        listed = [atoms[j] for j in _bits(mask)]
+        records.append(
+            ({"atoms": listed, "kind": "extremal", "name": shown},
+             f"{shown}: {' '.join(listed) if listed else '(none)'}")
         )
+    _emit(out, args.format, *records)
     return 0
 
 
@@ -515,31 +508,16 @@ def _cmd_enum(args, out) -> int:
         p, q = parse_nat(args.first), parse_nat(args.second)
         value = pair(p, q)
         text = _write_decimal(value)
-        _emit(
-            out,
-            {"kind": "pair", "p": p, "q": q, "value": value},
-            args.format,
-            text,
-        )
+        _emit(out, args.format, ({"kind": "pair", "p": p, "q": q, "value": value}, text))
         return 0
     if args.what == "unpair":
         r = parse_nat(args.first)
         p, q = unpair(r)
-        _emit(
-            out,
-            {"kind": "unpair", "p": p, "q": q, "value": r},
-            args.format,
-            f"{p} {q}",
-        )
+        _emit(out, args.format, ({"kind": "unpair", "p": p, "q": q, "value": r}, f"{p} {q}"))
         return 0
     index = parse_nat(args.first)
     text = str(enum_dyadics().forward(index))
-    _emit(
-        out,
-        {"index": index, "kind": "dyadic", "value": text},
-        args.format,
-        text,
-    )
+    _emit(out, args.format, ({"index": index, "kind": "dyadic", "value": text}, text))
     return 0
 
 

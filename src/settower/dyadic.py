@@ -18,9 +18,13 @@ is refused exactly when d^2 is; and every left shift of a nonzero numerator
 by more than it goes through _shl, which refuses it; all end in SizeLimit
 before that number is built.  So add, sub, exact_div, div_floor, div_ceil
 and between refuse operands whose exponents lie too far apart, and
-format_decimal refuses an exponent past it.  compare, and so dy_max and
-dy_min, shift only down and answer at any distance, as do div_floor and
-div_ceil when the result's grid is the coarser one.
+format_decimal refuses an exponent past it.  add and sub also refuse a
+result whose mantissa passes the limit by mul's measure, so a sum is
+refused exactly when that sum times 1 would be; a sum is built before it is
+measured, but it holds at most one bit more than its larger operand shifted
+by at most POW_BIT_LIMIT.  compare, and so dy_max and dy_min, shift only
+down and answer at any distance, as do div_floor and div_ceil when the
+result's grid is the coarser one.
 """
 
 from __future__ import annotations
@@ -166,11 +170,18 @@ def compare(d: Dyadic, e: Dyadic) -> int:
 
 
 def add(d: Dyadic, e: Dyadic) -> Dyadic:
+    """d + e, refused with SizeLimit when the canonical result's mantissa
+    measures bits - 1 > POW_BIT_LIMIT, mul's measure, so x + 0 is refused
+    exactly when x * 1 is."""
     # On the common grid 2^(-max(u, v)): only the coarser operand shifts.
     shift = d._exp - e._exp
     if shift >= 0:
-        return _signed(d._num + _shl(e._num, shift, "sum"), d._exp)
-    return _signed(_shl(d._num, -shift, "sum") + e._num, e._exp)
+        total = _signed(d._num + _shl(e._num, shift, "sum"), d._exp)
+    else:
+        total = _signed(_shl(d._num, -shift, "sum") + e._num, e._exp)
+    if total._num.bit_length() - 1 > POW_BIT_LIMIT:
+        raise _too_wide("sum")
+    return total
 
 
 def neg(d: Dyadic) -> Dyadic:

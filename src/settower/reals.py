@@ -128,12 +128,16 @@ def _leaf(a: dy.Dyadic, b: dy.Dyadic, tag) -> CutReal:
     # a/b itself when it is a binary fraction, else None.  At precision n,
     # hi is a/b rounded up onto the 2^(-n-1) grid and lo is one grid step
     # below it, clamped at 0.  Off the grid that step down is the floor; on
-    # it hi is the tag itself, so nothing is divided.
+    # it hi is the tag itself, so nothing is divided, and where the step
+    # down would pass dyadic's size budget the tag is both endpoints.
     def fn(n):
         p = n + 1
         if tag is None or tag.exp > p:
             return dy.div_floor(a, b, p), dy.div_ceil(a, b, p)
-        lo = dy.sub(tag, dy.make(1, p))
+        try:
+            lo = dy.sub(tag, dy.make(1, p))
+        except SizeLimit:
+            return tag, tag
         return (dy.ZERO if lo.sign < 0 else lo), tag
 
     return CutReal(fn, tag)

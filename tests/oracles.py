@@ -5,6 +5,7 @@ possible loops: no code is shared with the library's algorithms, so an
 agreement between the two is evidence, not tautology.
 """
 
+import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -24,6 +25,7 @@ from settower.errors import (
     NotOrdering,
     NotPreordering,
     ParseError,
+    SettowerError,
     SizeLimit,
     UnknownAtom,
 )
@@ -240,6 +242,36 @@ def extremal_oracle(atoms, pairs, subset):
         "suprema": minima_in(upper),
         "infima": maxima_in(lower),
     }
+
+
+def relcheck_report(text, fmt):
+    """relcheck's exit status, stdout and stderr for the relation file text
+    in format fmt, rendered from the public parse_relation, classify and
+    extremal as relcheck printed them before it read the four masks alone:
+    each extremal set listed by a rescan of the carrier."""
+    try:
+        r = relations.parse_relation(text)
+    except SettowerError as exc:
+        return 1, "", f"error: {exc}\n"
+    out = []
+    for name, value in relations.classify(r).as_dict().items():
+        shown = name.replace("_", "-")
+        if fmt == "json-lines":
+            record = {"kind": "property", "name": shown, "value": value}
+            out.append(json.dumps(record, sort_keys=True))
+        else:
+            out.append(f"{shown}: {'yes' if value else 'no'}")
+    ext = relations.extremal(r, r.carrier.atoms)
+    for label in ("minima", "maxima", "weak_minima", "weak_maxima"):
+        found = getattr(ext, label)
+        ordered = [a for a in r.carrier if a in found]
+        shown = label.replace("_", "-")
+        if fmt == "json-lines":
+            record = {"atoms": ordered, "kind": "extremal", "name": shown}
+            out.append(json.dumps(record, sort_keys=True))
+        else:
+            out.append(f"{shown}: {' '.join(ordered) if ordered else '(none)'}")
+    return 0, "".join(line + "\n" for line in out), ""
 
 
 def all_pairsets(atoms):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from console_checks import squaring_chain
 from settower import cli
 from settower import dyadic as dy
 from settower import reals
@@ -379,12 +380,6 @@ class TestPowerSizeGuard:
         assert_no_traceback_in_a_process(["eval", expr])
 
 
-def squaring_chain(levels):
-    """let a0 = 3 in let a1 = a0*a0 in ... in aL - aL: aL is 3^(2^L)."""
-    lets = "".join(f"let a{i} = a{i - 1}*a{i - 1} in " for i in range(1, levels + 1))
-    return f"let a0 = 3 in {lets}a{levels} - a{levels}"
-
-
 class TestProductSizeGuard:
     """An exact product obeys the power's size limit: x * x is refused
     exactly when x^2 is, before it is built."""
@@ -412,6 +407,14 @@ class TestProductSizeGuard:
 
     def test_no_traceback_in_a_process(self):
         assert_no_traceback_in_a_process(["eval", squaring_chain(20)])
+
+    def test_a_sum_and_that_sum_times_one_agree(self, capsys):
+        # The sum's mantissa holds about 2^20 + 830,000 bits.
+        total = "3^(2^19) + (1/2)^(2^20)"
+        refused = (1, "", f"error: sum needs more than {dy.POW_BIT_LIMIT} mantissa bits\n")
+        assert run_cli(["cmp", total, "1"], capsys) == refused
+        assert run_cli(["cmp", f"({total}) * 1", "1"], capsys) == refused
+        assert run_cli(["cmp", "3^(2^19) + 1", "1"], capsys) == (0, "greater\n", "")
 
 
 class TestFarApartExponents:
@@ -766,6 +769,85 @@ class TestRelcheckCommand:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(["relcheck", str(tmp_path / "nope.txt")], capsys)
         assert code == 1 and err.startswith("error:")
+
+
+RELATION_KINDS = ("chain", "poset", "preorder", "equivalence", "sparse", "empty")
+
+
+def relation_file(rng, n, kind):
+    """A relation file on n atoms of one kind, its carrier in a shuffled
+    order, with comments and blank lines now and then."""
+    atoms = [f"r{i}" for i in rng.sample(range(10 * n), n)]
+    order = rng.sample(atoms, n)
+    weak = rng.random() < 0.5
+    blocks = [order[k::max(1, n // 3)] for k in range(max(1, n // 3))]
+    if kind == "chain":
+        pairs = [(x, y) for i, x in enumerate(order) for y in order[i + (not weak):]]
+    elif kind == "poset":
+        edges = [(x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < 2 / n]
+        pairs = sorted(oracles.closure_oracle(atoms, edges)) + [(x, x) for x in atoms if weak]
+    elif kind == "preorder":
+        pairs = [(x, y) for i, b in enumerate(blocks) for c in blocks[i:] for x in b for y in c]
+    elif kind == "equivalence":
+        pairs = [(x, y) for b in blocks for x in b for y in b]
+    elif kind == "sparse":
+        pairs = [(rng.choice(atoms), rng.choice(atoms)) for _ in range(n + n // 2)]
+    else:
+        pairs = []
+    lines = ["carrier: " + " ".join(atoms)] + [f"{x} {y}" for x, y in pairs]
+    if rng.random() < 0.3:
+        lines.insert(rng.randrange(len(lines) + 1), "")
+        lines.insert(rng.randrange(1, len(lines) + 1), "# a comment")
+        lines[-1] += "  # trailing"
+    return "\n".join(lines) + "\n"
+
+
+class TestRelcheckReport:
+    """relcheck's exit status and output are byte-identical to
+    oracles.relcheck_report, which renders the public classify and
+    extremal."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "json-lines"])
+    @pytest.mark.parametrize("kind", RELATION_KINDS)
+    def test_matches_the_public_functions(self, kind, fmt, tmp_path, capsys):
+        rng = random.Random(f"{kind}:{fmt}")
+        path = tmp_path / "rel.txt"
+        for n in (1, 2, 3, 5, 8, 13, 40, 41, 64, 97, 150):
+            text = relation_file(rng, n, kind)
+            path.write_text(text)
+            got = run_cli(["relcheck", str(path), "--format", fmt], capsys)
+            assert got == oracles.relcheck_report(text, fmt), (kind, n)
+
+    @pytest.mark.parametrize("fmt", ["plain", "json-lines"])
+    def test_stdin_and_errors_match(self, fmt, capsys, monkeypatch):
+        rng = random.Random(fmt)
+        texts = [relation_file(rng, n, "poset") for n in (1, 150)] + [
+            "a b\n",
+            "carrier: a b\na c\n",
+            "carrier: a b\na b b\n",
+            "carrier: a a\n",
+        ]
+        for text in texts:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            got = run_cli(["relcheck", "-", "--format", fmt], capsys)
+            assert got == oracles.relcheck_report(text, fmt), text
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_relations_match(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        n = data.draw(st.integers(1, 7))
+        kind = data.draw(st.sampled_from(RELATION_KINDS))
+        fmt = data.draw(st.sampled_from(["plain", "json-lines"]))
+        text = relation_file(rng, n, kind)
+        out, err = io.StringIO(), io.StringIO()
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["relcheck", "-", "--format", fmt])
+        finally:
+            sys.stdin = stdin
+        assert (code, out.getvalue(), err.getvalue()) == oracles.relcheck_report(text, fmt)
 
 
 @pytest.mark.parametrize(

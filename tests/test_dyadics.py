@@ -429,6 +429,36 @@ class TestArithmetic:
         else:
             assert oracles.to_fraction(got) == oracles.to_fraction(d) * oracles.to_fraction(e)
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_a_sum_is_refused_exactly_when_that_sum_times_one_is(self, sign, extra):
+        # Both measure bits - 1: a mantissa of LIMIT + 1 bits answers, and
+        # one bit more is refused.
+        bits = LIMIT + 1 + extra
+        for man in ((1 << (bits - 1)) | 1, (1 << bits) - 1):
+            x = make(man, 3, sign)
+            want = outcome(dy.mul, x, ONE)
+            assert (want is SizeLimit) == (extra > 0)
+            assert outcome(dy.add, x, ZERO) == outcome(dy.sub, ZERO, dy.neg(x)) == want
+            if want is SizeLimit:
+                message = f"^sum needs more than {LIMIT} mantissa bits$"
+                with pytest.raises(SizeLimit, match=message):
+                    x + ZERO
+
+    @given(small_grid, small_grid)
+    def test_sums_obey_the_product_measure(self, d, e):
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            got = outcome(dy.add, d, e)
+            for x in (d, e):
+                assert outcome(dy.add, x, ZERO) == outcome(dy.mul, x, ONE)
+        total = oracles.to_fraction(d) + oracles.to_fraction(e)
+        coarse = d if d.exp < e.exp else e
+        shifted = abs(d.exp - e.exp) > SMALL_LIMIT and coarse.sign != 0
+        if shifted or abs(total.numerator).bit_length() - 1 > SMALL_LIMIT:
+            assert got is SizeLimit
+        else:
+            assert oracles.to_fraction(got) == total
+
     def test_pow_of_a_unit_mantissa_is_never_refused(self):
         assert dy.dy_pow(HALF, 2**40) == make(1, 2**40)
         assert dy.dy_pow(make(1, 0, -1), 2**40) == ONE

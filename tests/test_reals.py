@@ -964,6 +964,16 @@ class TestTagRule:
     # 1 and (1/2)^(2^40): their difference would need 2^40 mantissa bits.
     FAR = (ONE_CUT, from_dyadic(make(1, 2**40)))
 
+    def test_a_leaf_whose_step_down_passes_the_budget_answers_its_tag(self):
+        # 3^(2^19) has about 830,000 bits; one step of 2^-(2^20 + 1) below
+        # it would need about 1,880,000.
+        tag = dy.dy_pow(make(3, 0), 2**19)
+        x = from_dyadic(tag)
+        lo, hi = x.query(30)
+        assert lo == tag - make(1, 31) and hi == tag
+        assert x.query(dy.POW_BIT_LIMIT) == (tag, tag)
+        assert x.query(30) == (lo, hi)
+
     @pytest.mark.parametrize("flip", [False, True])
     def test_far_apart_tags_answer_by_intervals(self, flip):
         one, tiny = self.FAR

@@ -6,7 +6,7 @@ import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from settower import relations as rel
@@ -1102,6 +1102,85 @@ class TestAgainstPreviousBodies:
         report = rel.classify(r)
         assert report.transitive == oracles.transitive_generator(r._rows)
         assert report.directive == oracles.directive_pair_scan(r._rows)
+
+
+def order_kinds(n, seed):
+    """A weak chain, a poset, a preorder and an equivalence on n atoms, each
+    transitive, as pair sets on one carrier."""
+    rng = random.Random(f"kinds:{n}:{seed}")
+    atoms = [f"y{i}" for i in rng.sample(range(1000), n)]
+    order = rng.sample(atoms, n)
+    blocks = [order[k::max(1, n // 3)] for k in range(max(1, n // 3))]
+    kinds = {
+        "chain": {(x, y) for i, x in enumerate(order) for y in order[i:]},
+        "poset": set(random_poset_pairs(order, seed)),
+        "preorder": {
+            (x, y) for i, b in enumerate(blocks) for c in blocks[i:] for x in b for y in c
+        },
+        "equivalence": {(x, y) for b in blocks for x in b for y in b},
+    }
+    return Carrier(atoms), kinds
+
+
+@st.composite
+def dense_relations(draw):
+    """Relations on 2-10 atoms whose rows OR three draws each, so most rows
+    hold more than half the carrier; half of them closed, and some with one
+    pair removed."""
+    n = draw(st.integers(2, 10))
+    masks = st.integers(0, (1 << n) - 1)
+    carrier = Carrier([f"a{i}" for i in range(n)])
+    r = rel._from_rows(
+        carrier, carrier, [draw(masks) | draw(masks) | draw(masks) for _ in range(n)]
+    )
+    if draw(st.booleans()):
+        r = rel.preorder_closure(r)
+    if r.pairs and draw(st.booleans()):
+        r = Relation.on(carrier, r.pairs - {draw(st.sampled_from(sorted(r.pairs)))})
+    return r
+
+
+class TestSmallerSideTransitivity:
+    """_transitive checks each row through its successors' rows or, past
+    half the carrier, through its non-successors' columns; both must agree
+    with the successor rule of oracles.transitive_generator, as classify's
+    flag does on seeded_relations in TestAgainstPreviousBodies."""
+
+    @given(dense_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_generator_on_dense_rows(self, r):
+        n = len(r.carrier)
+        assume(any(row.bit_count() * 2 > n for row in r._rows))
+        assert rel._transitive(r._rows, r._cols) == oracles.transitive_generator(r._rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 41])
+    @pytest.mark.parametrize("kind", ["chain", "poset", "preorder", "equivalence"])
+    def test_kinds_with_one_pair_removed(self, kind, n):
+        carrier, kinds = order_kinds(n, n)
+        pairs = kinds[kind]
+        whole = Relation.on(carrier, pairs)
+        assert rel._transitive(whole._rows, whole._cols)
+        removed = sorted(pairs)
+        if len(removed) > 200:
+            removed = random.Random(n).sample(removed, 200)
+        broken = 0
+        for pair in removed:
+            r = Relation.on(carrier, pairs - {pair})
+            want = oracles.transitive_generator(r._rows)
+            assert rel._transitive(r._rows, r._cols) == want, pair
+            broken += not want
+        assert broken or n < 7
+
+    @pytest.mark.parametrize("n", [40, 41, 64])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_extremal_matches_oracle_on_seeded_relations(self, n, seed):
+        rng = random.Random(f"extremal:{n}:{seed}")
+        for r in seeded_relations(n, seed):
+            atoms = r.carrier.atoms
+            for subset in ([], atoms, *(rng.sample(atoms, k) for k in (1, 3, n // 2))):
+                got = rel.extremal(r, subset)
+                want = oracles.extremal_oracle(atoms, r.pairs, subset)
+                assert got.as_dict() == want
 
 
 # Each report class beside the frozen dataclass it replaced, and field
