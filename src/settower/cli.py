@@ -19,8 +19,12 @@ The tokenizer tests for operators and whitespace first, and the parser
 reads the three precedence levels in one loop and recurses only where the
 input nests, so a parenthesis level costs it two frames; an operand that no
 operator follows builds no run, and each distinct literal text is parsed
-once per expression.  The evaluator keeps the reciprocal of each exact
-divisor for the whole evaluation, so a repeated inv(d) costs one lookup.
+once per expression.  Every value the evaluator builds is a reals.Real,
+and reals alone decides when one is exact: reals.real_tag reads an exact
+value, and reals settles every exact result into the leaf pair of its
+value, so each operator has one rule.  The evaluator keeps the leaf pair
+of each literal node and the reciprocal of each exact divisor for the
+whole evaluation, so a repeated literal or inv(d) costs one lookup.
 
 The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
@@ -234,51 +238,55 @@ def _as_real(value) -> re.Real:
     return value
 
 
-def _invert(value, prec: int, leaves: dict):
-    """Reciprocal of an evaluated value: exact when possible, else the
-    reciprocal leaf of the dyadic's magnitude as a signed Real, else an
-    interval whose sign was certified at precision prec.  leaves holds the
-    finished reciprocal of each exact divisor, so a repeated one costs a
-    lookup, and d and -d share one reciprocal leaf."""
-    if isinstance(value, dy.Dyadic):
-        got = leaves.get(value)
-        if got is None:
-            if value.sign == 0:
-                raise DivisionNearZero("division by exact zero")
-            if value.sign < 0:
-                got = _invert(dy.neg(value), prec, leaves)
-                got = dy.neg(got) if isinstance(got, dy.Dyadic) else re.real_neg(got)
-            else:
-                leaf = re.reciprocal(value)
-                # reciprocal tags exactly the leaves that are binary fractions.
-                got = re.real_from_cut(leaf) if leaf.tag is None else leaf.tag
-            leaves[value] = got
-        return got
-    side = re.compare_eps(value.pos, value.neg, prec + 1)
-    if side is re.Comparison.INDISTINGUISHABLE:
-        raise DivisionNearZero(
-            f"divisor not certified nonzero at precision {prec}"
-        )
-    cut = re.inverse(re.real_abs(value), prec)
-    flipped = re.real_from_cut(cut)
-    return re.real_neg(flipped) if side is re.Comparison.LESS else flipped
+def _invert(value: re.Real, prec: int, leaves: dict) -> re.Real:
+    """Reciprocal of an evaluated value: for an exact value d, the exact
+    value 1/d when it is a binary fraction, else the reciprocal leaf of |d|,
+    negated when d < 0; otherwise an interval whose sign was certified at
+    precision prec.  leaves holds the finished reciprocal of each exact
+    divisor, so a repeated one costs a lookup, and d and -d share one
+    reciprocal leaf."""
+    d = re.real_tag(value)
+    if d is None:
+        side = re.compare_eps(value.pos, value.neg, prec + 1)
+        if side is re.Comparison.INDISTINGUISHABLE:
+            raise DivisionNearZero(
+                f"divisor not certified nonzero at precision {prec}"
+            )
+        flipped = re.real_from_cut(re.inverse(re.real_abs(value), prec))
+        return re.real_neg(flipped) if side is re.Comparison.LESS else flipped
+    got = leaves.get(d)
+    if got is None:
+        if d.sign == 0:
+            raise DivisionNearZero("division by exact zero")
+        if d.sign < 0:
+            got = re.real_neg(_invert(re.real_neg(value), prec, leaves))
+        else:
+            # real_from_cut turns a leaf tagged with 1/d into its leaf pair.
+            got = re.real_from_cut(re.reciprocal(d))
+        leaves[d] = got
+    return got
 
 
-def _nat_exponent(value) -> int:
-    if isinstance(value, dy.Dyadic) and value.exp == 0 and value.sign >= 0:
-        return value.man if value.sign > 0 else 0
+def _nat_exponent(value: re.Real) -> int:
+    d = re.real_tag(value)
+    if d is not None and d.exp == 0 and d.sign >= 0:
+        return d.man
     raise BadExponent("exponent must be an exact natural number")
 
 
-def _eval(node, env, prec: int, leaves: dict):
-    """Value of a parsed node: a Dyadic while every step stays exact, else
-    a Real.  A + and - chain is one sum, another chain folds left to right,
-    and a let binds its names in order into one copy of env, all by loops,
-    so the walk recurses only into nested nodes.  leaves holds the
-    evaluation's reciprocals of exact divisors."""
+def _eval(node, env, prec: int, leaves: dict) -> re.Real:
+    """Value of a parsed node, a Real; reals settles every exact result
+    into the leaf pair of its value.  A + and - chain is one real_sum,
+    another chain folds left to right, and a let binds its names in order
+    into one copy of env, all by loops, so the walk recurses only into
+    nested nodes.  leaves holds the evaluation's values of exact divisors'
+    reciprocals, keyed by the divisor, and the leaf pair of each literal
+    node, keyed by the node's id, which no Dyadic equals."""
     op = node[0]
     if op == "num":
-        return node[1]
+        if id(node) not in leaves:
+            leaves[id(node)] = re.real_from_dyadic(node[1])
+        return leaves[id(node)]
     if op == "var":
         _, name, at = node
         if name not in env:
@@ -287,7 +295,11 @@ def _eval(node, env, prec: int, leaves: dict):
     if op == "chain":
         _, ops, operands = node
         if ops[0] in "+-":
-            return _sum_run(ops, operands, env, prec, leaves)
+            terms = []
+            for sym, operand in zip(["+"] + ops, operands):
+                value = _eval(operand, env, prec, leaves)
+                terms.append(value if sym == "+" else re.real_neg(value))
+            return re.real_sum(terms)
         acc = _eval(operands[0], env, prec, leaves)
         for i, sym in enumerate(ops, 1):
             b = _eval(operands[i], env, prec, leaves)
@@ -300,10 +312,7 @@ def _eval(node, env, prec: int, leaves: dict):
             env[name] = _eval(bound, env, prec, leaves)
         return _eval(body, env, prec, leaves)
     if op == "neg":
-        value = _eval(node[1], env, prec, leaves)
-        if isinstance(value, dy.Dyadic):
-            return dy.neg(value)
-        return re.real_neg(value)
+        return re.real_neg(_eval(node[1], env, prec, leaves))
     if op == "call":
         _, name, args = node
         values = [_eval(a, env, prec, leaves) for a in args]
@@ -311,91 +320,49 @@ def _eval(node, env, prec: int, leaves: dict):
     raise AssertionError(f"unknown node {op!r}")
 
 
-def _sum_run(ops, operands, env, prec: int, leaves: dict):
-    """A run of + and - operands, evaluated in order; then its exact
-    operands, negated for -, are summed exactly from left to right.  A run
-    with no Real is that sum, so it answers and fails as the chain of
-    dy.add and dy.sub does, except that an operand's own error comes first.
-    Otherwise the Real operands and that sum make one real_sum; when the
-    sum passes the size limit, each exact operand joins the real_sum as its
-    own leaf instead, which rounds it onto the query grid."""
-    exact, terms = [], []
-    for sym, operand in zip(["+"] + ops, operands):
-        value = _eval(operand, env, prec, leaves)
-        if isinstance(value, dy.Dyadic):
-            exact.append(value if sym == "+" else dy.neg(value))
-        else:
-            terms.append(value if sym == "+" else re.real_neg(value))
-    total = dy.ZERO
-    try:
-        for value in exact:
-            total = dy.add(total, value)
-    except SizeLimit:
-        if not terms:
-            raise
-        return re.real_sum(terms + [re.real_from_dyadic(v) for v in exact])
-    if not terms:
-        return total
-    terms.append(re.real_from_dyadic(total))
-    return re.real_sum(terms)
-
-
-def _apply_bin(sym, a, b, prec: int, leaves: dict):
-    both_dyadic = isinstance(a, dy.Dyadic) and isinstance(b, dy.Dyadic)
+def _apply_bin(sym, a: re.Real, b: re.Real, prec: int, leaves: dict) -> re.Real:
     if sym == "*":
-        # Sign rule: anything times exact zero is exact zero.
-        if isinstance(a, dy.Dyadic) and a.sign == 0:
-            return dy.ZERO
-        if isinstance(b, dy.Dyadic) and b.sign == 0:
-            return dy.ZERO
-        if both_dyadic:
-            return dy.mul(a, b)
-        return re.real_mul(_as_real(a), _as_real(b))
+        return re.real_mul(a, b)
     if sym == "/":
-        if both_dyadic and b.sign != 0:
-            exact = dy.exact_div(a, b)
-            if exact is not None:
-                return exact
-        inverted = _invert(b, prec, leaves)
-        return _apply_bin("*", a, inverted, prec, leaves)
+        d, e = re.real_tag(a), re.real_tag(b)
+        exact = None if d is None or e is None else dy.exact_div(d, e)
+        if exact is not None:
+            return re.real_from_dyadic(exact)
+        return re.real_mul(a, _invert(b, prec, leaves))
     if sym == "^":
         m = _nat_exponent(b)
-        if isinstance(a, dy.Dyadic):
-            return dy.dy_pow(a, m)
+        d = re.real_tag(a)
+        if d is not None:
+            return re.real_from_dyadic(dy.dy_pow(d, m))
         if m == 0:
-            return dy.ONE
+            return re.real_from_dyadic(dy.ONE)
         return square_and_multiply(a, m, re.real_mul)
     raise AssertionError(f"unknown operator {sym!r}")
 
 
-def _apply_call(name, values, prec: int, leaves: dict):
+def _apply_call(name, values, prec: int, leaves: dict) -> re.Real:
     if name == "abs":
-        value = values[0]
-        if isinstance(value, dy.Dyadic):
-            return dy.dy_abs(value)
-        return re.real_from_cut(re.real_abs(value))
+        return re.real_from_cut(re.real_abs(values[0]))
     if name == "inv":
         return _invert(values[0], prec, leaves)
     if name == "sup":
-        if all(isinstance(v, dy.Dyadic) for v in values):
-            acc = values[0]
-            for v in values[1:]:
-                acc = dy.dy_max(acc, v)
-            return acc
-        return re.real_sup(_as_real(v) for v in values)
+        return re.real_sup(values)
     if name == "between":
-        lo, hi = values
-        if not (isinstance(lo, dy.Dyadic) and isinstance(hi, dy.Dyadic)):
+        lo, hi = (re.real_tag(v) for v in values)
+        if lo is None or hi is None:
             raise BadOrder("between() needs exact dyadic endpoints")
-        return dy.between(lo, hi)
+        return re.real_from_dyadic(dy.between(lo, hi))
     raise AssertionError(f"unknown function {name!r}")
 
 
 def evaluate(text: str, prec: int):
-    """Parse and evaluate; returns either a Dyadic or a Real.  inv(d) and
-    x / d share one reciprocal per exact divisor d within the call, and d
-    and -d one reciprocal leaf."""
-    return _eval(parse_expr(text), {}, prec, {})
+    """Parse and evaluate; returns the Dyadic when the value is exact, as
+    reals.real_tag decides, and the Real otherwise.  inv(d) and x / d share
+    one reciprocal per exact divisor d within the call, and d and -d one
+    reciprocal leaf."""
+    value = _eval(parse_expr(text), {}, prec, {})
+    exact = re.real_tag(value)
+    return value if exact is None else exact
 
 
 def _check_prec(prec: int) -> int:

@@ -12,12 +12,12 @@ the node's oracle, per node on its path.
 
 Tags follow one rule, kept in _tag: a node's tag is its dyadic operation
 folded over its operands' tags (dy.add for sum_cuts, dy.mul for mul,
-dy.dy_max for sup_finite, dy.sub for _posdiff, clamped at 0, and for
-canonicalize), and None when an operand has no tag or the operation
-refuses the result with SizeLimit.  So a tag obeys dyadic's POW_BIT_LIMIT
-like every exact result, and a node with no tag answers by intervals
-alone, however large its operands' tags or however far apart.  Leaves
-carry their own tags, and inverse of a tagged operand is a leaf.
+dy.dy_max for sup_finite, and dy.sub for _posdiff, clamped at 0), and None
+when an operand has no tag or the operation refuses the result with
+SizeLimit.  So a tag obeys dyadic's POW_BIT_LIMIT like every exact result,
+and a node with no tag answers by intervals alone, however large its
+operands' tags or however far apart.  Leaves carry their own tags, and
+inverse of a tagged operand is a leaf.
 
 Guard-bit policy (normative for interoperability):
   * sum_cuts is the one addition node.  ZERO_CUT operands are skipped
@@ -28,8 +28,9 @@ Guard-bit policy (normative for interoperability):
     included, multiplies the endpoints by the operand's count, adds them
     exactly and rounds the sums outward onto the 2^(-n-2) grid, so the
     width stays within 2^(-n), the node's depth is 1 and its endpoints
-    follow n, not k.  add is its k = 2 case, real_sum is one such node per
-    side, and the CLI builds it for every run of + and - operands;
+    follow n, not k.  add is its k = 2 case, and real_sum with a non-exact
+    operand is one such node per side, as the CLI's run of + and - operands
+    is;
   * mul queries at n+t+1 where t is the smallest natural with
     hi_x(0) + hi_y(0) <= 2^t, read from the operands' queries at 0 when
     the node is first queried, multiplies endpoints, and rounds the lower
@@ -72,6 +73,21 @@ Guard-bit policy (normative for interoperability):
 Signed values are pairs (pos, neg) standing for pos - neg; canonicalize
 shifts the pair so the smaller component is within 2^(-n) of zero at every
 queried precision.
+
+A signed value is exact when real_tag finds its value, pos.tag - neg.tag,
+and one rule settles exact results: real_sum, real_mul, real_sup,
+real_from_cut and canonicalize return real_from_dyadic of an exact
+result's value, so an exact value is always the one leaf pair of that
+value.  Exact operands combine by dyadic arithmetic alone: real_sum sums
+them in order and real_mul multiplies them, both refusing with SizeLimit
+what dyadic refuses, though a product with a zero factor is zero, and
+real_sup takes their maximum.  Settling a product
+or a tree of maxima after the fact would not do: their nodes' tags follow
+_tag's rule, so far-apart exact operands would answer by intervals.  A sum
+with a non-exact operand joins its exact operands' sum to the other
+operands as one leaf pair, or, when that sum is refused, each exact operand
+as its own, so such a sum answers by intervals however far apart its exact
+terms lie.
 """
 
 from __future__ import annotations
@@ -400,7 +416,8 @@ class Real:
 
 
 def real_from_cut(c: CutReal) -> Real:
-    return Real(c, ZERO_CUT)
+    """c as a signed value; a tagged c is the leaf pair of its tag."""
+    return Real(c, ZERO_CUT) if c._tag is None else real_from_dyadic(c._tag)
 
 
 def real_from_dyadic(d: dy.Dyadic) -> Real:
@@ -412,14 +429,61 @@ def real_from_dyadic(d: dy.Dyadic) -> Real:
 REAL_ZERO = real_from_dyadic(dy.ZERO)
 
 
+def real_tag(x: Real):
+    """The exact value of x, pos.tag - neg.tag, or None when a side has no
+    tag or dy.sub refuses the difference with SizeLimit.  A ZERO_CUT side
+    costs no subtraction."""
+    if x._neg is ZERO_CUT:
+        return x._pos._tag
+    if x._pos is ZERO_CUT and x._neg._tag is not None:
+        return dy.neg(x._neg._tag)
+    return _tag(dy.sub, (x._pos, x._neg))
+
+
+def _exact(op, xs, acc=None):
+    # op folded left to right over the exact values of xs, starting from
+    # acc when it is given; None at the first value that is not exact.
+    # op's SizeLimit is raised.
+    for x in xs:
+        tag = real_tag(x)
+        if tag is None:
+            return None
+        acc = tag if acc is None else op(acc, tag)
+    return acc
+
+
+def _settled(pos: CutReal, neg: CutReal) -> Real:
+    # The pair (pos, neg), or the leaf pair of its value when that is exact.
+    x = Real(pos, neg)
+    tag = real_tag(x)
+    return x if tag is None else real_from_dyadic(tag)
+
+
 def real_add(x: Real, y: Real) -> Real:
     return real_sum((x, y))
 
 
 def real_sum(xs) -> Real:
-    """Sum of k >= 1 signed values: one sum_cuts node on each side."""
-    xs = list(xs)
-    return Real(sum_cuts([x.pos for x in xs]), sum_cuts([x.neg for x in xs]))
+    """Sum of k >= 1 signed values.
+
+    The exact operands are summed from 0 with dy.add, in order; with no
+    other operand that sum is the result, and its SizeLimit is raised.
+    Otherwise the sum is one sum_cuts node on each side over the other
+    operands and then the exact sum's leaf pair, or, when the exact sum is
+    refused, the exact operands themselves."""
+    terms, exact = [], []
+    for x in xs:
+        (terms if real_tag(x) is None else exact).append(x)
+    if exact:
+        try:
+            exact = [real_from_dyadic(_exact(dy.add, exact, dy.ZERO))]
+        except SizeLimit:
+            if not terms:
+                raise
+        if not terms:
+            return exact[0]
+    terms += exact
+    return _settled(sum_cuts([x.pos for x in terms]), sum_cuts([x.neg for x in terms]))
 
 
 def real_neg(x: Real) -> Real:
@@ -431,19 +495,31 @@ def real_sub(x: Real, y: Real) -> Real:
 
 
 def real_mul(x: Real, y: Real) -> Real:
-    return Real(
+    """x * y.  When both are exact, their exact product: zero when a factor
+    is zero, however wide the other, else dy.mul's, which may refuse it
+    with SizeLimit.  Otherwise four mul nodes, which fold ZERO_CUT."""
+    a, b = real_tag(x), real_tag(y)
+    if a is not None and b is not None:
+        return real_from_dyadic(dy.mul(a, b) if a and b else dy.ZERO)
+    return _settled(
         add(mul(x.pos, y.pos), mul(x.neg, y.neg)),
         add(mul(x.pos, y.neg), mul(x.neg, y.pos)),
     )
 
 
 def real_sup(xs) -> Real:
-    """Greatest of finitely many signed values, as a balanced tree of
-    two-way maxima, so the DAG has depth O(log k) for k values.  Each
-    maximum uses max(px - nx, py - ny) = max(px + ny, py + nx) - (nx + ny)."""
+    """Greatest of finitely many signed values: one value is itself, exact
+    values give their maximum, and otherwise a balanced tree of two-way
+    maxima, so the DAG has depth O(log k) for k values.  Each maximum uses
+    max(px - nx, py - ny) = max(px + ny, py + nx) - (nx + ny)."""
     level = list(xs)
     if not level:
         raise EmptyList("real_sup needs at least one value")
+    if len(level) == 1:
+        return level[0]
+    top = _exact(dy.dy_max, level)
+    if top is not None:
+        return real_from_dyadic(top)
     while len(level) > 1:
         paired = [
             Real(
@@ -453,7 +529,7 @@ def real_sup(xs) -> Real:
             for x, y in zip(level[::2], level[1::2])
         ]
         level = paired + level[len(paired) * 2:]
-    return level[0]
+    return _settled(level[0].pos, level[0].neg)
 
 
 def real_abs(x: Real) -> CutReal:
@@ -486,10 +562,7 @@ def canonicalize(x: Real) -> Real:
     endpoint, so the other stays within the interval [0, 2^(-n)]: the
     finite-precision reading of reducing ⟨pos, neg⟩ to ⟨pos - neg, 0⟩.
     """
-    tag = _tag(dy.sub, (x.pos, x.neg))
-    if tag is not None:
-        return real_from_dyadic(tag)
-    return Real(_posdiff(x.pos, x.neg), _posdiff(x.neg, x.pos))
+    return _settled(_posdiff(x.pos, x.neg), _posdiff(x.neg, x.pos))
 
 
 def real_compare_eps(x: Real, y: Real, n: int) -> Comparison:

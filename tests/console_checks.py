@@ -119,6 +119,13 @@ CHECKS = [
           stderr=r"error: sum needs more than 1048576 mantissa bits"),
     check("exponent", ["eval", "(1/2)^(2^14300)"], status=1, stderr=r"error: .*"),
     check("far", ["cmp", "(1/2)^(2^40)", "1"], stdout=["less"]),
+    # A value is exact only where dyadic arithmetic finds it: 1/3 times 3
+    # is an interval, an all-exact sum past the budget is refused, and a
+    # sup with a non-exact argument keeps its pairwise tree.
+    check("thirds-cmp", ["cmp", "inv(3)*3", "1"], status=2, stdout=["indistinguishable"]),
+    check("exact-abs", ["eval", "abs((1/2)^(2^40) - 1)"], status=1,
+          stderr=r"error: sum needs more than 1048576 mantissa bits"),
+    check("mixed-sup", ["eval", "sup(1, 2, inv(3))"], stdout=["[34359738367/2^34, 2]@30"]),
     check("between", ["eval", "between(0, (1/2)^(2^40))"], stdout=["1/2^1099511627777"]),
     check("bad", ["relcheck", "-"], status=1, stdin=b"carrier: a \xff\n", env={"LC_ALL": "C"},
           stderr=r".*not valid UTF-8.*"),

@@ -12,9 +12,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from settower import dyadic as dy
-from settower.cli import _FUNCTIONS, _apply_bin, _apply_call
+from settower.cli import _FUNCTIONS, parse_expr
 from settower.errors import (
+    BadExponent,
+    BadOrder,
     CarrierMismatch,
+    DivisionNearZero,
     EmptyBlock,
     EmptyCarrier,
     EmptyFamily,
@@ -31,6 +34,7 @@ from settower.errors import (
 )
 from settower import reals
 from settower.hfset import HFSet
+from settower.naturals import square_and_multiply
 from settower.reals import (
     CutReal,
     Real,
@@ -1074,7 +1078,15 @@ def generic_posdiff(a, b):
         hi = dy.dy_max(dy.ZERO, dy.sub(ha, lb))
         return lo, hi
 
-    return CutReal(fn)
+    # Exact values pass through nodes, so this node is tagged as reals._tag
+    # tags _posdiff: the clamped difference, None when it is refused.
+    tag = None
+    if a.tag is not None and b.tag is not None:
+        try:
+            tag = dy.dy_max(dy.ZERO, dy.sub(a.tag, b.tag))
+        except SizeLimit:
+            pass
+    return CutReal(fn, tag=tag)
 
 
 def generic_sum_cuts(xs):
@@ -1448,10 +1460,163 @@ class RunDescent:
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 
+# The CLI evaluator before every value became a Real: a value is a Dyadic
+# while every step stays exact, else a Real, and each operator has one rule
+# for exact operands and one for the rest.  It is the reference for
+# cli._eval: cli.main prints the same bytes with evaluate_two_types in place
+# of cli.evaluate.  Its Real operations are looked up in reals when called,
+# so a test can put the generic nodes in their place.
+
+
+def _as_real(value):
+    return real_from_dyadic(value) if isinstance(value, dy.Dyadic) else value
+
+
+def _invert(value, prec, leaves):
+    """Reciprocal: exact when possible, else the reciprocal leaf of the
+    dyadic's magnitude, else an interval whose sign was certified at
+    precision prec; leaves holds each exact divisor's reciprocal."""
+    if isinstance(value, dy.Dyadic):
+        got = leaves.get(value)
+        if got is None:
+            if value.sign == 0:
+                raise DivisionNearZero("division by exact zero")
+            if value.sign < 0:
+                got = _invert(dy.neg(value), prec, leaves)
+                got = dy.neg(got) if isinstance(got, dy.Dyadic) else real_neg(got)
+            else:
+                leaf = reals.reciprocal(value)
+                got = real_from_cut(leaf) if leaf.tag is None else leaf.tag
+            leaves[value] = got
+        return got
+    side = reals.compare_eps(value.pos, value.neg, prec + 1)
+    if side is reals.Comparison.INDISTINGUISHABLE:
+        raise DivisionNearZero(f"divisor not certified nonzero at precision {prec}")
+    flipped = real_from_cut(reals.inverse(reals.real_abs(value), prec))
+    return real_neg(flipped) if side is reals.Comparison.LESS else flipped
+
+
+def _nat_exponent(value):
+    if isinstance(value, dy.Dyadic) and value.exp == 0 and value.sign >= 0:
+        return value.man
+    raise BadExponent("exponent must be an exact natural number")
+
+
+def _sum_run(ops, operands, env, prec, leaves):
+    """A run of + and - operands, evaluated in order; then its exact
+    operands, negated for -, are summed exactly from left to right.  With
+    no Real that sum is the value; otherwise the Reals and that sum make
+    one real_sum, or, when the sum passes the size limit, the Reals and
+    one leaf per exact operand."""
+    exact, terms = [], []
+    for sym, operand in zip(["+"] + ops, operands):
+        value = two_type_eval(operand, env, prec, leaves)
+        if isinstance(value, dy.Dyadic):
+            exact.append(value if sym == "+" else dy.neg(value))
+        else:
+            terms.append(value if sym == "+" else real_neg(value))
+    total = dy.ZERO
+    try:
+        for value in exact:
+            total = dy.add(total, value)
+    except SizeLimit:
+        if not terms:
+            raise
+        return reals.real_sum(terms + [real_from_dyadic(v) for v in exact])
+    if not terms:
+        return total
+    return reals.real_sum(terms + [real_from_dyadic(total)])
+
+
+def _apply_bin(sym, a, b, prec, leaves):
+    both_dyadic = isinstance(a, dy.Dyadic) and isinstance(b, dy.Dyadic)
+    if sym == "*":
+        # Anything times exact zero is exact zero.
+        if isinstance(a, dy.Dyadic) and a.sign == 0:
+            return dy.ZERO
+        if isinstance(b, dy.Dyadic) and b.sign == 0:
+            return dy.ZERO
+        if both_dyadic:
+            return dy.mul(a, b)
+        return reals.real_mul(_as_real(a), _as_real(b))
+    if sym == "/":
+        if both_dyadic and b.sign != 0:
+            exact = dy.exact_div(a, b)
+            if exact is not None:
+                return exact
+        return _apply_bin("*", a, _invert(b, prec, leaves), prec, leaves)
+    m = _nat_exponent(b)
+    if isinstance(a, dy.Dyadic):
+        return dy.dy_pow(a, m)
+    if m == 0:
+        return dy.ONE
+    return square_and_multiply(a, m, reals.real_mul)
+
+
+def _apply_call(name, values, prec, leaves):
+    if name == "abs":
+        value = values[0]
+        if isinstance(value, dy.Dyadic):
+            return dy.dy_abs(value)
+        return real_from_cut(reals.real_abs(value))
+    if name == "inv":
+        return _invert(values[0], prec, leaves)
+    if name == "sup":
+        if all(isinstance(v, dy.Dyadic) for v in values):
+            acc = values[0]
+            for v in values[1:]:
+                acc = dy.dy_max(acc, v)
+            return acc
+        return reals.real_sup(_as_real(v) for v in values)
+    lo, hi = values
+    if not (isinstance(lo, dy.Dyadic) and isinstance(hi, dy.Dyadic)):
+        raise BadOrder("between() needs exact dyadic endpoints")
+    return dy.between(lo, hi)
+
+
+def two_type_eval(node, env, prec, leaves):
+    """Value of a parse_expr tree: a Dyadic while every step stays exact,
+    else a Real."""
+    op = node[0]
+    if op == "num":
+        return node[1]
+    if op == "var":
+        _, name, at = node
+        if name not in env:
+            raise ExprSyntaxError(f"unbound name {name!r}", at)
+        return env[name]
+    if op == "chain":
+        _, ops, operands = node
+        if ops[0] in "+-":
+            return _sum_run(ops, operands, env, prec, leaves)
+        acc = two_type_eval(operands[0], env, prec, leaves)
+        for i, sym in enumerate(ops, 1):
+            b = two_type_eval(operands[i], env, prec, leaves)
+            acc = _apply_bin(sym, acc, b, prec, leaves)
+        return acc
+    if op == "let":
+        _, bindings, body = node
+        env = dict(env)
+        for name, bound in bindings:
+            env[name] = two_type_eval(bound, env, prec, leaves)
+        return two_type_eval(body, env, prec, leaves)
+    if op == "neg":
+        value = two_type_eval(node[1], env, prec, leaves)
+        return dy.neg(value) if isinstance(value, dy.Dyadic) else real_neg(value)
+    _, name, args = node
+    values = [two_type_eval(a, env, prec, leaves) for a in args]
+    return _apply_call(name, values, prec, leaves)
+
+
+def evaluate_two_types(text: str, prec: int):
+    """cli.evaluate as it was with two value types: a Dyadic or a Real."""
+    return two_type_eval(parse_expr(text), {}, prec, {})
+
+
 def eval_tree(node, env, prec, leaves):
     """Value of a BinaryDescent tree, by recursion on every node, with
-    binary_sum at + and -, and the CLI's own operations at every other
-    operator and function call."""
+    binary_sum at + and -, and the two-type evaluator's operations at every
+    other operator and function call."""
     op = node[0]
     if op == "num":
         return node[1]

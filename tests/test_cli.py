@@ -155,21 +155,22 @@ class TestEvalCommand:
         ],
     )
     def test_literal_divisors_build_one_leaf(self, expr, line, capsys, monkeypatch):
-        # The reciprocal of a literal neither embeds it nor probes its sign;
-        # only a numerator other than 1 is embedded, as a factor.
-        embedded = []
+        # The reciprocal of a literal divisor is one leaf of its magnitude,
+        # built without probing the divisor's sign.
+        built = []
 
         def refuse(*args):
             raise AssertionError("probed a literal divisor")
 
-        def record(d, embed=reals.from_dyadic):
-            embedded.append(d)
-            return embed(d)
+        def record(d, build=reals.reciprocal):
+            built.append(d)
+            return build(d)
 
         monkeypatch.setattr(reals, "inverse", refuse)
-        monkeypatch.setattr(reals, "from_dyadic", record)
+        monkeypatch.setattr(reals, "reciprocal", record)
         assert run_cli(["eval", expr], capsys) == (0, line + "\n", "")
-        assert all(d in (dy.ONE, make(2, 0)) for d in embedded)
+        divisor = {"inv(7)": 7, "1/7": 7, "inv(-3)": 3, "2/6": 6}[expr]
+        assert built == [make(divisor, 0)]
 
     def test_divisors_share_one_leaf_per_evaluation(self, monkeypatch):
         # One exact check per distinct divisor magnitude, in reals.reciprocal.
@@ -312,7 +313,8 @@ class TestPowers:
         want = Fraction(1, root) ** m
         a = cli.evaluate(base, 30)
         chain = oracles.pow_chain(
-            a, m, lambda u, v: cli._apply_bin("*", u, v, 30, {}), dy.ONE
+            a, m, lambda u, v: cli._apply_bin("*", u, v, 30, {}),
+            reals.real_from_dyadic(dy.ONE),
         )
         got = cli.evaluate(f"{base}^{m}", 30)
         for value in (got, chain):
@@ -1049,10 +1051,14 @@ def quiet_main(argv):
 
 class TestZeroFolding:
     def test_stdout_matches_the_generic_nodes(self, monkeypatch):
+        # The generic nodes fold no exact zero, and the CLI's 0 * inv(3) is
+        # exact only by that folding, so they run under the two-type
+        # evaluator, whose exact zero needs no node.
         corpus = fold_corpus()
         folded = [quiet_main(argv) for argv in corpus]
         for name, node in oracles.GENERIC_NODES.items():
             monkeypatch.setattr(reals, name, node)
+        monkeypatch.setattr(cli, "evaluate", oracles.evaluate_two_types)
         generic = [quiet_main(argv) for argv in corpus]
         for argv, f, g in zip(corpus, folded, generic):
             assert_stdout_agrees(argv, f, g)
@@ -1192,6 +1198,55 @@ LONG_RUNS = [
     ("+".join(["inv(3)"] * 3000), "[8589934591999/2^33, 8589934592001/2^33]@30"),
     ("(" * 400 + "inv(3) + 1" + ")" * 400, "[5726623061/2^32, 11453246123/2^33]@30"),
 ]
+
+
+def two_type_main(argv):
+    """quiet_main(argv) with the two-type evaluator in place of
+    cli.evaluate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "evaluate", oracles.evaluate_two_types)
+        return quiet_main(argv)
+
+
+class TestOneValueType:
+    """cli.evaluate, where every value is a Real, against the evaluator it
+    replaced, where a value was a Dyadic while every step stayed exact
+    (oracles.evaluate_two_types): cli.main ends with the same exit status
+    and prints the same stdout and stderr."""
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_fold_corpus_matches_the_two_type_evaluator(self, seed):
+        for argv in fold_corpus(seed):
+            assert quiet_main(argv) == two_type_main(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--", "sup(1, -(1/2)^(2^40))"],
+            ["eval", "--", "sup(-3, -(1/2)^(2^40), -1)"],
+            ["eval", "(1 + (1/2)^600000) * (1 + (1/2)^600000)"],
+            ["cmp", "(1 + (1/2)^600000) * (1 + (1/2)^600000)", "1"],
+            # The exact quotient's mantissa passes the budget, so a sum
+            # from 0 refuses it before the two cancel.
+            ["eval", "3^(2^19) / (1/2)^(2^20) - 3^(2^19) / (1/2)^(2^20)"],
+            # An exact zero factor makes an exact zero, however wide the other.
+            ["eval", "3^(2^19) / (1/2)^(2^20) * 0"],
+            ["cmp", "0 * (3^(2^19) / (1/2)^(2^20))", "2^(3^(2^19) / (1/2)^(2^20) * 0)"],
+            ["eval", "inv(3) + (1/2)^(2^40) + 1 + 1"],
+            ["eval", "abs((1/2)^(2^40) - 1)"],
+        ],
+        ids=["sup", "sup3", "product", "product-cmp", "quotient-sum", "zero-product",
+             "zero-product-cmp", "mixed-sum", "abs"],
+    )
+    def test_far_apart_values_match_the_two_type_evaluator(self, argv):
+        assert quiet_main(argv) == two_type_main(argv)
+
+    @given(chain_texts, chain_texts, st.integers(0, 60))
+    @settings(max_examples=150)
+    def test_chains_match_the_two_type_evaluator(self, left, right, prec):
+        for argv in (["eval", "--prec", str(prec), "--", left],
+                     ["cmp", "--prec", str(prec), "--", left, right]):
+            assert quiet_main(argv) == two_type_main(argv), argv
 
 
 class TestChains:
@@ -1401,9 +1456,14 @@ class TestRepeatedDivisors:
         assert terms[4].neg is third.pos and terms[4].pos is reals.ZERO_CUT
 
     def test_exact_reciprocals_are_dyadics(self):
+        # A reciprocal that is a binary fraction is the leaf pair of that
+        # value, and leaves keeps it under the divisor.
         leaves = {}
-        assert cli._invert(make(4, 0), 30, leaves) == make(1, 2)
-        assert cli._invert(make(4, 0, -1), 30, leaves) == make(1, 2, -1)
+        four = reals.real_from_dyadic(make(4, 0))
+        quarter = cli._invert(four, 30, leaves)
+        assert reals.real_tag(quarter) == make(1, 2) and quarter.neg is reals.ZERO_CUT
+        minus = cli._invert(reals.real_neg(four), 30, leaves)
+        assert reals.real_tag(minus) == make(1, 2, -1) and minus.neg is quarter.pos
         assert set(leaves) == {make(4, 0), make(4, 0, -1)}
         with pytest.raises(SettowerError, match="division by exact zero"):
-            cli._invert(dy.ZERO, 30, leaves)
+            cli._invert(reals.REAL_ZERO, 30, leaves)

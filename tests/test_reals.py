@@ -626,6 +626,89 @@ class TestSignedReals:
         assert oracles.cut_brackets(c, Fraction(1, 6), 30)
 
 
+# 2^(-2^21): its exponent lies past POW_BIT_LIMIT from 1's.
+TINY = make(1, 1 << 21)
+
+
+def _is_leaf_pair_of(x, d):
+    """x is the leaf pair of d: real_from_dyadic(d), side for side and
+    endpoint for endpoint."""
+    want = real_from_dyadic(d)
+    return all(
+        (got is ZERO_CUT) == (side is ZERO_CUT) and got.tag == side.tag
+        and all(got.query(n) == side.query(n) for n in range(12))
+        for got, side in ((x.pos, want.pos), (x.neg, want.neg))
+    )
+
+
+class TestExactValues:
+    """real_tag reads a signed value's exact value, and real_sum, real_mul,
+    real_sup and real_from_cut settle an exact result into the leaf pair of
+    its value."""
+
+    def test_tag_of_a_pair_is_the_difference(self):
+        assert reals.real_tag(Real(from_dyadic(make(3, 0)), from_dyadic(ONE))) == make(2, 0)
+        assert reals.real_tag(real_from_dyadic(make(3, 2, -1))) == make(3, 2, -1)
+        assert reals.real_tag(REAL_ZERO) == ZERO
+        assert reals.real_tag(real_from_cut(inv3())) is None
+        assert reals.real_tag(Real(from_dyadic(ONE), inv3())) is None
+
+    def test_tags_too_far_apart_give_none(self):
+        far = Real(from_dyadic(ONE), from_dyadic(TINY))
+        assert far.pos.tag is not None and far.neg.tag is not None
+        assert reals.real_tag(far) is None
+
+    def test_sum_folds_its_exact_operands_in_order(self):
+        one, tiny = real_from_dyadic(ONE), real_from_dyadic(TINY)
+        # 1 - 1 + tiny is exact, but 1 + tiny, the first partial sum of
+        # 1 + tiny - 1, passes the budget.
+        assert _is_leaf_pair_of(reals.real_sum([one, real_neg(one), tiny]), TINY)
+        with pytest.raises(SizeLimit, match="sum needs more than"):
+            reals.real_sum([one, tiny, real_neg(one)])
+
+    def test_a_sum_with_a_non_exact_operand_answers(self):
+        one, tiny = real_from_dyadic(ONE), real_from_dyadic(TINY)
+        got = reals.real_sum([one, tiny, real_from_cut(inv3())])
+        assert reals.real_tag(got) is None
+        for n in range(31):
+            lo, hi = (oracles.to_fraction(e) for e in real_interval(got, n))
+            assert lo <= Fraction(4, 3) + oracles.to_fraction(TINY) <= hi
+            assert hi - lo <= Fraction(2, 1 << n)
+
+    def test_empty_sum_is_refused(self):
+        with pytest.raises(EmptyList):
+            reals.real_sum([])
+
+    def test_exact_results_are_leaf_pairs(self):
+        two = Real(from_dyadic(make(3, 0)), from_dyadic(ONE))
+        assert _is_leaf_pair_of(real_mul(two, real_from_dyadic(make(3, 2, -1))), make(3, 1, -1))
+        assert _is_leaf_pair_of(real_mul(two, real_from_cut(ZERO_CUT)), ZERO)
+        assert _is_leaf_pair_of(reals.real_sup([two, real_from_dyadic(make(9, 2))]), make(9, 2))
+        assert _is_leaf_pair_of(reals.real_sup([real_neg(two), real_from_dyadic(-TINY)]), -TINY)
+        assert _is_leaf_pair_of(real_from_cut(from_dyadic(HALF)), HALF)
+        assert _is_leaf_pair_of(reals.real_add(two, two), make(4, 0))
+
+    def test_exact_product_past_the_budget_is_refused(self):
+        # Its endpoints at low precision fit the budget, but the product
+        # of exact operands is exact or refused, as dy.mul is.
+        x = real_from_dyadic(dy.add(ONE, make(1, 600000)))
+        with pytest.raises(SizeLimit, match="product needs more than"):
+            real_mul(x, x)
+
+    def test_a_zero_factor_makes_zero(self):
+        # dy.mul measures a mantissa past the budget even against zero.
+        wide = dy.exact_div(make(3**(2**19), 0), make(1, dy.POW_BIT_LIMIT))
+        with pytest.raises(SizeLimit):
+            dy.mul(wide, ZERO)
+        x = real_from_dyadic(wide)
+        for got in (real_mul(x, REAL_ZERO), real_mul(REAL_ZERO, real_neg(x))):
+            assert _is_leaf_pair_of(got, ZERO)
+
+    def test_singleton_sup_is_the_value(self):
+        for x in (real_from_dyadic(HALF), Real(from_dyadic(make(3, 0)), from_dyadic(ONE))):
+            assert reals.real_sup([x]) is x
+
+
 class TestCanonicalize:
     def test_tagged_pair_collapses_exactly(self):
         x = Real(from_dyadic(make(3, 0)), from_dyadic(make(5, 0)))
