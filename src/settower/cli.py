@@ -18,13 +18,15 @@ at --prec and failure to certify a sign is an error rather than a guess.
 The tokenizer tests for operators and whitespace first, and the parser
 reads the three precedence levels in one loop and recurses only where the
 input nests, so a parenthesis level costs it two frames; an operand that no
-operator follows builds no run, and each distinct literal text is parsed
-once per expression.  Every value the evaluator builds is a reals.Real,
-and reals alone decides when one is exact: reals.real_tag reads an exact
-value, and reals settles every exact result into the leaf pair of its
-value, so each operator has one rule.  The evaluator keeps the leaf pair
-of each literal node and the reciprocal of each exact divisor for the
-whole evaluation, so a repeated literal or inv(d) costs one lookup.
+operator follows builds no run.  The parser builds each distinct
+subexpression once, so equal subtrees are one node and each distinct
+literal text is parsed once, and the evaluator keeps each node's value for
+the whole evaluation, so a repeated literal, inv(d), x / d or any other
+repeated subexpression costs one lookup.  Every value the evaluator builds
+is a reals.Real, and reals alone decides when one is exact: reals.real_tag
+reads an exact value, reals settles every exact result into the leaf pair
+of its value, and real_inv, real_div and real_pow hold the rules of inv, /
+and ^, so each operator is one call into reals.
 
 The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
@@ -43,16 +45,13 @@ from .countability import enum_dyadics
 from .errors import (
     BadExponent,
     BadOrder,
-    DivisionNearZero,
     ExprSyntaxError,
     NotUTF8,
     PrecisionCap,
     SettowerError,
     SizeLimit,
 )
-from .naturals import (
-    _read_decimal, _write_decimal, pair, parse_nat, square_and_multiply, unpair
-)
+from .naturals import _read_decimal, _write_decimal, pair, parse_nat, unpair
 from .relations import _bits, _extremal_masks, classify, parse_relation
 
 PRECISION_CAP = 200
@@ -106,8 +105,12 @@ def _tokenize(text: str):
 def parse_expr(text: str):
     """The tree of an eval expression: ("num", d), ("var", name, at),
     ("neg", x), ("call", name, args), ("chain", ops, operands) for a run of
-    one precedence level's operators and ("let", bindings, body).  Each
-    distinct literal text is parsed once, and its node is shared."""
+    one precedence level's operators and ("let", bindings, body).  Equal
+    subtrees are one node: each node is built once per parse, from its
+    kind, its literal text, name or operators and its children's
+    identities.  A var node is never shared, so neither is a node above
+    one, and a node whose value depends on a binding occurs once; nor is a
+    let node, whose body almost always reads a name it binds."""
     tokens = _tokenize(text)
     node, i = _expr(tokens, 0, {})
     kind, word, at = tokens[i]
@@ -120,7 +123,12 @@ def parse_expr(text: str):
 # words other than let and in, and numbers start with a digit.
 
 
-def _expr(tokens, i, literals):
+def _chain(shared, ops, operands):
+    key = ("chain", tuple(ops), *map(id, operands))
+    return shared.setdefault(key, ("chain", ops, operands))
+
+
+def _expr(tokens, i, shared):
     """(node, index after it) for the expression at tokens[i]: a run of let
     clauses, then one loop over operands and operators.  ^ binds tighter
     than a prefix - run, which binds tighter than * and /, which bind
@@ -130,7 +138,9 @@ def _expr(tokens, i, literals):
     parenthesis body, builds none.  Only a
     let's bound expression recurses here, and _atom only into a parenthesis
     or a function argument, so a level of nesting costs two frames.
-    literals maps each literal text read so far to its node."""
+    shared maps each node's key, as parse_expr describes it, to the node.
+    It holds every node a key names, or that node's parent, so no id in a
+    key is reused while the parse runs."""
     bindings = []
     while tokens[i][1] == "let":
         kind, name, at = tokens[i + 1]
@@ -138,7 +148,7 @@ def _expr(tokens, i, literals):
             raise ExprSyntaxError("expected a name after 'let'", at)
         if tokens[i + 2][1] != "=":
             raise ExprSyntaxError("expected '='", tokens[i + 2][2])
-        bound, i = _expr(tokens, i + 3, literals)
+        bound, i = _expr(tokens, i + 3, shared)
         if tokens[i][1] != "in":
             raise ExprSyntaxError("expected 'in'", tokens[i][2])
         bindings.append((name, bound))
@@ -151,7 +161,7 @@ def _expr(tokens, i, literals):
             while tokens[i][1] == "-":
                 odd = not odd
                 i += 1
-        node, i = _atom(tokens, i, literals)
+        node, i = _atom(tokens, i, shared)
         sym = tokens[i][1]
         if sym == "^":
             if powers is None:
@@ -161,10 +171,10 @@ def _expr(tokens, i, literals):
             continue
         if powers is not None:
             powers.append(node)
-            node = ("chain", ["^"] * (len(powers) - 1), powers)
+            node = _chain(shared, ["^"] * (len(powers) - 1), powers)
             powers = None
         if odd:
-            node, odd = ("neg", node), False
+            node, odd = shared.setdefault(("neg", id(node)), ("neg", node)), False
         if sym == "*" or sym == "/":
             if factors is None:
                 factors, factor_ops = [], []
@@ -174,7 +184,7 @@ def _expr(tokens, i, literals):
             continue
         if factors is not None:
             factors.append(node)
-            node = ("chain", factor_ops, factors)
+            node = _chain(shared, factor_ops, factors)
             factors = None
         if sym != "+" and sym != "-":
             break
@@ -185,11 +195,11 @@ def _expr(tokens, i, literals):
         i += 1
     if terms is not None:
         terms.append(node)
-        node = ("chain", term_ops, terms)
+        node = _chain(shared, term_ops, terms)
     return (("let", bindings, node) if bindings else node), i
 
 
-def _atom(tokens, i, literals):
+def _atom(tokens, i, shared):
     """(node, index after it) for a number, a name, a call or a
     parenthesis at tokens[i]."""
     kind, text, at = tokens[i]
@@ -201,7 +211,7 @@ def _atom(tokens, i, literals):
             raise ExprSyntaxError(f"unknown function {text!r}", at)
         args = []
         while True:
-            arg, i = _expr(tokens, i + 1, literals)
+            arg, i = _expr(tokens, i + 1, shared)
             args.append(arg)
             sym = tokens[i][1]
             if sym == ")":
@@ -215,17 +225,18 @@ def _atom(tokens, i, literals):
                 f"argument(s), got {len(args)}",
                 at,
             )
-        return ("call", text, args), i + 1
+        node = ("call", text, args)
+        return shared.setdefault(("call", text, *map(id, args)), node), i + 1
     if kind == "num":
-        node = literals.get(text)
+        node = shared.get(("num", text))
         if node is None:
             try:
-                node = literals[text] = ("num", dy.parse_dyadic(text))
+                node = shared[("num", text)] = ("num", dy.parse_dyadic(text))
             except ExprSyntaxError as exc:
                 raise ExprSyntaxError(exc.message, at) from None
         return node, i
     if text == "(":
-        node, i = _expr(tokens, i, literals)
+        node, i = _expr(tokens, i, shared)
         if tokens[i][1] != ")":
             raise ExprSyntaxError("expected ')'", tokens[i][2])
         return node, i + 1
@@ -238,35 +249,6 @@ def _as_real(value) -> re.Real:
     return value
 
 
-def _invert(value: re.Real, prec: int, leaves: dict) -> re.Real:
-    """Reciprocal of an evaluated value: for an exact value d, the exact
-    value 1/d when it is a binary fraction, else the reciprocal leaf of |d|,
-    negated when d < 0; otherwise an interval whose sign was certified at
-    precision prec.  leaves holds the finished reciprocal of each exact
-    divisor, so a repeated one costs a lookup, and d and -d share one
-    reciprocal leaf."""
-    d = re.real_tag(value)
-    if d is None:
-        side = re.compare_eps(value.pos, value.neg, prec + 1)
-        if side is re.Comparison.INDISTINGUISHABLE:
-            raise DivisionNearZero(
-                f"divisor not certified nonzero at precision {prec}"
-            )
-        flipped = re.real_from_cut(re.inverse(re.real_abs(value), prec))
-        return re.real_neg(flipped) if side is re.Comparison.LESS else flipped
-    got = leaves.get(d)
-    if got is None:
-        if d.sign == 0:
-            raise DivisionNearZero("division by exact zero")
-        if d.sign < 0:
-            got = re.real_neg(_invert(re.real_neg(value), prec, leaves))
-        else:
-            # real_from_cut turns a leaf tagged with 1/d into its leaf pair.
-            got = re.real_from_cut(re.reciprocal(d))
-        leaves[d] = got
-    return got
-
-
 def _nat_exponent(value: re.Real) -> int:
     d = re.real_tag(value)
     if d is not None and d.exp == 0 and d.sign >= 0:
@@ -274,92 +256,73 @@ def _nat_exponent(value: re.Real) -> int:
     raise BadExponent("exponent must be an exact natural number")
 
 
-def _eval(node, env, prec: int, leaves: dict) -> re.Real:
+def _eval(node, env, prec: int, memo: dict) -> re.Real:
     """Value of a parsed node, a Real; reals settles every exact result
     into the leaf pair of its value.  A + and - chain is one real_sum,
     another chain folds left to right, and a let binds its names in order
     into one copy of env, all by loops, so the walk recurses only into
-    nested nodes.  leaves holds the evaluation's values of exact divisors'
-    reciprocals, keyed by the divisor, and the leaf pair of each literal
-    node, keyed by the node's id, which no Dyadic equals."""
+    nested nodes.  memo holds the value of each node evaluated so far, by
+    the node's id, so a shared node is evaluated once; the check is made
+    here, so it costs no frame."""
+    value = memo.get(id(node))
+    if value is not None:
+        return value
     op = node[0]
     if op == "num":
-        if id(node) not in leaves:
-            leaves[id(node)] = re.real_from_dyadic(node[1])
-        return leaves[id(node)]
-    if op == "var":
+        value = re.real_from_dyadic(node[1])
+    elif op == "var":
         _, name, at = node
         if name not in env:
             raise ExprSyntaxError(f"unbound name {name!r}", at)
-        return env[name]
-    if op == "chain":
+        value = env[name]
+    elif op == "chain":
         _, ops, operands = node
         if ops[0] in "+-":
             terms = []
             for sym, operand in zip(["+"] + ops, operands):
-                value = _eval(operand, env, prec, leaves)
-                terms.append(value if sym == "+" else re.real_neg(value))
-            return re.real_sum(terms)
-        acc = _eval(operands[0], env, prec, leaves)
-        for i, sym in enumerate(ops, 1):
-            b = _eval(operands[i], env, prec, leaves)
-            acc = _apply_bin(sym, acc, b, prec, leaves)
-        return acc
-    if op == "let":
+                term = _eval(operand, env, prec, memo)
+                terms.append(term if sym == "+" else re.real_neg(term))
+            value = re.real_sum(terms)
+        else:
+            value = _eval(operands[0], env, prec, memo)
+            for sym, operand in zip(ops, operands[1:]):
+                b = _eval(operand, env, prec, memo)
+                if sym == "*":
+                    value = re.real_mul(value, b)
+                elif sym == "/":
+                    value = re.real_div(value, b, prec)
+                else:
+                    value = re.real_pow(value, _nat_exponent(b))
+    elif op == "let":
         _, bindings, body = node
         env = dict(env)
         for name, bound in bindings:
-            env[name] = _eval(bound, env, prec, leaves)
-        return _eval(body, env, prec, leaves)
-    if op == "neg":
-        return re.real_neg(_eval(node[1], env, prec, leaves))
-    if op == "call":
+            env[name] = _eval(bound, env, prec, memo)
+        value = _eval(body, env, prec, memo)
+    elif op == "neg":
+        value = re.real_neg(_eval(node[1], env, prec, memo))
+    else:
         _, name, args = node
-        values = [_eval(a, env, prec, leaves) for a in args]
-        return _apply_call(name, values, prec, leaves)
-    raise AssertionError(f"unknown node {op!r}")
-
-
-def _apply_bin(sym, a: re.Real, b: re.Real, prec: int, leaves: dict) -> re.Real:
-    if sym == "*":
-        return re.real_mul(a, b)
-    if sym == "/":
-        d, e = re.real_tag(a), re.real_tag(b)
-        exact = None if d is None or e is None else dy.exact_div(d, e)
-        if exact is not None:
-            return re.real_from_dyadic(exact)
-        return re.real_mul(a, _invert(b, prec, leaves))
-    if sym == "^":
-        m = _nat_exponent(b)
-        d = re.real_tag(a)
-        if d is not None:
-            return re.real_from_dyadic(dy.dy_pow(d, m))
-        if m == 0:
-            return re.real_from_dyadic(dy.ONE)
-        return square_and_multiply(a, m, re.real_mul)
-    raise AssertionError(f"unknown operator {sym!r}")
-
-
-def _apply_call(name, values, prec: int, leaves: dict) -> re.Real:
-    if name == "abs":
-        return re.real_from_cut(re.real_abs(values[0]))
-    if name == "inv":
-        return _invert(values[0], prec, leaves)
-    if name == "sup":
-        return re.real_sup(values)
-    if name == "between":
-        lo, hi = (re.real_tag(v) for v in values)
-        if lo is None or hi is None:
-            raise BadOrder("between() needs exact dyadic endpoints")
-        return re.real_from_dyadic(dy.between(lo, hi))
-    raise AssertionError(f"unknown function {name!r}")
+        values = [_eval(a, env, prec, memo) for a in args]
+        if name == "abs":
+            value = re.real_from_cut(re.real_abs(values[0]))
+        elif name == "inv":
+            value = re.real_inv(values[0], prec)
+        elif name == "sup":
+            value = re.real_sup(values)
+        else:
+            lo, hi = (re.real_tag(v) for v in values)
+            if lo is None or hi is None:
+                raise BadOrder("between() needs exact dyadic endpoints")
+            value = re.real_from_dyadic(dy.between(lo, hi))
+    memo[id(node)] = value
+    return value
 
 
 def evaluate(text: str, prec: int):
     """Parse and evaluate; returns the Dyadic when the value is exact, as
-    reals.real_tag decides, and the Real otherwise.  inv(d) and x / d share
-    one reciprocal per exact divisor d within the call, and d and -d one
-    reciprocal leaf."""
+    reals.real_tag decides, and the Real otherwise.  Each distinct
+    subexpression is one node of the parse, evaluated once."""
     value = _eval(parse_expr(text), {}, prec, {})
     exact = re.real_tag(value)
     return value if exact is None else exact

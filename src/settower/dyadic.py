@@ -18,11 +18,13 @@ is refused exactly when d^2 is; and every left shift of a nonzero numerator
 by more than it goes through _shl, which refuses it; all end in SizeLimit
 before that number is built.  So add, sub, exact_div, div_floor, div_ceil
 and between refuse operands whose exponents lie too far apart, and
-format_decimal refuses an exponent past it.  add and sub also refuse a
-result whose mantissa passes the limit by mul's measure, so a sum is
-refused exactly when that sum times 1 would be; a sum is built before it is
-measured, but it holds at most one bit more than its larger operand shifted
-by at most POW_BIT_LIMIT.  compare, and so dy_max and dy_min, shift only
+format_decimal refuses an exponent past it.  add, sub, exact_div and
+between also refuse a result whose mantissa passes the limit by mul's
+measure, so a sum, a quotient or a witness is refused exactly when it times
+1 would be.  Such a result is built before it is measured, but it holds at
+most one bit more than an operand shifted by at most POW_BIT_LIMIT, or, for
+a quotient, no more bits than the dividend's numerator shifted by at most
+POW_BIT_LIMIT.  compare, and so dy_max and dy_min, shift only
 down and answer at any distance, as do div_floor and div_ceil when the
 result's grid is the coarser one.
 """
@@ -236,12 +238,16 @@ def between(d: Dyadic, e: Dyadic) -> Dyadic:
     Both endpoints are placed on the grid 2^(-(u+v+1)), where their
     numerators come out even and at least 2 apart; the smallest admissible
     numerator is then one past d's, which is odd, so the result is already
-    canonical on that grid.
+    canonical on that grid.  A witness whose mantissa passes POW_BIT_LIMIT
+    by add's measure is refused with SizeLimit.
     """
     if compare(d, e) >= 0:
         raise BadOrder(f"between needs d < e, got {d} >= {e}")
     shift = e._exp + 1
-    return _signed(_shl(d._num, shift, "between") + 1, d._exp + shift)
+    witness = _signed(_shl(d._num, shift, "between") + 1, d._exp + shift)
+    if witness._num.bit_length() - 1 > POW_BIT_LIMIT:
+        raise _too_wide("between")
+    return witness
 
 
 def _floor_quotient(num: int, exp: int, b: Dyadic, p: int) -> int:
@@ -273,7 +279,8 @@ def exact_div(d: Dyadic, e: Dyadic):
 
     With e's numerator written as odd * 2^twos, d/e is the binary fraction
     (d's numerator / odd) * 2^(e.exp) * 2^(-(d.exp + twos)) exactly when odd
-    divides d's numerator; so 6/3 is 2 and 1/3 is None.
+    divides d's numerator; so 6/3 is 2 and 1/3 is None.  A quotient whose
+    mantissa passes POW_BIT_LIMIT by add's measure is refused with SizeLimit.
     """
     if not e._num:
         return None
@@ -281,7 +288,10 @@ def exact_div(d: Dyadic, e: Dyadic):
     q, r = divmod(d._num, e._num >> twos)
     if r:
         return None
-    return _signed(_shl(q, e._exp, "quotient"), d._exp + twos)
+    quotient = _signed(_shl(q, e._exp, "quotient"), d._exp + twos)
+    if quotient._num.bit_length() - 1 > POW_BIT_LIMIT:
+        raise _too_wide("quotient")
+    return quotient
 
 
 def from_int(k: int) -> Dyadic:

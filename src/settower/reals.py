@@ -48,10 +48,10 @@ Guard-bit policy (normative for interoperability):
     clamped at 0, so off that grid it is [floor, ceil] of a/b, and on it
     no division runs.  from_dyadic(d) is the leaf of d/1, tagged d, and
     reciprocal(d) the leaf of 1/d, tagged when 1/d is a binary fraction.
-    inverse of a tagged operand and the CLI's inv of a literal both build
-    the reciprocal leaf.  Within one CLI evaluation, inv(d) and x / d share
-    one leaf per exact divisor, so a sum queries it once however often it
-    repeats;
+    inverse of a tagged operand and real_inv of an exact value both build
+    the reciprocal leaf.  Within one CLI evaluation a repeated inv(d) or
+    x / d is one node, evaluated once, so a sum queries its value once
+    however often it repeats;
   * real_sup of k signed values is a balanced tree of two-way maxima,
     each Real(sup_finite([px + ny, py + nx]), nx + ny), so its depth is
     O(log k) and a query at n reaches the values at n + O(log k);
@@ -79,9 +79,13 @@ and one rule settles exact results: real_sum, real_mul, real_sup,
 real_from_cut and canonicalize return real_from_dyadic of an exact
 result's value, so an exact value is always the one leaf pair of that
 value.  Exact operands combine by dyadic arithmetic alone: real_sum sums
-them in order and real_mul multiplies them, both refusing with SizeLimit
-what dyadic refuses, though a product with a zero factor is zero, and
-real_sup takes their maximum.  Settling a product
+them in order, real_mul multiplies them, real_div divides them when the
+quotient is a binary fraction and real_pow raises them to a power, each
+refusing with SizeLimit what dyadic refuses, though a product with a zero
+factor is zero, and real_sup takes their maximum.  The reciprocal of an
+exact value is its reciprocal leaf, with no sign probe, and an exact zero
+divisor is refused by name; a divisor that is not exact must show its
+sign at the caller's precision.  Settling a product
 or a tree of maxima after the fact would not do: their nodes' tags follow
 _tag's rule, so far-apart exact operands would answer by intervals.  A sum
 with a non-exact operand joins its exact operands' sum to the other
@@ -93,7 +97,9 @@ terms lie.
 from __future__ import annotations
 
 from . import dyadic as dy
-from .errors import EmptyList, NegativeInput, NotBoundedAwayFromZero, SizeLimit
+from .errors import (
+    DivisionNearZero, EmptyList, NegativeInput, NotBoundedAwayFromZero, SizeLimit
+)
 from .naturals import _nat, square_and_multiply
 
 
@@ -505,6 +511,46 @@ def real_mul(x: Real, y: Real) -> Real:
         add(mul(x.pos, y.pos), mul(x.neg, y.neg)),
         add(mul(x.pos, y.neg), mul(x.neg, y.pos)),
     )
+
+
+def real_inv(x: Real, prec: int) -> Real:
+    """1/x.  For an exact x, the reciprocal leaf of |x|, negated when x < 0,
+    which is the leaf pair of 1/x when that is a binary fraction; an exact
+    zero raises DivisionNearZero.  Otherwise x's sign must be certified at
+    precision prec + 1, or DivisionNearZero is raised, and the result is
+    inverse of |x| with prec as its positivity witness, negated when x < 0."""
+    d = real_tag(x)
+    if d is None:
+        side = compare_eps(x.pos, x.neg, prec + 1)
+        if side is Comparison.INDISTINGUISHABLE:
+            raise DivisionNearZero(f"divisor not certified nonzero at precision {prec}")
+        flipped = real_from_cut(inverse(real_abs(x), prec))
+        return real_neg(flipped) if side is Comparison.LESS else flipped
+    if not d:
+        raise DivisionNearZero("division by exact zero")
+    flipped = real_from_cut(reciprocal(dy.dy_abs(d)))
+    return real_neg(flipped) if d.sign < 0 else flipped
+
+
+def real_div(x: Real, y: Real, prec: int) -> Real:
+    """x / y: the exact quotient when both are exact and dy.exact_div finds
+    it, which may refuse it with SizeLimit; otherwise x * real_inv(y, prec)."""
+    d, e = real_tag(x), real_tag(y)
+    exact = None if d is None or e is None else dy.exact_div(d, e)
+    if exact is not None:
+        return real_from_dyadic(exact)
+    return real_mul(x, real_inv(y, prec))
+
+
+def real_pow(x: Real, m: int) -> Real:
+    """x^m for a natural m: exact 1 for m = 0, dy.dy_pow's power of an exact
+    x, which may refuse it with SizeLimit, and otherwise a square-and-multiply
+    DAG of real_mul nodes."""
+    _nat(m, "exponent")
+    d = real_tag(x) if m else dy.ONE
+    if d is not None:
+        return real_from_dyadic(dy.dy_pow(d, m))
+    return square_and_multiply(x, m, real_mul)
 
 
 def real_sup(xs) -> Real:

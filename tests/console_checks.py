@@ -117,6 +117,15 @@ CHECKS = [
           stderr=r"error: sum needs more than 1048576 mantissa bits"),
     check("bigsum-times-one", ["cmp", "(3^(2^19) + (1/2)^(2^20)) * 1", "1"], status=1,
           stderr=r"error: sum needs more than 1048576 mantissa bits"),
+    # A quotient and a between() witness obey the budget as a sum does.
+    check("quotient-budget", ["cmp", "3^(2^19) / (1/2)^(2^20)", "1"], status=1,
+          stderr=r"error: quotient needs more than 1048576 mantissa bits"),
+    check("between-budget", ["eval", "between(3^(2^19) * (1/2)^(2^21), 1/2^1048575)"],
+          status=1, stderr=r"error: between needs more than 1048576 mantissa bits"),
+    # 2000 distinct quotients k/d over seven divisors.
+    check("kdsum", ["eval", " + ".join(
+        f"{k}/{d}" for k, d in zip(range(1, 2001), [3, 5, 6, 7, 9, 10, 11] * 300))],
+          stdout=["[702791692260017/2^31, 2811166769040069/2^33]@30"]),
     check("exponent", ["eval", "(1/2)^(2^14300)"], status=1, stderr=r"error: .*"),
     check("far", ["cmp", "(1/2)^(2^40)", "1"], stdout=["less"]),
     # A value is exact only where dyadic arithmetic finds it: 1/3 times 3

@@ -45,6 +45,7 @@ from settower.reals import (
     real_mul,
     real_neg,
     real_sub,
+    real_tag,
 )
 from settower import relations
 from settower.relations import Carrier, Relation, compose
@@ -1611,6 +1612,124 @@ def two_type_eval(node, env, prec, leaves):
 def evaluate_two_types(text: str, prec: int):
     """cli.evaluate as it was with two value types: a Dyadic or a Real."""
     return two_type_eval(parse_expr(text), {}, prec, {})
+
+
+# The CLI evaluator before it shared subexpressions: one leaf pair per
+# literal node and one reciprocal per exact divisor, kept per evaluation in a
+# leaves dict keyed by the node's id or by the divisor, with the reciprocal,
+# quotient and power rules in the evaluator.  It is the reference for
+# cli._eval's memo and for reals.real_inv, real_div and real_pow: cli.main
+# prints the same bytes with evaluate_with_leaves in place of cli.evaluate.
+
+
+def _leaves_invert(value, prec, leaves):
+    """Reciprocal of a Real: for an exact value d, the exact value 1/d when
+    it is a binary fraction, else the reciprocal leaf of |d|, negated when
+    d < 0, kept in leaves under d; otherwise an interval whose sign was
+    certified at precision prec."""
+    d = real_tag(value)
+    if d is None:
+        side = reals.compare_eps(value.pos, value.neg, prec + 1)
+        if side is reals.Comparison.INDISTINGUISHABLE:
+            raise DivisionNearZero(f"divisor not certified nonzero at precision {prec}")
+        flipped = real_from_cut(reals.inverse(reals.real_abs(value), prec))
+        return real_neg(flipped) if side is reals.Comparison.LESS else flipped
+    got = leaves.get(d)
+    if got is None:
+        if d.sign == 0:
+            raise DivisionNearZero("division by exact zero")
+        if d.sign < 0:
+            got = real_neg(_leaves_invert(real_neg(value), prec, leaves))
+        else:
+            got = real_from_cut(reals.reciprocal(d))
+        leaves[d] = got
+    return got
+
+
+def _leaves_exponent(value):
+    d = real_tag(value)
+    if d is not None and d.exp == 0 and d.sign >= 0:
+        return d.man
+    raise BadExponent("exponent must be an exact natural number")
+
+
+def _leaves_bin(sym, a, b, prec, leaves):
+    if sym == "*":
+        return reals.real_mul(a, b)
+    if sym == "/":
+        d, e = real_tag(a), real_tag(b)
+        exact = None if d is None or e is None else dy.exact_div(d, e)
+        if exact is not None:
+            return real_from_dyadic(exact)
+        return reals.real_mul(a, _leaves_invert(b, prec, leaves))
+    m = _leaves_exponent(b)
+    d = real_tag(a)
+    if d is not None:
+        return real_from_dyadic(dy.dy_pow(d, m))
+    if m == 0:
+        return real_from_dyadic(dy.ONE)
+    return square_and_multiply(a, m, reals.real_mul)
+
+
+def _leaves_call(name, values, prec, leaves):
+    if name == "abs":
+        return real_from_cut(reals.real_abs(values[0]))
+    if name == "inv":
+        return _leaves_invert(values[0], prec, leaves)
+    if name == "sup":
+        return reals.real_sup(values)
+    lo, hi = (real_tag(v) for v in values)
+    if lo is None or hi is None:
+        raise BadOrder("between() needs exact dyadic endpoints")
+    return real_from_dyadic(dy.between(lo, hi))
+
+
+def leaves_eval(node, env, prec, leaves):
+    """Value of a parse_expr tree, a Real, walked as a tree: a shared node
+    is evaluated wherever it occurs, except a literal, whose leaf pair
+    leaves keeps under the node's id."""
+    op = node[0]
+    if op == "num":
+        if id(node) not in leaves:
+            leaves[id(node)] = real_from_dyadic(node[1])
+        return leaves[id(node)]
+    if op == "var":
+        _, name, at = node
+        if name not in env:
+            raise ExprSyntaxError(f"unbound name {name!r}", at)
+        return env[name]
+    if op == "chain":
+        _, ops, operands = node
+        if ops[0] in "+-":
+            terms = []
+            for sym, operand in zip(["+"] + ops, operands):
+                value = leaves_eval(operand, env, prec, leaves)
+                terms.append(value if sym == "+" else real_neg(value))
+            return reals.real_sum(terms)
+        acc = leaves_eval(operands[0], env, prec, leaves)
+        for i, sym in enumerate(ops, 1):
+            b = leaves_eval(operands[i], env, prec, leaves)
+            acc = _leaves_bin(sym, acc, b, prec, leaves)
+        return acc
+    if op == "let":
+        _, bindings, body = node
+        env = dict(env)
+        for name, bound in bindings:
+            env[name] = leaves_eval(bound, env, prec, leaves)
+        return leaves_eval(body, env, prec, leaves)
+    if op == "neg":
+        return real_neg(leaves_eval(node[1], env, prec, leaves))
+    _, name, args = node
+    values = [leaves_eval(a, env, prec, leaves) for a in args]
+    return _leaves_call(name, values, prec, leaves)
+
+
+def evaluate_with_leaves(text: str, prec: int):
+    """cli.evaluate as it was with a leaves dict: the Dyadic of an exact
+    value, else the Real."""
+    value = leaves_eval(parse_expr(text), {}, prec, {})
+    exact = real_tag(value)
+    return value if exact is None else exact
 
 
 def eval_tree(node, env, prec, leaves):

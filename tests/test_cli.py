@@ -173,7 +173,9 @@ class TestEvalCommand:
         assert built == [make(divisor, 0)]
 
     def test_divisors_share_one_leaf_per_evaluation(self, monkeypatch):
-        # One exact check per distinct divisor magnitude, in reals.reciprocal.
+        # One reciprocal leaf, and so one exact check in reals.reciprocal,
+        # per distinct divisor subexpression: a repeated inv(d) or x / d is
+        # one node, evaluated once.
         built, checks = [], []
 
         def record(d, build=reals.reciprocal):
@@ -185,16 +187,16 @@ class TestEvalCommand:
             return check(d, e)
 
         monkeypatch.setattr(reals, "reciprocal", record)
-        text = "inv(3) + 1/3 + inv(-3) - 2/6 + inv(6) + inv(4)"
+        text = "inv(3) + 1/3 + inv(3) - 1/3 + inv(-3) + 2/6 + inv(4) + inv(4)"
         value = cli.evaluate(text, 30)
-        assert built == [make(3, 0), make(6, 0), make(4, 0)]
+        assert built == [make(3, 0), make(3, 0), make(3, 0), make(6, 0), make(4, 0)]
         lo, hi = reals.real_interval(value, 30)
-        want = Fraction(1, 6) + Fraction(1, 4)
+        want = Fraction(2, 3) + Fraction(1, 2)
         assert oracles.to_fraction(lo) <= want <= oracles.to_fraction(hi)
-        # The leaves live for one call: a second evaluation builds its own.
+        # The values live for one call: a second evaluation builds its own.
         monkeypatch.setattr(dy, "exact_div", count)
         cli.evaluate("inv(7) - inv(3) + inv(7) - inv(3)", 30)
-        assert built[3:] == [make(7, 0), make(3, 0)]
+        assert built[5:] == [make(7, 0), make(3, 0)]
         assert checks == [(dy.ONE, make(7, 0)), (dy.ONE, make(3, 0))]
 
     def test_abs_of_interval(self, capsys):
@@ -313,8 +315,7 @@ class TestPowers:
         want = Fraction(1, root) ** m
         a = cli.evaluate(base, 30)
         chain = oracles.pow_chain(
-            a, m, lambda u, v: cli._apply_bin("*", u, v, 30, {}),
-            reals.real_from_dyadic(dy.ONE),
+            a, m, reals.real_mul, reals.real_from_dyadic(dy.ONE),
         )
         got = cli.evaluate(f"{base}^{m}", 30)
         for value in (got, chain):
@@ -1226,10 +1227,9 @@ class TestOneValueType:
             ["eval", "--", "sup(-3, -(1/2)^(2^40), -1)"],
             ["eval", "(1 + (1/2)^600000) * (1 + (1/2)^600000)"],
             ["cmp", "(1 + (1/2)^600000) * (1 + (1/2)^600000)", "1"],
-            # The exact quotient's mantissa passes the budget, so a sum
-            # from 0 refuses it before the two cancel.
+            # The exact quotient's mantissa passes the budget, so both
+            # evaluators refuse it before it cancels or meets a zero factor.
             ["eval", "3^(2^19) / (1/2)^(2^20) - 3^(2^19) / (1/2)^(2^20)"],
-            # An exact zero factor makes an exact zero, however wide the other.
             ["eval", "3^(2^19) / (1/2)^(2^20) * 0"],
             ["cmp", "0 * (3^(2^19) / (1/2)^(2^20))", "2^(3^(2^19) / (1/2)^(2^20) * 0)"],
             ["eval", "inv(3) + (1/2)^(2^40) + 1 + 1"],
@@ -1247,6 +1247,81 @@ class TestOneValueType:
         for argv in (["eval", "--prec", str(prec), "--", left],
                      ["cmp", "--prec", str(prec), "--", left, right]):
             assert quiet_main(argv) == two_type_main(argv), argv
+
+
+def leaves_main(argv):
+    """quiet_main(argv) with the evaluator that walked the tree and kept a
+    leaves dict (oracles.evaluate_with_leaves) in place of cli.evaluate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "evaluate", oracles.evaluate_with_leaves)
+        return quiet_main(argv)
+
+
+# Inputs where sharing, a memo, an error or the size budget could tell the
+# two evaluators apart.
+SHARING_PROBES = [
+    "inv(3) + 1/3 + inv(3) - 1/3 + inv(-3) + 2/6",
+    "let x = inv(3) in let x = x * x in x + x - inv(3) * inv(3)",
+    "(let x = 1 in 2) + (let x = 1 in 2)",
+    "(let x = 1 in x) + (let x = 2 in x) + (let x = 1 in x)",
+    "let x = 1 in (let x = 2 in x) + x + (let x = 2 in x)",
+    "let x = 3 in x + y + x + y",
+    "inv(0) + inv(0)",
+    "inv(inv(3) - inv(3)) + inv(inv(3) - inv(3))",
+    "1/(inv(3)*3 - 1) + 1/(inv(3)*3 - 1)",
+    "(inv(3) + 1)^5 * (inv(3) + 1)^5 / (inv(3) + 1)^5",
+    "2^(1/2) + 2^(1/2)",
+    "inv(3)^0 + inv(3)^0",
+    "sup(inv(3), inv(3), -inv(3)) - abs(-inv(3))",
+    "between(1/3, 1) + between(0, 1) + between(0, 1)",
+    "3^(2^19) / (1/2)^(2^20)",
+    "between(3^(2^19) * (1/2)^(2^21), 1/2^1048575)",
+    "3^(2^19) / (1/2)^(2^20) * 0",
+    "(1 + (1/2)^600000) * (1 + (1/2)^600000)",
+    "inv(3) + (1/2)^(2^40) + 1 + inv(3)",
+    " + ".join(f"{k}/{d}" for k, d in zip(range(1, 300), [3, 5, 6, 7, 9] * 60)),
+]
+
+
+class TestSharing:
+    """cli.evaluate, which evaluates each distinct subexpression once,
+    against the evaluator it replaced, which walked the tree and kept a
+    leaves dict of literal leaf pairs and exact divisors' reciprocals
+    (oracles.evaluate_with_leaves): cli.main ends with the same exit status
+    and prints the same stdout and stderr."""
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_fold_corpus_matches_the_leaves_evaluator(self, seed):
+        for argv in fold_corpus(seed):
+            assert quiet_main(argv) == leaves_main(argv), argv
+
+    @pytest.mark.parametrize("text", SHARING_PROBES)
+    def test_probes_match_the_leaves_evaluator(self, text):
+        for argv in (["eval", "--", text], ["cmp", "--", text, text],
+                     ["cmp", "--prec", "3", "--", text, "1"]):
+            assert quiet_main(argv) == leaves_main(argv), argv
+
+    @given(chain_texts, chain_texts, st.integers(0, 60))
+    @settings(max_examples=150)
+    def test_chains_match_the_leaves_evaluator(self, left, right, prec):
+        for argv in (["eval", "--prec", str(prec), "--", left + " + " + left],
+                     ["cmp", "--prec", str(prec), "--", left, right]):
+            assert quiet_main(argv) == leaves_main(argv), argv
+
+    def test_each_distinct_subexpression_is_evaluated_once(self, monkeypatch):
+        # inv(3) + 1 occurs three times and is one node; each x is its own
+        # node, and so is each let above one.
+        sums = []
+
+        def record(xs, build=reals.real_sum):
+            xs = list(xs)
+            sums.append(len(xs))
+            return build(xs)
+
+        monkeypatch.setattr(reals, "real_sum", record)
+        text = "(inv(3) + 1) * (inv(3) + 1) - (inv(3) + 1) + (let x = 1 in x + x)"
+        cli.evaluate(text, 30)
+        assert sums == [2, 2, 3]
 
 
 class TestChains:
@@ -1367,6 +1442,22 @@ class TestParser:
         cli.parse_expr("3 + 3")
         assert texts[3:] == ["3"]
 
+    def test_equal_subtrees_are_one_node(self):
+        # Nodes are shared by kind, literal text, name or operators and
+        # child identities; a var or let node is never shared, nor is a
+        # node above one, even where the texts are equal.
+        tree = cli.parse_expr("inv(1 + 2) * -(3 ^ 2) + inv(1 + 2) * -(3 ^ 2) - 2 ^ 3")
+        _, _, (left, right, power) = tree
+        assert left is right and power is not left[2][1][1]
+        assert cli.parse_expr("1 + 2")[2] is not cli.parse_expr("1 + 2")[2]
+        tree = cli.parse_expr("(let y = 1 in 2) - (let y = 1 in 2) + x + x")
+        _, _, (a, b, x, y) = tree
+        assert a == b and a is not b and a[1][0][1] is b[1][0][1]
+        assert x[:2] == y[:2] and x is not y
+        tree = cli.parse_expr("inv(x) + inv(x) + (let y = 1 in y) + (let y = 1 in y)")
+        _, _, (a, b, c, d) = tree
+        assert a is not b and a[2][0] is not b[2][0] and c is not d
+
     def test_a_bad_literal_reports_its_first_position(self):
         with pytest.raises(ExprSyntaxError) as err:
             cli.parse_expr("1 + 0.1 + 0.1")
@@ -1430,9 +1521,9 @@ class TestTokenizer:
 
 class TestRepeatedDivisors:
     def test_share_one_real(self, monkeypatch):
-        # Every inv(d) with one exact divisor d is one value per evaluation,
-        # inv(-d) is its negation over the same leaf, and x / d multiplies
-        # x by that value.
+        # Every repeated inv(d) is one node, so one value per evaluation;
+        # inv(-d) is the negation of a reciprocal leaf of d with the same
+        # endpoints, and x / d multiplies x by such a reciprocal.
         runs = []
 
         def record(xs, build=reals.real_sum):
@@ -1452,18 +1543,28 @@ class TestRepeatedDivisors:
         (terms,) = runs
         third = terms[0]
         assert terms[2] is third and terms[5] is third and terms[1] is not third
-        assert products[0][1] is third
-        assert terms[4].neg is third.pos and terms[4].pos is reals.ZERO_CUT
+        assert third.neg is reals.ZERO_CUT and reals.real_tag(third) is None
+        (_, divided), = products
+        assert terms[4].pos is reals.ZERO_CUT and divided.neg is reals.ZERO_CUT
+        for n in range(40):
+            assert divided.pos.query(n) == terms[4].neg.query(n) == third.pos.query(n)
 
-    def test_exact_reciprocals_are_dyadics(self):
+    def test_exact_reciprocals_are_dyadics(self, monkeypatch):
         # A reciprocal that is a binary fraction is the leaf pair of that
-        # value, and leaves keeps it under the divisor.
-        leaves = {}
+        # value, and a repeated inv(d) is inverted once per evaluation.
         four = reals.real_from_dyadic(make(4, 0))
-        quarter = cli._invert(four, 30, leaves)
+        quarter = reals.real_inv(four, 30)
         assert reals.real_tag(quarter) == make(1, 2) and quarter.neg is reals.ZERO_CUT
-        minus = cli._invert(reals.real_neg(four), 30, leaves)
-        assert reals.real_tag(minus) == make(1, 2, -1) and minus.neg is quarter.pos
-        assert set(leaves) == {make(4, 0), make(4, 0, -1)}
+        minus = reals.real_inv(reals.real_neg(four), 30)
+        assert reals.real_tag(minus) == make(1, 2, -1) and minus.pos is reals.ZERO_CUT
+        inverted = []
+
+        def record(x, prec, invert=reals.real_inv):
+            inverted.append(reals.real_tag(x))
+            return invert(x, prec)
+
+        monkeypatch.setattr(reals, "real_inv", record)
+        assert cli.evaluate("inv(4) + inv(-4) + inv(4)", 30) == make(1, 2)
+        assert inverted == [make(4, 0), make(4, 0, -1)]
         with pytest.raises(SettowerError, match="division by exact zero"):
-            cli._invert(reals.REAL_ZERO, 30, leaves)
+            reals.real_inv(reals.REAL_ZERO, 30)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 from settower import dyadic as dy
@@ -459,6 +459,56 @@ class TestArithmetic:
         else:
             assert oracles.to_fraction(got) == total
 
+    @given(small_grid, small_grid)
+    def test_quotients_obey_the_sum_measure(self, d, e):
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            got = outcome(dy.exact_div, d, e)
+            if isinstance(got, dy.Dyadic):
+                assert outcome(dy.add, got, ZERO) == outcome(dy.mul, got, ONE) == got
+        if e.sign == 0:
+            assert got is None
+            return
+        quotient = oracles.to_fraction(d) / oracles.to_fraction(e)
+        shifted = e.exp > SMALL_LIMIT and d.sign != 0
+        if not oracles.is_dyadic_fraction(quotient):
+            assert got is None
+        elif shifted or abs(quotient.numerator).bit_length() - 1 > SMALL_LIMIT:
+            assert got is SizeLimit
+        else:
+            assert oracles.to_fraction(got) == quotient
+
+    @given(small_grid, small_grid)
+    def test_witnesses_obey_the_sum_measure(self, d, e):
+        assume(d != e)
+        d, e = sorted((d, e))
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            got = outcome(dy.between, d, e)
+            if isinstance(got, dy.Dyadic):
+                assert outcome(dy.add, got, ZERO) == outcome(dy.mul, got, ONE) == got
+        # The witness is one past d's numerator on the grid 2^-(u+v+1).
+        grid = 1 << (d.exp + e.exp + 1)
+        want = Fraction(int(oracles.to_fraction(d) * grid) + 1, grid)
+        shifted = e.exp + 1 > SMALL_LIMIT and d.sign != 0
+        if shifted or abs(want.numerator).bit_length() - 1 > SMALL_LIMIT:
+            assert got is SizeLimit
+        else:
+            assert oracles.to_fraction(got) == want
+            assert d < got < e
+
+    @pytest.mark.parametrize(
+        "call,what",
+        [
+            (lambda: dy.exact_div(dy.dy_pow(make(3, 0), 2**19), make(1, LIMIT)), "quotient"),
+            (lambda: dy.between(make(3**(2**19), 2 * LIMIT), make(1, LIMIT - 1)), "between"),
+        ],
+        ids=["quotient", "between"],
+    )
+    def test_results_past_the_limit_are_refused(self, call, what):
+        # 3^(2^19) * 2^(2^20) and the witness below 2^-(2^20 - 1) hold
+        # 1,879,553 bits, past the limit without a shift past it.
+        with pytest.raises(SizeLimit, match=f"^{what} needs more than {LIMIT} mantissa bits$"):
+            call()
+
     def test_pow_of_a_unit_mantissa_is_never_refused(self):
         assert dy.dy_pow(HALF, 2**40) == make(1, 2**40)
         assert dy.dy_pow(make(1, 0, -1), 2**40) == ONE
@@ -657,17 +707,18 @@ class TestExactDiv:
 
     @given(small_grid, small_grid, st.booleans())
     def test_matches_power_of_two_reference(self, d, e, multiply):
-        """Where the power-of-two-only exact_div answers, this one agrees;
-        where it refused or gave None, this one gives the exact quotient
-        when that is a binary fraction and the shift fits, else None or
-        the refusal."""
+        """Where the power-of-two-only exact_div answers, this one agrees,
+        or refuses a quotient whose mantissa passes the limit, which the
+        reference does not measure; where it refused or gave None, this one
+        gives the exact quotient when that is a binary fraction, the shift
+        fits and the mantissa does, else None or the refusal."""
         if multiply:
             d = d * e
         with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
             got = outcome(dy.exact_div, d, e)
             want = outcome(oracles.exact_div_power_of_two, d, e)
         if want not in (None, SizeLimit):
-            assert got == want
+            assert got == (SizeLimit if want.man.bit_length() - 1 > SMALL_LIMIT else want)
         elif not e:
             assert got is None
         else:
@@ -675,7 +726,7 @@ class TestExactDiv:
             if not oracles.is_dyadic_fraction(q):
                 assert got is None
             elif got is SizeLimit:
-                assert e.exp > SMALL_LIMIT
+                assert e.exp > SMALL_LIMIT or abs(q.numerator).bit_length() - 1 > SMALL_LIMIT
             else:
                 assert oracles.to_fraction(got) == q
 

@@ -17,6 +17,7 @@ from settower import dyadic as dy
 from settower import reals
 from settower.dyadic import HALF, ONE, ZERO, make
 from settower.errors import (
+    DivisionNearZero,
     EmptyList,
     NegativeInput,
     NotANatural,
@@ -628,6 +629,7 @@ class TestSignedReals:
 
 # 2^(-2^21): its exponent lies past POW_BIT_LIMIT from 1's.
 TINY = make(1, 1 << 21)
+ONE_REAL = real_from_dyadic(ONE)
 
 
 def _is_leaf_pair_of(x, d):
@@ -697,7 +699,7 @@ class TestExactValues:
 
     def test_a_zero_factor_makes_zero(self):
         # dy.mul measures a mantissa past the budget even against zero.
-        wide = dy.exact_div(make(3**(2**19), 0), make(1, dy.POW_BIT_LIMIT))
+        wide = make(3**(2**19) << dy.POW_BIT_LIMIT, 0)
         with pytest.raises(SizeLimit):
             dy.mul(wide, ZERO)
         x = real_from_dyadic(wide)
@@ -707,6 +709,124 @@ class TestExactValues:
     def test_singleton_sup_is_the_value(self):
         for x in (real_from_dyadic(HALF), Real(from_dyadic(make(3, 0)), from_dyadic(ONE))):
             assert reals.real_sup([x]) is x
+
+
+@st.composite
+def signed_values(draw, depth=1):
+    """(x, text): a signed value and an expression whose exact value
+    oracles.exact_value reads as x's, exact or not, up to one sum deep."""
+    kind = draw(st.sampled_from(("exact", "cut", "sum")[: 3 if depth else 2]))
+    if kind == "exact":
+        d = draw(signed_dyadics)
+        return real_from_dyadic(d), f"({d})"
+    if kind == "cut":
+        k = draw(st.sampled_from([3, 5, 6, 7, 9, 11]))
+        x = real_from_cut(inverse(from_dyadic(make(k, 0)), 0))
+        return (real_neg(x), f"(-inv({k}))") if draw(st.booleans()) else (x, f"inv({k})")
+    (x, tx), (y, ty) = draw(signed_values(0)), draw(signed_values(0))
+    return reals.real_sum([x, y]), f"({tx} + {ty})"
+
+
+def _brackets(x, want, upto=40):
+    for n in range(upto):
+        lo, hi = (oracles.to_fraction(e) for e in real_interval(x, n))
+        assert lo <= want <= hi and hi - lo <= Fraction(2, 1 << n)
+
+
+def _inverts_or_refuses(invert, x, value, prec):
+    """invert() is 1/value, exactly when x is exact and 1/value a binary
+    fraction, or DivisionNearZero: for an exact zero by name, else for a
+    value within 2^-prec of zero, whose sign prec + 1 bits cannot show."""
+    try:
+        got = invert()
+    except DivisionNearZero as exc:
+        if reals.real_tag(x) is not None:
+            assert value == 0 and str(exc) == "division by exact zero"
+        else:
+            assert abs(value) <= Fraction(1, 1 << prec)
+            assert str(exc) == f"divisor not certified nonzero at precision {prec}"
+        return None
+    _brackets(got, 1 / value)
+    if reals.real_tag(x) is not None and oracles.is_dyadic_fraction(1 / value):
+        assert oracles.to_fraction(reals.real_tag(got)) == 1 / value
+    return got
+
+
+class TestInvDivPow:
+    """real_inv, real_div and real_pow: brackets of the exact reciprocal,
+    quotient and power, exact results as leaf pairs, and the two ways a
+    division near zero is refused."""
+
+    @given(signed_values(), st.integers(0, 40))
+    def test_reciprocals_bracket_the_exact_value(self, value, prec):
+        x, text = value
+        _inverts_or_refuses(lambda: reals.real_inv(x, prec), x, oracles.exact_value(text), prec)
+
+    @given(signed_values(), signed_values(), st.integers(0, 40))
+    def test_quotients_bracket_the_exact_value(self, left, right, prec):
+        (x, tx), (y, ty) = left, right
+        a, b = oracles.exact_value(tx), oracles.exact_value(ty)
+        got = _inverts_or_refuses(lambda: reals.real_div(ONE_REAL, y, prec), y, b, prec)
+        if got is None:
+            return
+        quotient = reals.real_div(x, y, prec)
+        _brackets(quotient, a / b)
+        exact = reals.real_tag(x) is not None and reals.real_tag(y) is not None
+        if exact and oracles.is_dyadic_fraction(a / b):
+            assert _is_leaf_pair_of(quotient, oracles._dyadic_of(a / b))
+
+    @given(signed_values(), st.integers(0, 12))
+    def test_powers_bracket_the_exact_value(self, value, m):
+        x, text = value
+        got = reals.real_pow(x, m)
+        want = oracles.exact_value(text) ** m
+        _brackets(got, want)
+        if reals.real_tag(x) is not None or m == 0:
+            assert _is_leaf_pair_of(got, oracles._dyadic_of(want))
+        else:
+            assert reals.real_tag(got) is None
+
+    def test_exact_results_are_leaf_pairs(self):
+        four = real_from_dyadic(make(4, 0))
+        assert _is_leaf_pair_of(reals.real_inv(four, 30), make(1, 2))
+        assert _is_leaf_pair_of(reals.real_inv(real_from_dyadic(make(1, 1, -1)), 0), make(2, 0, -1))
+        assert _is_leaf_pair_of(reals.real_div(real_from_dyadic(make(6, 0)), real_from_dyadic(make(3, 0)), 30), make(2, 0))
+        assert _is_leaf_pair_of(reals.real_div(real_from_dyadic(make(3, 0)), four, 30), make(3, 2))
+        assert _is_leaf_pair_of(reals.real_pow(real_from_dyadic(make(1, 1, -1)), 3), make(1, 3, -1))
+        # A reciprocal that is no binary fraction is the reciprocal leaf.
+        third = reals.real_inv(real_from_dyadic(make(3, 0, -1)), 30)
+        assert third.pos is ZERO_CUT and third.neg.tag is None
+        for n in range(40):
+            assert third.neg.query(n) == reals.reciprocal(make(3, 0)).query(n)
+
+    def test_both_division_messages(self):
+        near = real_sub(real_from_cut(inv3()), real_from_cut(inv3()))
+        for call in (lambda: reals.real_inv(REAL_ZERO, 30),
+                     lambda: reals.real_div(ONE_REAL, REAL_ZERO, 30),
+                     lambda: reals.real_div(REAL_ZERO, real_neg(REAL_ZERO), 7)):
+            with pytest.raises(DivisionNearZero, match="^division by exact zero$"):
+                call()
+        for call in (lambda: reals.real_inv(near, 30), lambda: reals.real_div(ONE_REAL, near, 30)):
+            with pytest.raises(
+                DivisionNearZero, match="^divisor not certified nonzero at precision 30$"
+            ):
+                call()
+
+    @pytest.mark.parametrize(
+        "x",
+        [REAL_ZERO, real_from_dyadic(make(3, 2, -1)), real_from_cut(inv3()),
+         real_neg(real_from_cut(inv3())), Real(from_dyadic(ONE), from_dyadic(TINY))],
+        ids=["zero", "exact", "cut", "negative-cut", "far-apart"],
+    )
+    def test_zeroth_power_is_exact_one(self, x):
+        assert _is_leaf_pair_of(reals.real_pow(x, 0), ONE)
+
+    def test_exact_results_past_the_budget_are_refused(self):
+        big = real_from_dyadic(dy.dy_pow(make(3, 0), 2**19))
+        with pytest.raises(SizeLimit, match="^quotient needs more than"):
+            reals.real_div(big, real_from_dyadic(make(1, dy.POW_BIT_LIMIT)), 30)
+        with pytest.raises(SizeLimit, match="^power needs more than"):
+            reals.real_pow(big, 2)
 
 
 class TestCanonicalize:
