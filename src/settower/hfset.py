@@ -16,6 +16,13 @@ smaller code; that is exactly Python's lexicographic order on these nested
 tuples, so sorting by key runs the comparison in C.  `ackermann_code`
 refuses, with SizeLimit, inputs whose code would not fit in CODE_BIT_LIMIT
 bits, and `from_code` decodes every code that fits.
+
+Sets are not shared: every construction builds a new object and no table
+is kept, so a set lives exactly as long as something holds it.
+Hash-consing (ROADMAP item 5) would make equality an identity test, but it
+needs a weak table that copying, pickling and threads keep consistent, and
+perfbench reads its speed-up as a `peak_rss_mb` regression until that
+harness bounds its per-operation samples (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -49,20 +56,48 @@ _key_of = attrgetter("_key")
 
 
 class HFSet:
+    """An immutable hereditarily finite set.
+
+    HFSet(elements) takes any iterable of HFSets, in any order and with
+    repeats, keeps the first of equal elements, and raises TypeError for
+    anything else.  Every construction checks each element once and hashes
+    the element tuple.  Only three or more elements are deduped by a dict,
+    sorted by key and given a key built by a comprehension; a pair costs one
+    or two key comparisons, and the empty and one-element sets, most of
+    what `parse` or a decode from scratch builds, cost nothing more.  A
+    tuple argument that is already in order is kept as the set's own
+    element tuple.
+    """
+
     __slots__ = ("_elems", "_hash", "_rank", "_key")
 
     def __init__(self, elements=()):
-        # A dict dedupes by hash, keeping the first of equal elements.
-        distinct = {}
-        for e in elements:
-            if not isinstance(e, HFSet):
-                raise TypeError(f"HFSet elements must be HFSets, got {type(e).__name__}")
-            distinct[e] = None
-        self._elems = elems = tuple(sorted(distinct, key=_key_of))
-        # Through a list: tuple() of a lazy iterator allocates ten slots and
+        # One tuple of the elements: a tuple argument as it is, anything else
+        # through a list.  tuple() of a lazy iterator allocates ten slots and
         # shrinks, and the shrunken tuples, once freed, fill the interpreter's
         # per-size tuple free lists (~2 MB held for good on `hf_codes`).
-        self._key = tuple([e._key for e in reversed(elems)])
+        cls = elements.__class__
+        elems = elements if cls is tuple else tuple(elements if cls is list else [*elements])
+        for e in elems:
+            if not isinstance(e, HFSet):
+                raise TypeError(f"HFSet elements must be HFSets, got {type(e).__name__}")
+        if len(elems) > 2:
+            # A dict dedupes by hash, keeping the first of equal elements.
+            elems = tuple(sorted(dict.fromkeys(elems), key=_key_of))
+            self._key = tuple([e._key for e in reversed(elems)])
+        elif len(elems) == 2:
+            # One or two key comparisons order the pair or find it equal.
+            a, b = elems
+            ka, kb = a._key, b._key
+            if ka < kb:
+                self._key = (kb, ka)
+            elif kb < ka:
+                elems, self._key = (b, a), (ka, kb)
+            else:
+                elems, self._key = (a,), (ka,)
+        else:
+            self._key = (elems[0]._key,) if elems else ()
+        self._elems = elems
         # The sets of rank < r are exactly the codes below 2^^(r-1), so the
         # element with the largest code also has the largest rank.
         self._rank = elems[-1]._rank + 1 if elems else 0

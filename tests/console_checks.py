@@ -112,6 +112,11 @@ CHECKS = [
     check("chain19", ["eval", squaring_chain(19)], timeout=10, stdout=["0"]),
     check("chain20", ["eval", squaring_chain(20)], status=1, timeout=10,
           stderr=r"error: product needs more than 1048576 mantissa bits"),
+    # A power obeys the product budget step by step: 3^(2^20) is refused
+    # as 3^(2^19) * 3^(2^19) is, and 2^(2^20), of 2^20 + 1 bits, answers.
+    check("pow20", ["cmp", "3^(2^20)", "1"], status=1, timeout=10,
+          stderr=r"error: power needs more than 1048576 mantissa bits"),
+    check("pow2", ["cmp", "2^(2^20)", "1"], timeout=10, stdout=["greater"]),
     # A sum and that sum times 1 obey one size budget.
     check("bigsum", ["cmp", "3^(2^19) + (1/2)^(2^20)", "1"], status=1,
           stderr=r"error: sum needs more than 1048576 mantissa bits"),

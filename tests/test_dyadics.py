@@ -21,6 +21,7 @@ from settower.errors import (
     SizeLimit,
 )
 from settower.dyadic import HALF, ONE, ZERO, Dyadic, make
+from settower.naturals import square_and_multiply
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 dyadics = st.builds(
@@ -513,6 +514,30 @@ class TestArithmetic:
         assert dy.dy_pow(HALF, 2**40) == make(1, 2**40)
         assert dy.dy_pow(make(1, 0, -1), 2**40) == ONE
         assert dy.dy_pow(make(1, 0, -1), 2**40 + 1) == make(1, 0, -1)
+        # An exponent of a million bits answers without a step per bit.
+        assert dy.dy_pow(make(1, 3, -1), 1 << 2**20) == make(1, 3 << 2**20)
+        assert dy.dy_pow(ZERO, 1 << 2**20) == ZERO
+
+    @given(
+        st.builds(make, st.integers(0, 300), st.integers(0, 20), st.sampled_from([-1, 1])),
+        st.integers(0, 100),
+    )
+    def test_powers_obey_the_product_budget(self, d, m):
+        # d^m is refused exactly when a step of squaring and multiplying it
+        # out with mul is; the lower bound (bits - 1) * m alone lets some
+        # powers past the budget.
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            got = outcome(dy.dy_pow, d, m)
+            want = ONE if m == 0 else outcome(square_and_multiply, d, m, dy.mul)
+        assert (got is SizeLimit) == (want is SizeLimit)
+        if got is not SizeLimit:
+            assert oracles.to_fraction(got) == oracles.to_fraction(d) ** m
+
+    def test_power_past_the_budget_by_its_steps(self):
+        # (bits - 1) * m is exactly the limit, but 3^(2^19) squared is not.
+        with pytest.raises(SizeLimit, match=f"^power needs more than {LIMIT} mantissa bits$"):
+            dy.dy_pow(make(3, 0), 2**20)
+        assert dy.dy_pow(make(2, 0), 2**20) == make(1 << 2**20, 0)
 
     @given(dyadics, dyadics)
     def test_abs_max_min(self, d, e):

@@ -91,6 +91,76 @@ class TestConstruction:
         assert "atom" not in a
 
 
+# The argument shapes the constructor takes: a tuple it keeps as it is, a
+# list, and a lazy iterable.
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda xs: (x for x in xs),
+}
+containers = st.sampled_from(sorted(CONTAINERS))
+
+
+@st.composite
+def element_lists(draw):
+    """0, 1 or many sets in any order, with repeats; a repeat is the same
+    object or an equal set built separately, with no subset shared."""
+    pool = draw(st.lists(st.one_of(coded_sets, trees), max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=7)) if pool else []
+    return [
+        x if draw(st.booleans()) else oracles.thaw(oracles.freeze(x)) for x in picks
+    ]
+
+
+class TestConstructorAgainstOracle:
+    """Every argument shape and size builds what the frozenset model says:
+    the empty and one-element sets, which skip sorting and deduping, and
+    the pairs, which compare their two keys, as well as larger sets."""
+
+    @given(element_lists(), containers)
+    def test_matches_frozen_oracle(self, xs, kind):
+        got = HFSet(CONTAINERS[kind](xs))
+        want = oracles.thaw(frozenset(map(oracles.freeze, xs)))
+        assert got.elements == want.elements
+        assert got._key == want._key
+        assert got.rank == want.rank == rank_oracle(oracles.freeze(want))
+        assert hash(got) == hash(want)
+        assert str(got) == str(want)
+        assert got == want and not got != want
+
+    @given(element_lists(), containers)
+    def test_keeps_the_first_of_equal_elements(self, xs, kind):
+        got = HFSet(CONTAINERS[kind](xs))
+        for e in got.elements:
+            assert e is next(x for x in xs if x == e)
+
+    @given(element_lists(), st.integers(0, 7), st.sampled_from(["atom", 0, None, ()]),
+           containers)
+    def test_rejects_a_non_set_at_any_position(self, xs, pos, bad, kind):
+        xs = xs[:pos] + [bad] + xs[pos:]
+        with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
+            HFSet(CONTAINERS[kind](xs))
+
+    @pytest.mark.parametrize("bad", ["atom", 0, None, (), [EMPTY]], ids=repr)
+    def test_rejects_a_one_element_tuple_of_a_non_set(self, bad):
+        with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
+            HFSet((bad,))
+
+    def test_every_call_builds_a_new_set(self):
+        elems = (EMPTY,)
+        a, b = HFSet(elems), HFSet(elems)
+        assert a is not b and a == b
+        assert HFSet() is not EMPTY and HFSet() == EMPTY
+
+    @given(codes)
+    def test_code_of_unshared_subtrees(self, c):
+        # Equal subtrees are distinct objects, as parse and a decode from
+        # scratch build them.
+        x = oracles.thaw(oracles.freeze(oracles.from_code(c)))
+        assert hf.ackermann_code(x) == oracles.code_oracle(oracles.freeze(x)) == c
+        assert hf.ackermann_code(hf.parse(str(x))) == c
+
+
 class TestCompare:
     @given(codes, codes)
     def test_matches_code_order(self, ca, cb):
