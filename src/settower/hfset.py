@@ -17,6 +17,12 @@ tuples, so sorting by key runs the comparison in C.  `ackermann_code`
 refuses, with SizeLimit, inputs whose code would not fit in CODE_BIT_LIMIT
 bits, and `from_code` decodes every code that fits.
 
+`parse` and `str` work at any nesting depth, but equality does not.  On
+two separately built chains of singletons, `==`, `in` and `union` answer at
+990 levels and raise RecursionError at 1000: comparing nested order keys in
+C recurses once per level, against the interpreter's recursion limit
+(ROADMAP item 5).  `str` and `parse` answer at 3000.
+
 Sets are not shared: every construction builds a new object and no table
 is kept, so a set lives exactly as long as something holds it.
 Hash-consing (ROADMAP item 5) would make equality an identity test, but it
@@ -65,8 +71,9 @@ class HFSet:
     sorted by key and given a key built by a comprehension; a pair costs one
     or two key comparisons, and the empty and one-element sets, most of
     what `parse` or a decode from scratch builds, cost nothing more.  A
-    tuple argument that is already in order is kept as the set's own
-    element tuple.
+    tuple argument of at most two elements that is already in order, with
+    no repeat, is kept as the set's own element tuple; three or more
+    elements are always sorted into a new tuple, even when already in order.
     """
 
     __slots__ = ("_elems", "_hash", "_rank", "_key")

@@ -1050,33 +1050,64 @@ def quiet_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# The evaluators that today's cli.evaluate replaced, each with the reals
+# nodes it ran on where today's replaced those too.  The generic nodes fold
+# no exact zero, and the CLI's 0 * inv(3) is exact only by that folding, so
+# they run under the two-type evaluator, whose exact zero needs no node.
+REFERENCES = {
+    "two_types": (oracles.evaluate_two_types, {}),
+    "leaves": (oracles.evaluate_with_leaves, {}),
+    "generic_nodes": (oracles.evaluate_two_types, oracles.GENERIC_NODES),
+    "binary_add": (oracles.evaluate_descent, {"add": oracles.generic_add}),
+    "descent": (oracles.evaluate_descent, {}),
+}
+
+
+def reference_answers(name, corpus):
+    """quiet_main's answers to corpus with the reference `name` in place,
+    parsed by one parser that the real cli._build_parser builds."""
+    evaluate, nodes = REFERENCES[name]
+    parser = cli._build_parser()
+    with pytest.MonkeyPatch.context() as patch:
+        for attr, node in nodes.items():
+            patch.setattr(reals, attr, node)
+        patch.setattr(cli, "evaluate", evaluate)
+        patch.setattr(cli, "_build_parser", lambda: parser)
+        return [quiet_main(argv) for argv in corpus]
+
+
+def assert_same_answers(name, corpus, today=None):
+    """cli.main as shipped (or its answers in `today`) ends each argv of
+    corpus with the same exit status, stdout and stderr as the reference."""
+    wants = reference_answers(name, corpus)
+    for argv, got, want in zip(corpus, today or map(quiet_main, corpus), wants):
+        assert got == want, argv
+
+
+@pytest.fixture(scope="session")
+def fold_answers():
+    """Today's quiet_main answers to fold_corpus(seed) for seeds 4 and 11,
+    computed once per session with no patch active."""
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == DIGIT_LIMIT
+    return {seed: [quiet_main(argv) for argv in fold_corpus(seed)] for seed in (4, 11)}
+
+
 class TestZeroFolding:
-    def test_stdout_matches_the_generic_nodes(self, monkeypatch):
-        # The generic nodes fold no exact zero, and the CLI's 0 * inv(3) is
-        # exact only by that folding, so they run under the two-type
-        # evaluator, whose exact zero needs no node.
-        corpus = fold_corpus()
-        folded = [quiet_main(argv) for argv in corpus]
-        for name, node in oracles.GENERIC_NODES.items():
-            monkeypatch.setattr(reals, name, node)
-        monkeypatch.setattr(cli, "evaluate", oracles.evaluate_two_types)
-        generic = [quiet_main(argv) for argv in corpus]
-        for argv, f, g in zip(corpus, folded, generic):
+    def test_stdout_matches_the_generic_nodes(self, fold_answers):
+        corpus, folded = fold_corpus(), fold_answers[4]
+        for argv, f, g in zip(corpus, folded, reference_answers("generic_nodes", corpus)):
             assert_stdout_agrees(argv, f, g)
         # The corpus reaches the interval path, not just exact answers.
         assert sum("@" in out for _, out, _ in folded) > len(corpus) // 4
 
     @pytest.mark.parametrize("seed", [4, 11])
-    def test_outcomes_match_the_binary_add(self, seed, monkeypatch):
+    def test_outcomes_match_the_binary_add(self, seed, fold_answers):
         """Every + and - in fold_corpus joins two operands.  Binary descent
         with generic_add in place of reals.add evaluates them as the CLI
         did before add became the Sum node of two operands; exit status,
         stderr and every answer but a printed interval stay the same."""
-        corpus = fold_corpus(seed)
-        summed = [quiet_main(argv) for argv in corpus]
-        monkeypatch.setattr(reals, "add", oracles.generic_add)
-        monkeypatch.setattr(cli, "evaluate", oracles.evaluate_descent)
-        binary = [quiet_main(argv) for argv in corpus]
+        corpus, summed = fold_corpus(seed), fold_answers[seed]
+        binary = reference_answers("binary_add", corpus)
         changed = 0
         for argv, (code, out, err), want in zip(corpus, summed, binary):
             if "@" in out and "@" in want[1]:
@@ -1201,14 +1232,6 @@ LONG_RUNS = [
 ]
 
 
-def two_type_main(argv):
-    """quiet_main(argv) with the two-type evaluator in place of
-    cli.evaluate."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "evaluate", oracles.evaluate_two_types)
-        return quiet_main(argv)
-
-
 class TestOneValueType:
     """cli.evaluate, where every value is a Real, against the evaluator it
     replaced, where a value was a Dyadic while every step stayed exact
@@ -1216,9 +1239,8 @@ class TestOneValueType:
     and prints the same stdout and stderr."""
 
     @pytest.mark.parametrize("seed", [4, 11])
-    def test_fold_corpus_matches_the_two_type_evaluator(self, seed):
-        for argv in fold_corpus(seed):
-            assert quiet_main(argv) == two_type_main(argv), argv
+    def test_fold_corpus_matches_the_two_type_evaluator(self, seed, fold_answers):
+        assert_same_answers("two_types", fold_corpus(seed), fold_answers[seed])
 
     @pytest.mark.parametrize(
         "argv",
@@ -1239,22 +1261,13 @@ class TestOneValueType:
              "zero-product-cmp", "mixed-sum", "abs"],
     )
     def test_far_apart_values_match_the_two_type_evaluator(self, argv):
-        assert quiet_main(argv) == two_type_main(argv)
+        assert_same_answers("two_types", [argv])
 
     @given(chain_texts, chain_texts, st.integers(0, 60))
     @settings(max_examples=150)
     def test_chains_match_the_two_type_evaluator(self, left, right, prec):
-        for argv in (["eval", "--prec", str(prec), "--", left],
-                     ["cmp", "--prec", str(prec), "--", left, right]):
-            assert quiet_main(argv) == two_type_main(argv), argv
-
-
-def leaves_main(argv):
-    """quiet_main(argv) with the evaluator that walked the tree and kept a
-    leaves dict (oracles.evaluate_with_leaves) in place of cli.evaluate."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "evaluate", oracles.evaluate_with_leaves)
-        return quiet_main(argv)
+        assert_same_answers("two_types", [["eval", "--prec", str(prec), "--", left],
+                                          ["cmp", "--prec", str(prec), "--", left, right]])
 
 
 # Inputs where sharing, a memo, an error or the size budget could tell the
@@ -1291,22 +1304,19 @@ class TestSharing:
     and prints the same stdout and stderr."""
 
     @pytest.mark.parametrize("seed", [4, 11])
-    def test_fold_corpus_matches_the_leaves_evaluator(self, seed):
-        for argv in fold_corpus(seed):
-            assert quiet_main(argv) == leaves_main(argv), argv
+    def test_fold_corpus_matches_the_leaves_evaluator(self, seed, fold_answers):
+        assert_same_answers("leaves", fold_corpus(seed), fold_answers[seed])
 
     @pytest.mark.parametrize("text", SHARING_PROBES)
     def test_probes_match_the_leaves_evaluator(self, text):
-        for argv in (["eval", "--", text], ["cmp", "--", text, text],
-                     ["cmp", "--prec", "3", "--", text, "1"]):
-            assert quiet_main(argv) == leaves_main(argv), argv
+        assert_same_answers("leaves", [["eval", "--", text], ["cmp", "--", text, text],
+                                       ["cmp", "--prec", "3", "--", text, "1"]])
 
     @given(chain_texts, chain_texts, st.integers(0, 60))
     @settings(max_examples=150)
     def test_chains_match_the_leaves_evaluator(self, left, right, prec):
-        for argv in (["eval", "--prec", str(prec), "--", left + " + " + left],
-                     ["cmp", "--prec", str(prec), "--", left, right]):
-            assert quiet_main(argv) == leaves_main(argv), argv
+        assert_same_answers("leaves", [["eval", "--prec", str(prec), "--", left + " + " + left],
+                                       ["cmp", "--prec", str(prec), "--", left, right]])
 
     def test_each_distinct_subexpression_is_evaluated_once(self, monkeypatch):
         # inv(3) + 1 occurs three times and is one node; each x is its own
@@ -1335,15 +1345,13 @@ class TestChains:
     def test_chains_match_binary_descent(self, text):
         assert_outcome_agrees(text)
 
-    def test_stdout_matches_binary_descent(self, monkeypatch):
+    def test_stdout_matches_binary_descent(self):
         corpus = fold_corpus(seed=11, evals=300, cmps=100)
         rng = random.Random(11)
         corpus += [["eval", "--", random_chain(rng)] for _ in range(300)]
         corpus += [["cmp", "--", random_chain(rng), random_chain(rng)] for _ in range(100)]
-        chained = [quiet_main(argv) for argv in corpus]
-        monkeypatch.setattr(cli, "evaluate", oracles.evaluate_descent)
-        descent = [quiet_main(argv) for argv in corpus]
-        for argv, c, d in zip(corpus, chained, descent):
+        descent = reference_answers("descent", corpus)
+        for argv, c, d in zip(corpus, map(quiet_main, corpus), descent):
             assert_stdout_agrees(argv, c, d)
 
     @pytest.mark.parametrize(
@@ -1404,10 +1412,10 @@ class TestChains:
         assert 2 * descent <= edge < 1000
 
 
-def parsed(parse, text):
-    """parse's tree for text, or its ExprSyntaxError's message and position."""
+def syntax_outcome(fn, text):
+    """fn(text), or its ExprSyntaxError's message and position."""
     try:
-        return parse(text)
+        return fn(text)
     except ExprSyntaxError as exc:
         return exc.message, exc.position
 
@@ -1420,7 +1428,7 @@ class TestParser:
     @given(st.one_of(expr_token_strings, chain_texts))
     @settings(max_examples=600)
     def test_parses_as_run_descent(self, text):
-        assert parsed(cli.parse_expr, text) == parsed(
+        assert syntax_outcome(cli.parse_expr, text) == syntax_outcome(
             lambda t: oracles.RunDescent(t).parse(), text
         )
 
@@ -1485,15 +1493,6 @@ tokenizer_texts = st.one_of(
 )
 
 
-def tokenized(tokenize, text):
-    """tokenize's tokens for text, or its ExprSyntaxError's message and
-    position."""
-    try:
-        return tokenize(text)
-    except ExprSyntaxError as exc:
-        return exc.message, exc.position
-
-
 class TestTokenizer:
     """cli._tokenize against tokenize_by_char, the loop it replaced: the
     same tokens and positions, or the same error at the same position."""
@@ -1501,7 +1500,7 @@ class TestTokenizer:
     @given(tokenizer_texts)
     @settings(max_examples=1500)
     def test_tokens_match_the_character_loop(self, text):
-        assert tokenized(cli._tokenize, text) == tokenized(oracles.tokenize_by_char, text)
+        assert syntax_outcome(cli._tokenize, text) == syntax_outcome(oracles.tokenize_by_char, text)
 
     @pytest.mark.parametrize(
         "text",
@@ -1509,7 +1508,7 @@ class TestTokenizer:
          "1.٣", "1.²", "let in letin", "a½", "½", "    ", "", "1\x85+2"],
     )
     def test_edges_match_the_character_loop(self, text):
-        assert tokenized(cli._tokenize, text) == tokenized(oracles.tokenize_by_char, text)
+        assert syntax_outcome(cli._tokenize, text) == syntax_outcome(oracles.tokenize_by_char, text)
 
     @pytest.mark.parametrize("text", ["²", "1٣", "٣.5"])
     def test_non_ascii_digits_reach_the_literal_parser(self, text):

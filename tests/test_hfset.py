@@ -25,6 +25,10 @@ trees = st.recursive(
     st.just(EMPTY), lambda kids: st.lists(kids, max_size=3).map(HFSet), max_leaves=12
 )
 
+# Up to 8 elements of either kind: a product of two has at most 64 pairs,
+# far below PRODUCT_LIMIT.
+small_sets = st.lists(st.one_of(coded_sets, trees), max_size=8).map(HFSet)
+
 
 def rank_oracle(fs) -> int:
     return 1 + max((rank_oracle(e) for e in fs), default=-1)
@@ -303,6 +307,12 @@ class TestCartesianProduct:
     @given(universe_subsets, universe_subsets)
     def test_cardinality(self, x, y):
         assert len(hf.cartesian_product(x, y)) == len(x) * len(y)
+
+    @given(small_sets, small_sets)
+    def test_against_frozenset_oracle(self, x, y):
+        assert oracles.freeze(hf.cartesian_product(x, y)) == oracles.cartesian_oracle(
+            oracles.freeze(x), oracles.freeze(y)
+        )
 
     @given(universe_subsets, universe_subsets, universe_subsets, universe_subsets)
     @settings(max_examples=40)
