@@ -32,7 +32,12 @@ The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
 they are used: argparse when main() builds its parser (or --prec is
 refused), json when a record is written as json-lines.  A library user who
-never calls main() loads neither.
+never calls main() loads neither.  Each main() call builds a new parser:
+the top level with every subcommand's name and help line, which the usage
+line, -h and an invalid choice print, and the arguments of the one
+subcommand that argv names.  Keeping one parser across calls would save
+the rest of that build; it waits on the benchmark's memory accounting
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -466,7 +471,62 @@ def _precision_arg(text: str) -> int:
     return -value if text.startswith("-") else value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _format_arg(p):
+    p.add_argument(
+        "--format",
+        choices=("plain", "json-lines"),
+        default="plain",
+        help="output style",
+    )
+
+
+def _numeric_args(p):
+    p.add_argument(
+        "--prec",
+        type=_precision_arg,
+        default=DEFAULT_PRECISION,
+        help=f"working precision in bits (default {DEFAULT_PRECISION}, "
+        f"cap {PRECISION_CAP})",
+    )
+    _format_arg(p)
+
+
+def _eval_args(p):
+    p.add_argument("expr", help="expression, or - to read stdin")
+    _numeric_args(p)
+
+
+def _cmp_args(p):
+    p.add_argument("left")
+    p.add_argument("right")
+    _numeric_args(p)
+
+
+def _relcheck_args(p):
+    p.add_argument("path", help="relation file, or - to read stdin")
+    _format_arg(p)
+
+
+def _enum_args(p):
+    p.add_argument("what", choices=("pair", "unpair", "dyadic"))
+    p.add_argument("first")
+    p.add_argument("second", nargs="?")
+    _format_arg(p)
+
+
+# Each subcommand's help line, the function that adds its arguments, and
+# its handler, in the order the usage line and -h list them.
+_COMMANDS = {
+    "eval": ("evaluate an expression", _eval_args, _cmd_eval),
+    "cmp": ("compare two expressions", _cmp_args, _cmd_cmp),
+    "relcheck": ("classify a relation file", _relcheck_args, _cmd_relcheck),
+    "enum": ("pairing and enumeration utilities", _enum_args, _cmd_enum),
+}
+
+
+def _build_parser(*commands) -> argparse.ArgumentParser:
+    """The settower parser with every subcommand's name and help line, and
+    the arguments of the subcommands named in commands only."""
     import argparse
 
     top = argparse.ArgumentParser(
@@ -474,56 +534,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact set-theoretic arithmetic and relation reports.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument(
-            "--format",
-            choices=("plain", "json-lines"),
-            default="plain",
-            help="output style",
-        )
-
-    def numeric(p):
-        p.add_argument(
-            "--prec",
-            type=_precision_arg,
-            default=DEFAULT_PRECISION,
-            help=f"working precision in bits (default {DEFAULT_PRECISION}, "
-            f"cap {PRECISION_CAP})",
-        )
-        common(p)
-
-    p_eval = sub.add_parser("eval", help="evaluate an expression")
-    p_eval.add_argument("expr", help="expression, or - to read stdin")
-    numeric(p_eval)
-
-    p_cmp = sub.add_parser("cmp", help="compare two expressions")
-    p_cmp.add_argument("left")
-    p_cmp.add_argument("right")
-    numeric(p_cmp)
-
-    p_rel = sub.add_parser("relcheck", help="classify a relation file")
-    p_rel.add_argument("path", help="relation file, or - to read stdin")
-    common(p_rel)
-
-    p_enum = sub.add_parser("enum", help="pairing and enumeration utilities")
-    p_enum.add_argument("what", choices=("pair", "unpair", "dyadic"))
-    p_enum.add_argument("first")
-    p_enum.add_argument("second", nargs="?")
-    common(p_enum)
+    for name, (text, add_args, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name in commands:
+            add_args(p)
     return top
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "eval": _cmd_eval,
-        "cmp": _cmd_cmp,
-        "relcheck": _cmd_relcheck,
-        "enum": _cmd_enum,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser's only option is -h/--help, which takes no
+    # value, and it reads no argument files, so argparse dispatches only to
+    # the first argv entry that names a subcommand; any other first
+    # positional is an invalid choice before a subparser runs.  So only
+    # that subcommand's arguments are built.
+    first = [arg for arg in argv if arg in _COMMANDS][:1]
+    args = _build_parser(*first).parse_args(argv)
     try:
-        return handlers[args.command](args, sys.stdout)
+        return _COMMANDS[args.command][2](args, sys.stdout)
     except (SettowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -141,6 +141,12 @@ CHECKS = [
           stderr=r"error: sum needs more than 1048576 mantissa bits"),
     check("mixed-sup", ["eval", "sup(1, 2, inv(3))"], stdout=["[34359738367/2^34, 2]@30"]),
     check("between", ["eval", "between(0, (1/2)^(2^40))"], stdout=["1/2^1099511627777"]),
+    # Help and usage errors: argparse's exits.
+    check("help", ["-h"], stdout=re.compile(r"usage: settower .*", re.S)),
+    check("eval-help", ["eval", "-h"], stdout=re.compile(r"usage: settower eval .*", re.S)),
+    check("no-expr", ["eval"], status=2,
+          stderr=r".*the following arguments are required: expr"),
+    check("bad-command", ["frobnicate"], status=2, stderr=r".*invalid choice.*"),
     check("bad", ["relcheck", "-"], status=1, stdin=b"carrier: a \xff\n", env={"LC_ALL": "C"},
           stderr=r".*not valid UTF-8.*"),
 ]

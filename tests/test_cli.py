@@ -1050,6 +1050,27 @@ def quiet_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def exiting_main(argv):
+    """quiet_main's answer to argv, where an argparse exit gives the exit
+    status."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def every_command_answers(corpus):
+    """exiting_main's answers to corpus when every call parses with one
+    parser that has every subcommand's arguments."""
+    parser = cli._build_parser(*cli._COMMANDS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_build_parser", lambda *commands: parser)
+        return [exiting_main(argv) for argv in corpus]
+
+
 # The evaluators that today's cli.evaluate replaced, each with the reals
 # nodes it ran on where today's replaced those too.  The generic nodes fold
 # no exact zero, and the CLI's 0 * inv(3) is exact only by that folding, so
@@ -1064,16 +1085,15 @@ REFERENCES = {
 
 
 def reference_answers(name, corpus):
-    """quiet_main's answers to corpus with the reference `name` in place,
-    parsed by one parser that the real cli._build_parser builds."""
+    """every_command_answers to corpus with the reference `name` in place:
+    one parser with every subcommand's arguments, which the real
+    cli._build_parser builds once for the pass."""
     evaluate, nodes = REFERENCES[name]
-    parser = cli._build_parser()
     with pytest.MonkeyPatch.context() as patch:
         for attr, node in nodes.items():
             patch.setattr(reals, attr, node)
         patch.setattr(cli, "evaluate", evaluate)
-        patch.setattr(cli, "_build_parser", lambda: parser)
-        return [quiet_main(argv) for argv in corpus]
+        return every_command_answers(corpus)
 
 
 def assert_same_answers(name, corpus, today=None):
@@ -1567,3 +1587,89 @@ class TestRepeatedDivisors:
         assert inverted == [make(4, 0), make(4, 0, -1)]
         with pytest.raises(SettowerError, match="division by exact zero"):
             reals.real_inv(reals.REAL_ZERO, 30)
+
+
+def subcommand_dests(parser):
+    """Each subcommand's name, mapped to the dests of its arguments."""
+    (sub,) = [action for action in parser._actions if action.dest == "command"]
+    return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+
+EVERY_COMMAND_DESTS = {
+    "eval": ["help", "expr", "prec", "format"],
+    "cmp": ["help", "left", "right", "prec", "format"],
+    "relcheck": ["help", "path", "format"],
+    "enum": ["help", "what", "first", "second", "format"],
+}
+HELP_ARGVS = [["-h"], ["--help"], ["--he"]] + [[name, "-h"] for name in cli._COMMANDS]
+USAGE_ERROR_ARGVS = [
+    [], ["bogus"], ["--", "eval", "1"], ["-x", "eval", "1"], ["eval"],
+    ["eval", "1", "extra"], ["cmp", "1"], ["enum", "pair", "1", "2", "3"],
+    ["enum", "bogus", "1"], ["eval", "1", "--prec", "x"],
+    ["relcheck", "-", "--prec", "5"], ["eval", "1", "--format", "yaml"],
+]
+# Command names as expressions, and argv as a tuple.
+NAMED_ARGVS = [
+    ["eval", "cmp"], ["eval", "--", "eval"], ["cmp", "relcheck", "enum"],
+    ("cmp", "inv(3)", "1/3", "--prec", "8"),
+]
+
+
+class TestSubcommandArguments:
+    """main builds only the arguments of the subcommand argv names; its
+    help, usage errors and answers are the bytes of a parser with every
+    subcommand's arguments."""
+
+    @pytest.mark.parametrize(
+        "argv", HELP_ARGVS + USAGE_ERROR_ARGVS + NAMED_ARGVS,
+        ids=lambda argv: shlex.join(argv) or "no-arguments",
+    )
+    def test_matches_every_command_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("carrier: a\n"))
+        got = exiting_main(argv)
+        assert got == every_command_answers([argv])[0]
+        code, out, err = got
+        if argv in HELP_ARGVS:
+            assert code == 0 and out.startswith("usage: settower") and err == ""
+        elif argv in USAGE_ERROR_ARGVS:
+            assert code == 2 and out == "" and err.startswith("usage: settower")
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_fold_corpus_matches_every_command_parser(self, seed, fold_answers):
+        corpus = fold_corpus(seed)
+        for argv, got, want in zip(corpus, fold_answers[seed], every_command_answers(corpus)):
+            assert got == want, argv
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["settower", "enum", "pair", "3", "5"])
+        assert exiting_main(None) == exiting_main(sys.argv[1:]) == (0, "41\n", "")
+
+    @pytest.mark.parametrize(
+        "argv,commands",
+        [
+            (["eval", "1"], ("eval",)),
+            (["-x", "cmp", "1", "2"], ("cmp",)),
+            (["eval", "cmp"], ("eval",)),
+            (["enum", "pair", "1", "2"], ("enum",)),
+            (["bogus"], ()),
+            ([], ()),
+        ],
+    )
+    def test_builds_the_named_subcommand_only(self, argv, commands, monkeypatch):
+        built = []
+
+        def record(*names, build=cli._build_parser):
+            built.append(build(*names))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build_parser", record)
+        exiting_main(argv)
+        (parser,) = built
+        # In usage order, with the arguments of the named subcommand only.
+        assert list(subcommand_dests(parser).items()) == [
+            (name, dests if name in commands else ["help"])
+            for name, dests in EVERY_COMMAND_DESTS.items()
+        ]
+        every = cli._build_parser(*cli._COMMANDS)
+        assert list(subcommand_dests(every).items()) == list(EVERY_COMMAND_DESTS.items())
