@@ -32,12 +32,16 @@ The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
 they are used: argparse when main() builds its parser (or --prec is
 refused), json when a record is written as json-lines.  A library user who
-never calls main() loads neither.  Each main() call builds a new parser:
-the top level with every subcommand's name and help line, which the usage
-line, -h and an invalid choice print, and the arguments of the one
-subcommand that argv names.  Keeping one parser across calls would save
-the rest of that build; it waits on the benchmark's memory accounting
-(ROADMAP item 1).
+never calls main() loads neither.  Each main() call builds a new parser.
+When argv starts with a subcommand's name, its top level lists that
+subcommand alone, with its arguments: the subcommand's own usage, help and
+errors do not depend on the other names.  Only when that parse leaves an
+argument over, or argv starts with anything else, does main() build the
+parser whose top level lists every subcommand's name and help line, which
+the usage line, -h, an invalid choice and an unrecognized argument print,
+with the arguments of the first subcommand that argv names.  Keeping one
+parser across calls, or parsing with the lone subparser, would save more;
+both wait on the benchmark's memory accounting (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -524,9 +528,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser(*commands) -> argparse.ArgumentParser:
-    """The settower parser with every subcommand's name and help line, and
-    the arguments of the subcommands named in commands only."""
+def _build_parser(*commands, listed=_COMMANDS) -> argparse.ArgumentParser:
+    """The settower parser listing the subcommands in listed, in that
+    order and each with its help line, and the arguments of those named in
+    commands only."""
     import argparse
 
     top = argparse.ArgumentParser(
@@ -534,7 +539,8 @@ def _build_parser(*commands) -> argparse.ArgumentParser:
         description="Exact set-theoretic arithmetic and relation reports.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (text, add_args, _) in _COMMANDS.items():
+    for name in listed:
+        text, add_args, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
         if name in commands:
             add_args(p)
@@ -543,13 +549,23 @@ def _build_parser(*commands) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser's only option is -h/--help, which takes no
-    # value, and it reads no argument files, so argparse dispatches only to
-    # the first argv entry that names a subcommand; any other first
-    # positional is an invalid choice before a subparser runs.  So only
-    # that subcommand's arguments are built.
-    first = [arg for arg in argv if arg in _COMMANDS][:1]
-    args = _build_parser(*first).parse_args(argv)
+    # When argv[0] names a subcommand, argparse hands every later entry to
+    # its subparser, whose prog, usage, help and errors do not depend on the
+    # other names, and the top level can only report entries left over as
+    # unrecognized.  So a parser listing that subcommand alone parses argv,
+    # and only leftovers are parsed again, by the parser listing every name,
+    # whose usage line that error prints.
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    if name is not None:
+        args, extra = _build_parser(name, listed=[name]).parse_known_args(argv)
+    if name is None or extra:
+        # The top-level parser's only option is -h/--help, which takes no
+        # value, and it reads no argument files, so argparse dispatches only
+        # to the first argv entry that names a subcommand; any other first
+        # positional is an invalid choice before a subparser runs.  So only
+        # that subcommand's arguments are built.
+        first = [arg for arg in argv if arg in _COMMANDS][:1]
+        args = _build_parser(*first).parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args, sys.stdout)
     except (SettowerError, OSError) as exc:

@@ -147,6 +147,11 @@ CHECKS = [
     check("no-expr", ["eval"], status=2,
           stderr=r".*the following arguments are required: expr"),
     check("bad-command", ["frobnicate"], status=2, stderr=r".*invalid choice.*"),
+    # An argv that starts with a subcommand: what its parse leaves over is
+    # parsed again to print the usage error, and "--" still ends options.
+    check("unrecognized", ["eval", "1", "extra"], status=2,
+          stderr=r".*unrecognized arguments: extra"),
+    check("negative", ["eval", "--", "-1"], stdout=["-1"]),
     check("bad", ["relcheck", "-"], status=1, stdin=b"carrier: a \xff\n", env={"LC_ALL": "C"},
           stderr=r".*not valid UTF-8.*"),
 ]

@@ -1063,11 +1063,12 @@ def exiting_main(argv):
 
 
 def every_command_answers(corpus):
-    """exiting_main's answers to corpus when every call parses with one
-    parser that has every subcommand's arguments."""
+    """exiting_main's answers to corpus when every parse in main, the
+    one-name parse and the second parse alike, uses one parser that lists
+    every subcommand with its arguments."""
     parser = cli._build_parser(*cli._COMMANDS)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_build_parser", lambda *commands: parser)
+        patch.setattr(cli, "_build_parser", lambda *commands, listed=None: parser)
         return [exiting_main(argv) for argv in corpus]
 
 
@@ -1601,24 +1602,48 @@ EVERY_COMMAND_DESTS = {
     "relcheck": ["help", "path", "format"],
     "enum": ["help", "what", "first", "second", "format"],
 }
-HELP_ARGVS = [["-h"], ["--help"], ["--he"]] + [[name, "-h"] for name in cli._COMMANDS]
+
+
+def one_name(name):
+    """subcommand_dests of the parser listing name alone."""
+    return [(name, EVERY_COMMAND_DESTS[name])]
+
+
+def every_name(command=None):
+    """subcommand_dests of the parser listing every subcommand, with the
+    arguments of command only."""
+    return [
+        (name, dests if name == command else ["help"])
+        for name, dests in EVERY_COMMAND_DESTS.items()
+    ]
+
+
+HELP_ARGVS = [["-h"], ["--help"], ["--he"], ["eval", "1", "-h"]] + [
+    [name, "-h"] for name in cli._COMMANDS
+]
 USAGE_ERROR_ARGVS = [
     [], ["bogus"], ["--", "eval", "1"], ["-x", "eval", "1"], ["eval"],
     ["eval", "1", "extra"], ["cmp", "1"], ["enum", "pair", "1", "2", "3"],
     ["enum", "bogus", "1"], ["eval", "1", "--prec", "x"],
     ["relcheck", "-", "--prec", "5"], ["eval", "1", "--format", "yaml"],
+    ["cmp", "1", "2", "3"],
 ]
-# Command names as expressions, and argv as a tuple.
+# Command names as expressions, argv as a tuple, "--" and options after the
+# subcommand, and a handler's exit status 1.
 NAMED_ARGVS = [
     ["eval", "cmp"], ["eval", "--", "eval"], ["cmp", "relcheck", "enum"],
     ("cmp", "inv(3)", "1/3", "--prec", "8"),
+    ["eval", "--", "-1"], ["eval", "1", "--prec=8"], ["eval", "1", "--pre", "8"],
+    ["cmp", "1", "2", "--format=json-lines"], ["enum", "pair", "3"],
 ]
 
 
 class TestSubcommandArguments:
-    """main builds only the arguments of the subcommand argv names; its
-    help, usage errors and answers are the bytes of a parser with every
-    subcommand's arguments."""
+    """main parses an argv that starts with a subcommand with a parser
+    listing that subcommand alone, and anything else, or what that parse
+    leaves over, with a parser listing every subcommand; its help, usage
+    errors and answers are the bytes of one parser with every subcommand's
+    arguments."""
 
     @pytest.mark.parametrize(
         "argv", HELP_ARGVS + USAGE_ERROR_ARGVS + NAMED_ARGVS,
@@ -1648,28 +1673,26 @@ class TestSubcommandArguments:
     @pytest.mark.parametrize(
         "argv,commands",
         [
-            (["eval", "1"], ("eval",)),
-            (["-x", "cmp", "1", "2"], ("cmp",)),
-            (["eval", "cmp"], ("eval",)),
-            (["enum", "pair", "1", "2"], ("enum",)),
-            (["bogus"], ()),
-            ([], ()),
+            (["eval", "1"], [one_name("eval")]),
+            (["-x", "cmp", "1", "2"], [every_name("cmp")]),
+            (["eval", "cmp"], [one_name("eval")]),
+            (["enum", "pair", "1", "2"], [one_name("enum")]),
+            (["bogus"], [every_name()]),
+            ([], [every_name()]),
+            (["eval", "1", "extra"], [one_name("eval"), every_name("eval")]),
         ],
     )
     def test_builds_the_named_subcommand_only(self, argv, commands, monkeypatch):
+        """commands holds, for each parser main builds, in order, the
+        subcommands it lists with the dests of their arguments."""
         built = []
 
-        def record(*names, build=cli._build_parser):
-            built.append(build(*names))
+        def record(*names, build=cli._build_parser, **options):
+            built.append(build(*names, **options))
             return built[-1]
 
         monkeypatch.setattr(cli, "_build_parser", record)
         exiting_main(argv)
-        (parser,) = built
-        # In usage order, with the arguments of the named subcommand only.
-        assert list(subcommand_dests(parser).items()) == [
-            (name, dests if name in commands else ["help"])
-            for name, dests in EVERY_COMMAND_DESTS.items()
-        ]
+        assert [list(subcommand_dests(parser).items()) for parser in built] == commands
         every = cli._build_parser(*cli._COMMANDS)
         assert list(subcommand_dests(every).items()) == list(EVERY_COMMAND_DESTS.items())
