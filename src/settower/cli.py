@@ -32,16 +32,13 @@ The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
 they are used: argparse when main() builds its parser (or --prec is
 refused), json when a record is written as json-lines.  A library user who
-never calls main() loads neither.  Each main() call builds a new parser.
-When argv starts with a subcommand's name, its top level lists that
-subcommand alone, with its arguments: the subcommand's own usage, help and
-errors do not depend on the other names.  Only when that parse leaves an
-argument over, or argv starts with anything else, does main() build the
-parser whose top level lists every subcommand's name and help line, which
-the usage line, -h, an invalid choice and an unrecognized argument print,
-with the arguments of the first subcommand that argv names.  Keeping one
-parser across calls, or parsing with the lone subparser, would save more;
-both wait on the benchmark's memory accounting (ROADMAP item 1).
+never calls main() loads neither.  Each main() call builds one parser and
+parses argv once.  When argv starts with a subcommand's name, argparse
+hands every later entry to that subcommand, so the parser lists it alone,
+with its arguments, and its usage line still names every subcommand;
+otherwise the parser lists every subcommand with its arguments.  Keeping
+one parser across calls, or parsing with the lone subparser, would save
+more; both wait on the benchmark's memory accounting (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -528,44 +525,38 @@ _COMMANDS = {
 }
 
 
-def _build_parser(*commands, listed=_COMMANDS) -> argparse.ArgumentParser:
-    """The settower parser listing the subcommands in listed, in that
-    order and each with its help line, and the arguments of those named in
-    commands only."""
+def _build_parser(*names) -> argparse.ArgumentParser:
+    """The settower parser listing the subcommands in names, or every
+    subcommand when names is empty, in that order and each with its help
+    line and arguments."""
     import argparse
 
     top = argparse.ArgumentParser(
         prog="settower",
         description="Exact set-theoretic arithmetic and relation reports.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    listed = names or _COMMANDS
+    # A parser listing fewer names still names them all in its usage line, by
+    # its metavar.  The parser listing every name sets none: an invalid
+    # choice or a missing command names the action by its metavar, and
+    # "command" without one.
+    metavar = None if len(listed) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in listed:
         text, add_args, _ = _COMMANDS[name]
-        p = sub.add_parser(name, help=text)
-        if name in commands:
-            add_args(p)
+        add_args(sub.add_parser(name, help=text))
     return top
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # When argv[0] names a subcommand, argparse hands every later entry to
-    # its subparser, whose prog, usage, help and errors do not depend on the
-    # other names, and the top level can only report entries left over as
-    # unrecognized.  So a parser listing that subcommand alone parses argv,
-    # and only leftovers are parsed again, by the parser listing every name,
-    # whose usage line that error prints.
-    name = argv[0] if argv and argv[0] in _COMMANDS else None
-    if name is not None:
-        args, extra = _build_parser(name, listed=[name]).parse_known_args(argv)
-    if name is None or extra:
-        # The top-level parser's only option is -h/--help, which takes no
-        # value, and it reads no argument files, so argparse dispatches only
-        # to the first argv entry that names a subcommand; any other first
-        # positional is an invalid choice before a subparser runs.  So only
-        # that subcommand's arguments are built.
-        first = [arg for arg in argv if arg in _COMMANDS][:1]
-        args = _build_parser(*first).parse_args(argv)
+    # The top level's only option, -h/--help, takes no value, so when argv[0]
+    # names a subcommand argparse hands every later entry to its subparser,
+    # whose output depends on no other name, and the top level only reports
+    # what is left over, under the usage line every parser prints alike.  So
+    # a parser listing that subcommand alone parses argv as well.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else ()
+    args = _build_parser(*names).parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args, sys.stdout)
     except (SettowerError, OSError) as exc:

@@ -10,7 +10,8 @@ class SettowerError(Exception):
 
 
 class EmptyFamily(SettowerError):
-    """Union or intersection applied to the empty family of sets."""
+    """A family needs at least one member: the union or intersection of sets,
+    and the independence check of relations."""
 
 
 class SizeLimit(SettowerError):
@@ -34,7 +35,8 @@ class CarrierMismatch(SettowerError):
 
 
 class BadExponent(SettowerError):
-    """Relation power requires an exponent of at least 1."""
+    """An exponent outside the power's domain: relation power needs at
+    least 1, and an expression's ^ an exact natural number."""
 
 
 class UnknownAtom(SettowerError):
@@ -58,7 +60,9 @@ class NotWellOrdering(SettowerError):
 
 
 class NonTotalMap(SettowerError):
-    """Pullback map must be defined on every carrier atom."""
+    """A map must be total and land in its codomain: a pullback map on every
+    domain atom, into the carrier, and a choice function on every block it
+    is asked for, picking from that block."""
 
 
 class Underflow(SettowerError):
@@ -66,7 +70,7 @@ class Underflow(SettowerError):
 
 
 class BadOrder(SettowerError):
-    """Density witness requires strictly ordered endpoints."""
+    """A density witness needs exact endpoints in strict order."""
 
 
 class NegativeInput(SettowerError):
@@ -74,7 +78,7 @@ class NegativeInput(SettowerError):
 
 
 class EmptyList(SettowerError):
-    """Supremum of an empty list is undefined."""
+    """A sum or a supremum needs at least one value."""
 
 
 class NonPositiveDivisor(SettowerError):
@@ -86,7 +90,8 @@ class NotBoundedAwayFromZero(SettowerError):
 
 
 class EmptyBlock(SettowerError):
-    """Choice function requires every block to be nonempty."""
+    """Nothing to choose from: a choice function needs every block nonempty,
+    and a union of enumerations at least one block."""
 
 
 class EmptyCarrier(SettowerError):

@@ -147,8 +147,9 @@ CHECKS = [
     check("no-expr", ["eval"], status=2,
           stderr=r".*the following arguments are required: expr"),
     check("bad-command", ["frobnicate"], status=2, stderr=r".*invalid choice.*"),
-    # An argv that starts with a subcommand: what its parse leaves over is
-    # parsed again to print the usage error, and "--" still ends options.
+    # An argv that starts with a subcommand, parsed by a parser listing it
+    # alone: an argument left over is still a usage error, and "--" still
+    # ends options.
     check("unrecognized", ["eval", "1", "extra"], status=2,
           stderr=r".*unrecognized arguments: extra"),
     check("negative", ["eval", "--", "-1"], stdout=["-1"]),

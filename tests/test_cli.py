@@ -1063,12 +1063,11 @@ def exiting_main(argv):
 
 
 def every_command_answers(corpus):
-    """exiting_main's answers to corpus when every parse in main, the
-    one-name parse and the second parse alike, uses one parser that lists
-    every subcommand with its arguments."""
-    parser = cli._build_parser(*cli._COMMANDS)
+    """exiting_main's answers to corpus when every main call parses with
+    one parser that lists every subcommand with its arguments."""
+    parser = cli._build_parser()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_build_parser", lambda *commands, listed=None: parser)
+        patch.setattr(cli, "_build_parser", lambda *names: parser)
         return [exiting_main(argv) for argv in corpus]
 
 
@@ -1609,13 +1608,9 @@ def one_name(name):
     return [(name, EVERY_COMMAND_DESTS[name])]
 
 
-def every_name(command=None):
-    """subcommand_dests of the parser listing every subcommand, with the
-    arguments of command only."""
-    return [
-        (name, dests if name == command else ["help"])
-        for name, dests in EVERY_COMMAND_DESTS.items()
-    ]
+def every_name():
+    """subcommand_dests of the parser listing every subcommand."""
+    return list(EVERY_COMMAND_DESTS.items())
 
 
 HELP_ARGVS = [["-h"], ["--help"], ["--he"], ["eval", "1", "-h"]] + [
@@ -1626,7 +1621,8 @@ USAGE_ERROR_ARGVS = [
     ["eval", "1", "extra"], ["cmp", "1"], ["enum", "pair", "1", "2", "3"],
     ["enum", "bogus", "1"], ["eval", "1", "--prec", "x"],
     ["relcheck", "-", "--prec", "5"], ["eval", "1", "--format", "yaml"],
-    ["cmp", "1", "2", "3"],
+    ["cmp", "1", "2", "3"], ["cmp", "1", "2", "--bogus"], ["relcheck", "-", "extra"],
+    ["eval", "1", "--prec", "5", "extra"], ["enum", "pair", "1", "2", "--bogus"],
 ]
 # Command names as expressions, argv as a tuple, "--" and options after the
 # subcommand, and a handler's exit status 1.
@@ -1640,10 +1636,9 @@ NAMED_ARGVS = [
 
 class TestSubcommandArguments:
     """main parses an argv that starts with a subcommand with a parser
-    listing that subcommand alone, and anything else, or what that parse
-    leaves over, with a parser listing every subcommand; its help, usage
-    errors and answers are the bytes of one parser with every subcommand's
-    arguments."""
+    listing that subcommand alone, and anything else with a parser listing
+    every subcommand; its help, usage errors and answers are the bytes of
+    one parser with every subcommand's arguments."""
 
     @pytest.mark.parametrize(
         "argv", HELP_ARGVS + USAGE_ERROR_ARGVS + NAMED_ARGVS,
@@ -1674,12 +1669,12 @@ class TestSubcommandArguments:
         "argv,commands",
         [
             (["eval", "1"], [one_name("eval")]),
-            (["-x", "cmp", "1", "2"], [every_name("cmp")]),
+            (["-x", "cmp", "1", "2"], [every_name()]),
             (["eval", "cmp"], [one_name("eval")]),
             (["enum", "pair", "1", "2"], [one_name("enum")]),
             (["bogus"], [every_name()]),
             ([], [every_name()]),
-            (["eval", "1", "extra"], [one_name("eval"), every_name("eval")]),
+            (["eval", "1", "extra"], [one_name("eval")]),
         ],
     )
     def test_builds_the_named_subcommand_only(self, argv, commands, monkeypatch):
@@ -1687,12 +1682,27 @@ class TestSubcommandArguments:
         subcommands it lists with the dests of their arguments."""
         built = []
 
-        def record(*names, build=cli._build_parser, **options):
-            built.append(build(*names, **options))
+        def record(*names, build=cli._build_parser):
+            built.append(build(*names))
             return built[-1]
 
         monkeypatch.setattr(cli, "_build_parser", record)
         exiting_main(argv)
         assert [list(subcommand_dests(parser).items()) for parser in built] == commands
-        every = cli._build_parser(*cli._COMMANDS)
-        assert list(subcommand_dests(every).items()) == list(EVERY_COMMAND_DESTS.items())
+        assert list(subcommand_dests(cli._build_parser()).items()) == every_name()
+
+    @pytest.mark.parametrize("name", cli._COMMANDS)
+    def test_one_name_usage_names_every_subcommand(self, name):
+        assert cli._build_parser(name).format_usage() == cli._build_parser().format_usage()
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            ([], "settower: error: the following arguments are required: command"),
+            (["bogus"], "settower: error: argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["no-arguments", "bogus"],
+    )
+    def test_every_name_errors_name_the_command(self, argv, error):
+        code, out, err = exiting_main(argv)
+        assert (code, out, err.splitlines()[-1][:len(error)]) == (2, "", error)
