@@ -32,13 +32,14 @@ The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
 they are used: argparse when main() builds its parser (or --prec is
 refused), json when a record is written as json-lines.  A library user who
-never calls main() loads neither.  Each main() call builds one parser and
-parses argv once.  When argv starts with a subcommand's name, argparse
-hands every later entry to that subcommand, so the parser lists it alone,
-with its arguments, and its usage line still names every subcommand;
-otherwise the parser lists every subcommand with its arguments.  Keeping
-one parser across calls, or parsing with the lone subparser, would save
-more; both wait on the benchmark's memory accounting (ROADMAP item 1).
+never calls main() loads neither.  When argv starts with a subcommand's
+name, main() builds that subcommand's parser alone, as the settower parser
+would build it, and parses the rest of argv with it; only an argv that
+leaves something over, or that does not start with a subcommand, is
+parsed by the settower parser, which lists every subcommand with its
+arguments and reports exactly as before.  Keeping parsers across calls
+would save more; it waits on the benchmark's memory accounting (ROADMAP
+item 1).
 """
 
 from __future__ import annotations
@@ -344,7 +345,10 @@ def _check_prec(prec: int) -> int:
 
 def _emit(out, fmt: str, *records):
     """Write (record, plain line) pairs to out in one write, one line each:
-    the record as JSON with sorted keys for json-lines, else the line."""
+    the record as JSON with sorted keys for json-lines, else the line.  out
+    is None when the process started with stdout closed."""
+    if out is None:
+        raise OSError("stdout is closed")
     if fmt == "json-lines":
         import json
 
@@ -354,18 +358,17 @@ def _emit(out, fmt: str, *records):
     out.write("\n".join(lines) + "\n")
 
 
-def _read_source(arg: str) -> str:
-    return _read_text("-") if arg == "-" else arg
-
-
 def _read_text(path: str) -> str:
     """The text of the file at path, or of stdin for "-"; bytes that are
     not UTF-8 end as NotUTF8 instead of escaping as UnicodeDecodeError.
     Stdin's bytes are decoded here, because its text layer may use the
     locale's surrogateescape handler; a stream with no byte layer, such
-    as io.StringIO, is read as text."""
+    as io.StringIO, is read as text, and sys.stdin is None when the
+    process started with stdin closed."""
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise OSError("stdin is closed")
             raw = getattr(sys.stdin, "buffer", None)
             return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, encoding="utf-8") as handle:
@@ -379,7 +382,7 @@ def _read_text(path: str) -> str:
 
 def _cmd_eval(args, out) -> int:
     prec = _check_prec(args.prec)
-    value = evaluate(_read_source(args.expr), prec)
+    value = evaluate(_read_text("-") if args.expr == "-" else args.expr, prec)
     if isinstance(value, dy.Dyadic):
         text = str(value)
         _emit(out, args.format, ({"exact": True, "kind": "dyadic", "value": text}, text))
@@ -525,38 +528,50 @@ _COMMANDS = {
 }
 
 
-def _build_parser(*names) -> argparse.ArgumentParser:
-    """The settower parser listing the subcommands in names, or every
-    subcommand when names is empty, in that order and each with its help
-    line and arguments."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The settower parser listing every subcommand, each with its help line
+    and arguments."""
     import argparse
 
     top = argparse.ArgumentParser(
         prog="settower",
         description="Exact set-theoretic arithmetic and relation reports.",
     )
-    listed = names or _COMMANDS
-    # A parser listing fewer names still names them all in its usage line, by
-    # its metavar.  The parser listing every name sets none: an invalid
-    # choice or a missing command names the action by its metavar, and
-    # "command" without one.
-    metavar = None if len(listed) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in listed:
-        text, add_args, _ = _COMMANDS[name]
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, add_args, _) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=text))
     return top
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the subcommand name alone, as _build_parser's
+    add_parser builds it: prog "settower NAME", with name's arguments."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="settower " + name)
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv):
+    """The namespace of argv, with the subcommand's name as its command.
+    The top level's only option, -h/--help, takes no value, so when argv[0]
+    names a subcommand argparse hands every later entry to that
+    subcommand's parser unchanged, and the top level prints nothing of its
+    own but a report of what is left over.  So that parser alone parses
+    argv[1:], and only an argv that leaves something over, or that does not
+    start with a subcommand, is parsed, and reported on, by the parser
+    listing every subcommand."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # The top level's only option, -h/--help, takes no value, so when argv[0]
-    # names a subcommand argparse hands every later entry to its subparser,
-    # whose output depends on no other name, and the top level only reports
-    # what is left over, under the usage line every parser prints alike.  So
-    # a parser listing that subcommand alone parses argv as well.
-    names = argv[:1] if argv and argv[0] in _COMMANDS else ()
-    args = _build_parser(*names).parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command][2](args, sys.stdout)
     except (SettowerError, OSError) as exc:

@@ -18,14 +18,17 @@ import sys
 
 # One interval line at the default precision.
 ONE_INTERVAL = re.compile(r"\[.*\]@30\n")
+# A row's stdin when the run starts with file descriptor 0 closed.
+CLOSED = "closed"
 
 
 def check(name, argv, status=0, stdout=(), stdin=None, stderr=None, env=None,
           timeout=60, module=False):
     """One row.  stdout is the exact lines printed, or a compiled pattern
-    that all of stdout must match; stderr, when given, is a pattern that
-    some line of stderr must match; env entries are added to the
-    environment; a module row always runs ``python -m settower``."""
+    that all of stdout must match; stdin is bytes, or CLOSED; stderr, when
+    given, is a pattern that some line of stderr must match; env entries
+    are added to the environment; a module row always runs
+    ``python -m settower``."""
     return {
         "name": name, "argv": argv, "status": status, "stdout": stdout,
         "stdin": stdin, "stderr": stderr, "env": env, "timeout": timeout,
@@ -147,12 +150,19 @@ CHECKS = [
     check("no-expr", ["eval"], status=2,
           stderr=r".*the following arguments are required: expr"),
     check("bad-command", ["frobnicate"], status=2, stderr=r".*invalid choice.*"),
-    # An argv that starts with a subcommand, parsed by a parser listing it
-    # alone: an argument left over is still a usage error, and "--" still
-    # ends options.
+    # An argv that starts with a subcommand, parsed by that subcommand's
+    # parser alone: an argument or option left over is still reported by
+    # the settower parser, "--" still ends options, and an abbreviated -h
+    # still prints the subcommand's help.
     check("unrecognized", ["eval", "1", "extra"], status=2,
           stderr=r".*unrecognized arguments: extra"),
+    check("unrecognized-option", ["cmp", "1", "2", "--bogus"], status=2,
+          stderr=r"settower: error: unrecognized arguments: --bogus"),
     check("negative", ["eval", "--", "-1"], stdout=["-1"]),
+    check("eval-he", ["eval", "1", "--he"],
+          stdout=re.compile(r"usage: settower eval .*", re.S)),
+    check("closed-stdin", ["eval", "-"], status=1, stdin=CLOSED,
+          stderr=r"error: stdin is closed"),
     check("bad", ["relcheck", "-"], status=1, stdin=b"carrier: a \xff\n", env={"LC_ALL": "C"},
           stderr=r".*not valid UTF-8.*"),
 ]
@@ -163,10 +173,12 @@ def failures(row, command):
     arguments), as a list of messages; empty when the run passes."""
     program = [sys.executable, "-m", "settower"] if row["module"] else command
     env = {**os.environ, **(row["env"] or {})}
+    closed = row["stdin"] is CLOSED
     try:
         proc = subprocess.run(
-            program + row["argv"], input=row["stdin"] or b"", capture_output=True,
-            env=env, timeout=row["timeout"],
+            program + row["argv"], input=None if closed else row["stdin"] or b"",
+            capture_output=True, env=env, timeout=row["timeout"],
+            preexec_fn=(lambda: os.close(0)) if closed else None,
         )
     except subprocess.TimeoutExpired:
         return [f"no exit within {row['timeout']} s"]

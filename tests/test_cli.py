@@ -934,6 +934,34 @@ class TestNotUTF8:
         assert b"Traceback" not in proc.stderr
 
 
+class TestClosedStreams:
+    """A process started with stdin or stdout closed has sys.stdin or
+    sys.stdout None; a command that needs the closed stream ends as an
+    error with exit status 1, and one that does not runs as usual."""
+
+    @pytest.mark.parametrize("argv", [["eval", "-"], ["relcheck", "-"]], ids=["eval", "relcheck"])
+    def test_closed_stdin_exits_one(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run_cli(argv, capsys) == (1, "", "error: stdin is closed\n")
+
+    def test_closed_stdin_unread(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run_cli(["eval", "1"], capsys) == (0, "1\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "1"], ["eval", "inv(3)"], ["cmp", "1", "2"], ["relcheck", "-"],
+         ["enum", "pair", "1", "2", "--format", "json-lines"]],
+        ids=shlex.join,
+    )
+    def test_closed_stdout_exits_one(self, argv, monkeypatch):
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("carrier: a\n"))
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "stderr", err)
+        assert (cli.main(argv), err.getvalue()) == (1, "error: stdout is closed\n")
+
+
 class TestEnumCommand:
     def test_pair(self, capsys):
         code, out, _ = run_cli(["enum", "pair", "3", "5"], capsys)
@@ -1063,11 +1091,11 @@ def exiting_main(argv):
 
 
 def every_command_answers(corpus):
-    """exiting_main's answers to corpus when every main call parses with
-    one parser that lists every subcommand with its arguments."""
-    parser = cli._build_parser()
+    """exiting_main's answers to corpus when every main call parses its
+    whole argv with one parser that lists every subcommand with its
+    arguments, as argv that does not start with a subcommand is parsed."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_build_parser", lambda *names: parser)
+        patch.setattr(cli, "_parse", cli._build_parser().parse_args)
         return [exiting_main(argv) for argv in corpus]
 
 
@@ -1087,7 +1115,7 @@ REFERENCES = {
 def reference_answers(name, corpus):
     """every_command_answers to corpus with the reference `name` in place:
     one parser with every subcommand's arguments, which the real
-    cli._build_parser builds once for the pass."""
+    cli._build_parser builds once for the pass, parses each argv."""
     evaluate, nodes = REFERENCES[name]
     with pytest.MonkeyPatch.context() as patch:
         for attr, node in nodes.items():
@@ -1589,10 +1617,14 @@ class TestRepeatedDivisors:
             reals.real_inv(reals.REAL_ZERO, 30)
 
 
-def subcommand_dests(parser):
-    """Each subcommand's name, mapped to the dests of its arguments."""
+def subparsers(parser):
+    """The parsers of the subcommands that parser lists, by name."""
     (sub,) = [action for action in parser._actions if action.dest == "command"]
-    return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+    return sub.choices
+
+
+def dests(parser):
+    return [action.dest for action in parser._actions]
 
 
 EVERY_COMMAND_DESTS = {
@@ -1603,14 +1635,22 @@ EVERY_COMMAND_DESTS = {
 }
 
 
-def one_name(name):
-    """subcommand_dests of the parser listing name alone."""
-    return [(name, EVERY_COMMAND_DESTS[name])]
+def described(parser):
+    """A parser's prog, with the dests of its arguments, or, for the
+    settower parser, each subcommand's name and dests in order."""
+    if parser.prog != "settower":
+        return parser.prog, dests(parser)
+    return parser.prog, [(name, dests(p)) for name, p in subparsers(parser).items()]
+
+
+def lone(name):
+    """described of the parser of subcommand name alone."""
+    return "settower " + name, EVERY_COMMAND_DESTS[name]
 
 
 def every_name():
-    """subcommand_dests of the parser listing every subcommand."""
-    return list(EVERY_COMMAND_DESTS.items())
+    """described of the parser listing every subcommand."""
+    return "settower", list(EVERY_COMMAND_DESTS.items())
 
 
 HELP_ARGVS = [["-h"], ["--help"], ["--he"], ["eval", "1", "-h"]] + [
@@ -1635,10 +1675,11 @@ NAMED_ARGVS = [
 
 
 class TestSubcommandArguments:
-    """main parses an argv that starts with a subcommand with a parser
-    listing that subcommand alone, and anything else with a parser listing
-    every subcommand; its help, usage errors and answers are the bytes of
-    one parser with every subcommand's arguments."""
+    """main parses what follows a subcommand's name with that subcommand's
+    parser alone, and an argv that leaves something over, or that does not
+    start with a subcommand, with the parser listing every subcommand; its
+    help, usage errors and answers are the bytes of the parser listing
+    every subcommand parsing every argv."""
 
     @pytest.mark.parametrize(
         "argv", HELP_ARGVS + USAGE_ERROR_ARGVS + NAMED_ARGVS,
@@ -1654,6 +1695,8 @@ class TestSubcommandArguments:
             assert code == 0 and out.startswith("usage: settower") and err == ""
         elif argv in USAGE_ERROR_ARGVS:
             assert code == 2 and out == "" and err.startswith("usage: settower")
+        else:
+            assert cli._parse(argv) == cli._build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("seed", [4, 11])
     def test_fold_corpus_matches_every_command_parser(self, seed, fold_answers):
@@ -1668,32 +1711,40 @@ class TestSubcommandArguments:
     @pytest.mark.parametrize(
         "argv,commands",
         [
-            (["eval", "1"], [one_name("eval")]),
+            (["eval", "1"], [lone("eval")]),
             (["-x", "cmp", "1", "2"], [every_name()]),
-            (["eval", "cmp"], [one_name("eval")]),
-            (["enum", "pair", "1", "2"], [one_name("enum")]),
+            (["eval", "cmp"], [lone("eval")]),
+            (["enum", "pair", "1", "2"], [lone("enum")]),
             (["bogus"], [every_name()]),
             ([], [every_name()]),
-            (["eval", "1", "extra"], [one_name("eval")]),
+            (["eval", "1", "extra"], [lone("eval"), every_name()]),
         ],
     )
     def test_builds_the_named_subcommand_only(self, argv, commands, monkeypatch):
-        """commands holds, for each parser main builds, in order, the
-        subcommands it lists with the dests of their arguments."""
+        """commands holds, for each parser main builds, in order, what
+        described says of it."""
         built = []
 
-        def record(*names, build=cli._build_parser):
-            built.append(build(*names))
-            return built[-1]
+        def recording(build):
+            def record(*args):
+                built.append(build(*args))
+                return built[-1]
 
-        monkeypatch.setattr(cli, "_build_parser", record)
+            return record
+
+        monkeypatch.setattr(cli, "_command_parser", recording(cli._command_parser))
+        monkeypatch.setattr(cli, "_build_parser", recording(cli._build_parser))
         exiting_main(argv)
-        assert [list(subcommand_dests(parser).items()) for parser in built] == commands
-        assert list(subcommand_dests(cli._build_parser()).items()) == every_name()
+        assert [described(parser) for parser in built] == commands
 
+    @pytest.mark.parametrize("columns", ["20", "40", "80", "200"])
     @pytest.mark.parametrize("name", cli._COMMANDS)
-    def test_one_name_usage_names_every_subcommand(self, name):
-        assert cli._build_parser(name).format_usage() == cli._build_parser().format_usage()
+    def test_lone_parser_formats_as_the_subparser(self, name, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        alone, nested = cli._command_parser(name), subparsers(cli._build_parser())[name]
+        assert (alone.format_help(), alone.format_usage()) == (
+            nested.format_help(), nested.format_usage()
+        )
 
     @pytest.mark.parametrize(
         "argv,error",
