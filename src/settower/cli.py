@@ -15,18 +15,20 @@ as ordinary division, and decimals with a finite binary expansion (3.25
 yes, 0.1 no).  Division falls back from exact to interval arithmetic when
 the quotient is not a binary fraction; the divisor's positivity is probed
 at --prec and failure to certify a sign is an error rather than a guess.
-The tokenizer tests for operators and whitespace first, and the parser
-reads the three precedence levels in one loop and recurses only where the
-input nests, so a parenthesis level costs it two frames; an operand that no
-operator follows builds no run.  The parser builds each distinct
-subexpression once, so equal subtrees are one node and each distinct
-literal text is parsed once, and the evaluator keeps each node's value for
-the whole evaluation, so a repeated literal, inv(d), x / d or any other
-repeated subexpression costs one lookup.  Every value the evaluator builds
-is a reals.Real, and reals alone decides when one is exact: reals.real_tag
-reads an exact value, reals settles every exact result into the leaf pair
-of its value, and real_inv, real_div and real_pow hold the rules of inv, /
-and ^, so each operator is one call into reals.
+The tokenizer tests for operators and whitespace first.  The parser reads
+the tokens in one loop, keeping the expressions around the one it reads on
+a stack, and emits a program: a list of instructions in post-order, each
+naming its operands by slot, with each let name resolved to the slot of
+its bound expression.  One dict numbers the instructions, so equal
+subexpressions are one slot and each distinct literal text is parsed once.
+The evaluator runs the program in one loop into a list of values, so a
+repeated literal, inv(d), x / d, name read or any other repeated
+subexpression is computed once, and neither walk recurses at any depth of
+nesting.  Every value the evaluator builds is a reals.Real, and reals
+alone decides when one is exact: reals.real_tag reads an exact value,
+reals settles every exact result into the leaf pair of its value, and
+real_inv, real_div and real_pow hold the rules of inv, / and ^, so each
+instruction is one call into reals.
 
 The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
@@ -110,144 +112,143 @@ def _tokenize(text: str):
 
 
 def parse_expr(text: str):
-    """The tree of an eval expression: ("num", d), ("var", name, at),
-    ("neg", x), ("call", name, args), ("chain", ops, operands) for a run of
-    one precedence level's operators and ("let", bindings, body).  Equal
-    subtrees are one node: each node is built once per parse, from its
-    kind, its literal text, name or operators and its children's
-    identities.  A var node is never shared, so neither is a node above
-    one, and a node whose value depends on a binding occurs once; nor is a
-    let node, whose body almost always reads a name it binds."""
+    """The program of an eval expression and the slot of its value.  The
+    program is a list of instructions in post-order, each a tuple (op,
+    payload, *operand slots), where a slot is an instruction's index:
+    ("num", d), ("unbound", name, position), ("neg", None, x), ("sum",
+    None, *terms) for a run of + and -, with a neg instruction for each
+    subtracted term, ("*", None, a, b), ("/", None, a, b) and ("^", None,
+    a, b) for each step of a left fold, and (function, None, *arguments)
+    for a call.  A let name is resolved here to the slot of its bound
+    expression.  One dict numbers the instructions, so equal ones are one
+    slot, and a literal is keyed by its text, so each distinct literal
+    text is parsed once; an unbound name's instruction is never shared,
+    so no instruction above it is either.
+
+    One loop reads the input: ^ binds tighter than a prefix - run, which
+    binds tighter than * and /, which bind tighter than + and -.  A
+    parenthesis body, a call argument and a let's bound expression push
+    the state of the expression around them onto a stack, which is popped
+    when they end, so no depth of nesting makes the parser recurse."""
     tokens = _tokenize(text)
-    node, i = _expr(tokens, 0, {})
-    kind, word, at = tokens[i]
-    if kind != "end":
-        raise ExprSyntaxError(f"trailing input {word!r}", at)
-    return node
+    program, slots, scope, stack = [], {}, {}, []
 
+    def emit(*ins):
+        slot = slots.get(ins)
+        if slot is None:
+            slot = slots[ins] = len(program)
+            program.append(ins)
+        return slot
 
-# An operator's or a keyword's text alone tells its token apart: names are
-# words other than let and in, and numbers start with a digit.
-
-
-def _chain(shared, ops, operands):
-    key = ("chain", tuple(ops), *map(id, operands))
-    return shared.setdefault(key, ("chain", ops, operands))
-
-
-def _expr(tokens, i, shared):
-    """(node, index after it) for the expression at tokens[i]: a run of let
-    clauses, then one loop over operands and operators.  ^ binds tighter
-    than a prefix - run, which binds tighter than * and /, which bind
-    tighter than + and -, and each run of one level's operators is one
-    chain.  Each run list is built when its first operator is read, so an
-    operand that no operator follows, such as a call's argument or a
-    parenthesis body, builds none.  Only a
-    let's bound expression recurses here, and _atom only into a parenthesis
-    or a function argument, so a level of nesting costs two frames.
-    shared maps each node's key, as parse_expr describes it, to the node.
-    It holds every node a key names, or that node's parent, so no id in a
-    key is reused while the parse runs."""
-    bindings = []
-    while tokens[i][1] == "let":
-        kind, name, at = tokens[i + 1]
-        if kind != "name":
-            raise ExprSyntaxError("expected a name after 'let'", at)
-        if tokens[i + 2][1] != "=":
-            raise ExprSyntaxError("expected '='", tokens[i + 2][2])
-        bound, i = _expr(tokens, i + 3, shared)
-        if tokens[i][1] != "in":
-            raise ExprSyntaxError("expected 'in'", tokens[i][2])
-        bindings.append((name, bound))
-        i += 1
-    terms = factors = powers = None
-    odd = False
+    # The expression being read: the token that ends it ("in", ")", or
+    # "call" for an argument) with the let's name or the call's name,
+    # position and arguments; the names its let clauses bound, each with
+    # the slot it hid; the terms of its + and - run so far and the sign of
+    # the next; its open * or / step and ^ step, each an instruction that
+    # lacks its right operand; and the parity of a prefix - run.
+    close = info = None
+    bound, terms, sign, factor, power, odd = [], [], "+", None, None, False
+    i = 0
     while True:
-        if powers is None:
-            # Two minus signs cancel, so only an odd run leaves a neg node.
+        if not terms and factor is None and power is None:
+            # The expression starts here, so let clauses may come first.
+            while tokens[i][1] == "let":
+                kind, name, at = tokens[i + 1]
+                if kind != "name":
+                    raise ExprSyntaxError("expected a name after 'let'", at)
+                if tokens[i + 2][1] != "=":
+                    raise ExprSyntaxError("expected '='", tokens[i + 2][2])
+                stack.append((close, info, bound, terms, sign, factor, power, odd))
+                close, info, bound, terms = "in", name, [], []
+                i += 3
+        if power is None:
+            # Two minus signs cancel, so only an odd run leaves a neg.
             while tokens[i][1] == "-":
                 odd = not odd
                 i += 1
-        node, i = _atom(tokens, i, shared)
-        sym = tokens[i][1]
-        if sym == "^":
-            if powers is None:
-                powers = []
-            powers.append(node)
-            i += 1
-            continue
-        if powers is not None:
-            powers.append(node)
-            node = _chain(shared, ["^"] * (len(powers) - 1), powers)
-            powers = None
-        if odd:
-            node, odd = shared.setdefault(("neg", id(node)), ("neg", node)), False
-        if sym == "*" or sym == "/":
-            if factors is None:
-                factors, factor_ops = [], []
-            factors.append(node)
-            factor_ops.append(sym)
-            i += 1
-            continue
-        if factors is not None:
-            factors.append(node)
-            node = _chain(shared, factor_ops, factors)
-            factors = None
-        if sym != "+" and sym != "-":
-            break
-        if terms is None:
-            terms, term_ops = [], []
-        terms.append(node)
-        term_ops.append(sym)
+        kind, word, at = tokens[i]
         i += 1
-    if terms is not None:
-        terms.append(node)
-        node = _chain(shared, term_ops, terms)
-    return (("let", bindings, node) if bindings else node), i
-
-
-def _atom(tokens, i, shared):
-    """(node, index after it) for a number, a name, a call or a
-    parenthesis at tokens[i]."""
-    kind, text, at = tokens[i]
-    i += 1
-    if kind == "name":
-        if tokens[i][1] != "(":
-            return ("var", text, at), i
-        if text not in _FUNCTIONS:
-            raise ExprSyntaxError(f"unknown function {text!r}", at)
-        args = []
+        if kind == "num":
+            node = slots.get(word)
+            if node is None:
+                try:
+                    program.append(("num", dy.parse_dyadic(word)))
+                except ExprSyntaxError as exc:
+                    raise ExprSyntaxError(exc.message, at) from None
+                node = slots[word] = len(program) - 1
+        elif kind == "name" and tokens[i][1] != "(":
+            node = scope.get(word)
+            if node is None:
+                node = len(program)
+                program.append(("unbound", word, at))
+        elif word == "(" or kind == "name":
+            stack.append((close, info, bound, terms, sign, factor, power, odd))
+            if word == "(":
+                close = ")"
+            elif word in _FUNCTIONS:
+                close, info, i = "call", (word, at, []), i + 1
+            else:
+                raise ExprSyntaxError(f"unknown function {word!r}", at)
+            bound, terms, sign, factor, power, odd = [], [], "+", None, None, False
+            continue
+        else:
+            raise ExprSyntaxError(f"unexpected {word!r}" if word else "unexpected end of input", at)
+        # node is an operand: close the steps it ends, up to the operator
+        # that follows it.  When that ends the expression, its value is an
+        # operand of the expression below it on the stack.
         while True:
-            arg, i = _expr(tokens, i + 1, shared)
-            args.append(arg)
-            sym = tokens[i][1]
-            if sym == ")":
+            _, sym, at = tokens[i]
+            i += 1
+            if sym == "^":
+                power = ("^", None, node if power is None else emit(*power, node))
                 break
-            if sym != ",":
-                raise ExprSyntaxError("expected ',' or ')'", tokens[i][2])
-        low, high = _FUNCTIONS[text]
-        if len(args) < low or (high is not None and len(args) > high):
-            raise ExprSyntaxError(
-                f"{text}() takes {low}{'' if high == low else '+'} "
-                f"argument(s), got {len(args)}",
-                at,
-            )
-        node = ("call", text, args)
-        return shared.setdefault(("call", text, *map(id, args)), node), i + 1
-    if kind == "num":
-        node = shared.get(("num", text))
-        if node is None:
-            try:
-                node = shared[("num", text)] = ("num", dy.parse_dyadic(text))
-            except ExprSyntaxError as exc:
-                raise ExprSyntaxError(exc.message, at) from None
-        return node, i
-    if text == "(":
-        node, i = _expr(tokens, i, shared)
-        if tokens[i][1] != ")":
-            raise ExprSyntaxError("expected ')'", tokens[i][2])
-        return node, i + 1
-    raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", at)
+            if power is not None:
+                node, power = emit(*power, node), None
+            if odd:
+                node, odd = emit("neg", None, node), False
+            if factor is not None:
+                node, factor = emit(*factor, node), None
+            if sym == "*" or sym == "/":
+                factor = (sym, None, node)
+                break
+            if sign == "-":
+                node = emit("neg", None, node)
+            if sym == "+" or sym == "-":
+                terms.append(node)
+                sign = sym
+                break
+            if terms:
+                node = emit("sum", None, *terms, node)
+            for name, hidden in reversed(bound):
+                scope[name] = hidden
+            if close is None:
+                if sym:
+                    raise ExprSyntaxError(f"trailing input {sym!r}", at)
+                return program, node
+            if close == "call":
+                name, where, args = info
+                args.append(node)
+                if sym == ",":
+                    bound, terms, sign = [], [], "+"
+                    break
+                if sym != ")":
+                    raise ExprSyntaxError("expected ',' or ')'", at)
+                low, high = _FUNCTIONS[name]
+                if len(args) < low or (high is not None and len(args) > high):
+                    raise ExprSyntaxError(
+                        f"{name}() takes {low}{'' if high == low else '+'} "
+                        f"argument(s), got {len(args)}",
+                        where,
+                    )
+                node = emit(name, None, *args)
+            elif sym != close:
+                raise ExprSyntaxError(f"expected {close!r}", at)
+            ended, name = close, info
+            close, info, bound, terms, sign, factor, power, odd = stack.pop()
+            if ended == "in":
+                bound.append((name, scope.get(name)))
+                scope[name] = node
+                break
 
 
 def _as_real(value) -> re.Real:
@@ -263,76 +264,44 @@ def _nat_exponent(value: re.Real) -> int:
     raise BadExponent("exponent must be an exact natural number")
 
 
-def _eval(node, env, prec: int, memo: dict) -> re.Real:
-    """Value of a parsed node, a Real; reals settles every exact result
-    into the leaf pair of its value.  A + and - chain is one real_sum,
-    another chain folds left to right, and a let binds its names in order
-    into one copy of env, all by loops, so the walk recurses only into
-    nested nodes.  memo holds the value of each node evaluated so far, by
-    the node's id, so a shared node is evaluated once; the check is made
-    here, so it costs no frame."""
-    value = memo.get(id(node))
-    if value is not None:
-        return value
-    op = node[0]
-    if op == "num":
-        value = re.real_from_dyadic(node[1])
-    elif op == "var":
-        _, name, at = node
-        if name not in env:
-            raise ExprSyntaxError(f"unbound name {name!r}", at)
-        value = env[name]
-    elif op == "chain":
-        _, ops, operands = node
-        if ops[0] in "+-":
-            terms = []
-            for sym, operand in zip(["+"] + ops, operands):
-                term = _eval(operand, env, prec, memo)
-                terms.append(term if sym == "+" else re.real_neg(term))
-            value = re.real_sum(terms)
+def evaluate(text: str, prec: int):
+    """Parse, then run the program in one loop into a list of values, one
+    per slot, so each distinct subexpression is computed once.  Every value
+    is a reals.Real; returns the Dyadic when the result is exact, as
+    reals.real_tag decides, and the Real otherwise."""
+    program, result = parse_expr(text)
+    values = []
+    for op, payload, *args in program:
+        if op == "num":
+            values.append(re.real_from_dyadic(payload))
+            continue
+        if op == "unbound":
+            raise ExprSyntaxError(f"unbound name {payload!r}", args[0])
+        xs = [values[s] for s in args]
+        if op == "sum":
+            value = re.real_sum(xs)
+        elif op == "neg":
+            value = re.real_neg(*xs)
+        elif op == "*":
+            value = re.real_mul(*xs)
+        elif op == "/":
+            value = re.real_div(*xs, prec)
+        elif op == "^":
+            value = re.real_pow(xs[0], _nat_exponent(xs[1]))
+        elif op == "abs":
+            value = re.real_from_cut(re.real_abs(*xs))
+        elif op == "inv":
+            value = re.real_inv(*xs, prec)
+        elif op == "sup":
+            value = re.real_sup(xs)
         else:
-            value = _eval(operands[0], env, prec, memo)
-            for sym, operand in zip(ops, operands[1:]):
-                b = _eval(operand, env, prec, memo)
-                if sym == "*":
-                    value = re.real_mul(value, b)
-                elif sym == "/":
-                    value = re.real_div(value, b, prec)
-                else:
-                    value = re.real_pow(value, _nat_exponent(b))
-    elif op == "let":
-        _, bindings, body = node
-        env = dict(env)
-        for name, bound in bindings:
-            env[name] = _eval(bound, env, prec, memo)
-        value = _eval(body, env, prec, memo)
-    elif op == "neg":
-        value = re.real_neg(_eval(node[1], env, prec, memo))
-    else:
-        _, name, args = node
-        values = [_eval(a, env, prec, memo) for a in args]
-        if name == "abs":
-            value = re.real_from_cut(re.real_abs(values[0]))
-        elif name == "inv":
-            value = re.real_inv(values[0], prec)
-        elif name == "sup":
-            value = re.real_sup(values)
-        else:
-            lo, hi = (re.real_tag(v) for v in values)
+            lo, hi = map(re.real_tag, xs)
             if lo is None or hi is None:
                 raise BadOrder("between() needs exact dyadic endpoints")
             value = re.real_from_dyadic(dy.between(lo, hi))
-    memo[id(node)] = value
-    return value
-
-
-def evaluate(text: str, prec: int):
-    """Parse and evaluate; returns the Dyadic when the value is exact, as
-    reals.real_tag decides, and the Real otherwise.  Each distinct
-    subexpression is one node of the parse, evaluated once."""
-    value = _eval(parse_expr(text), {}, prec, {})
-    exact = re.real_tag(value)
-    return value if exact is None else exact
+        values.append(value)
+    exact = re.real_tag(values[result])
+    return values[result] if exact is None else exact
 
 
 def _check_prec(prec: int) -> int:

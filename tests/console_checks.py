@@ -106,6 +106,10 @@ CHECKS = [
     check("invsum10k", ["eval", "-"], timeout=30, stdout=ONE_INTERVAL,
           stdin=(" + ".join(f"inv({k})" for k in range(1, 10001)) + "\n").encode()),
     check("parens", ["eval", "(" * 400 + "inv(3) + 1" + ")" * 400], stdout=ONE_INTERVAL),
+    # 10^5 nested parentheses, read from stdin: one argv string may not
+    # pass 128 KiB on Linux.
+    check("deep-parens", ["eval", "-"], timeout=30, stdout=ONE_INTERVAL,
+          stdin=("(" * 10**5 + "inv(3) + 1" + ")" * 10**5).encode()),
     check("product", ["eval", "*".join(["inv(3)"] * 200)], stdout=ONE_INTERVAL),
     check("tiny", ["eval", "(1/2)^(2^40) / 3"], stdout=["[0, 1/2^34]@30"]),
     check("pairsum", ["eval", "inv(3) + (1/2)^(2^40)"],

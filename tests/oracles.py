@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from settower import dyadic as dy
-from settower.cli import _FUNCTIONS, parse_expr
+from settower.cli import _FUNCTIONS
 from settower.errors import (
     BadExponent,
     BadOrder,
@@ -1355,9 +1355,12 @@ _LEVELS = ("+-", "*/", "^")
 class RunDescent:
     """The eval grammar by descent, one method per precedence level, each
     reading a run of its operators by a loop into one ("chain", ops,
-    operands) node, as cli.parse_expr builds it: the reference for that
-    one-loop parser.  A parenthesis level costs six frames, as it does in
-    BinaryDescent."""
+    operands) node, with a ("var", name, position) node per name read and
+    a ("let", bindings, body) node per run of let clauses; no node is
+    shared.  It is the reference for cli.parse_expr, which accepts the
+    same texts and reports the same error at the same position, and the
+    parser of the reference evaluators below, which walk its trees.  A
+    parenthesis level costs six frames, as it does in BinaryDescent."""
 
     def __init__(self, text: str):
         self.tokens = tokenize_by_char(text)
@@ -1464,8 +1467,8 @@ class RunDescent:
 # The CLI evaluator before every value became a Real: a value is a Dyadic
 # while every step stays exact, else a Real, and each operator has one rule
 # for exact operands and one for the rest.  It is the reference for
-# cli._eval: cli.main prints the same bytes with evaluate_two_types in place
-# of cli.evaluate.  Its Real operations are looked up in reals when called,
+# cli.evaluate: cli.main prints the same bytes with evaluate_two_types in
+# its place.  Its Real operations are looked up in reals when called,
 # so a test can put the generic nodes in their place.
 
 
@@ -1576,7 +1579,7 @@ def _apply_call(name, values, prec, leaves):
 
 
 def two_type_eval(node, env, prec, leaves):
-    """Value of a parse_expr tree: a Dyadic while every step stays exact,
+    """Value of a RunDescent tree: a Dyadic while every step stays exact,
     else a Real."""
     op = node[0]
     if op == "num":
@@ -1611,15 +1614,16 @@ def two_type_eval(node, env, prec, leaves):
 
 def evaluate_two_types(text: str, prec: int):
     """cli.evaluate as it was with two value types: a Dyadic or a Real."""
-    return two_type_eval(parse_expr(text), {}, prec, {})
+    return two_type_eval(RunDescent(text).parse(), {}, prec, {})
 
 
 # The CLI evaluator before it shared subexpressions: one leaf pair per
-# literal node and one reciprocal per exact divisor, kept per evaluation in a
-# leaves dict keyed by the node's id or by the divisor, with the reciprocal,
-# quotient and power rules in the evaluator.  It is the reference for
-# cli._eval's memo and for reals.real_inv, real_div and real_pow: cli.main
-# prints the same bytes with evaluate_with_leaves in place of cli.evaluate.
+# literal value and one reciprocal per exact divisor, kept per evaluation in a
+# leaves dict keyed by the literal's value or by the divisor, with the
+# reciprocal, quotient and power rules in the evaluator.  It is the
+# reference for the slots of cli.evaluate's program and for reals.real_inv,
+# real_div and real_pow: cli.main prints the same bytes with
+# evaluate_with_leaves in place of cli.evaluate.
 
 
 def _leaves_invert(value, prec, leaves):
@@ -1685,14 +1689,15 @@ def _leaves_call(name, values, prec, leaves):
 
 
 def leaves_eval(node, env, prec, leaves):
-    """Value of a parse_expr tree, a Real, walked as a tree: a shared node
-    is evaluated wherever it occurs, except a literal, whose leaf pair
-    leaves keeps under the node's id."""
+    """Value of a RunDescent tree, a Real, walked as a tree: a repeated
+    subexpression is evaluated wherever it occurs, except a literal, whose
+    leaf pair leaves keeps under ("num", its Dyadic)."""
     op = node[0]
     if op == "num":
-        if id(node) not in leaves:
-            leaves[id(node)] = real_from_dyadic(node[1])
-        return leaves[id(node)]
+        key = ("num", node[1])
+        if key not in leaves:
+            leaves[key] = real_from_dyadic(node[1])
+        return leaves[key]
     if op == "var":
         _, name, at = node
         if name not in env:
@@ -1727,7 +1732,7 @@ def leaves_eval(node, env, prec, leaves):
 def evaluate_with_leaves(text: str, prec: int):
     """cli.evaluate as it was with a leaves dict: the Dyadic of an exact
     value, else the Real."""
-    value = leaves_eval(parse_expr(text), {}, prec, {})
+    value = leaves_eval(RunDescent(text).parse(), {}, prec, {})
     exact = real_tag(value)
     return value if exact is None else exact
 

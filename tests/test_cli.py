@@ -1255,20 +1255,8 @@ def assert_stdout_agrees(argv, got, want):
     }[word]
 
 
-def recursion_edge(parse, shape):
-    """The least size in 1..1000 at which parse(shape(size)) raises
-    RecursionError."""
-    lo, hi = 0, 1000
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            parse(shape(mid))
-        except RecursionError:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
+# Nesting depth of the inputs that must answer without recursion.
+DEEP = 10**5
 
 LONG_RUNS = [
     ("+".join(["1"] * 3000), "3000"),
@@ -1327,6 +1315,8 @@ SHARING_PROBES = [
     "(let x = 1 in x) + (let x = 2 in x) + (let x = 1 in x)",
     "let x = 1 in (let x = 2 in x) + x + (let x = 2 in x)",
     "let x = 3 in x + y + x + y",
+    "(let x = 1 in x) + x",
+    "sup(let y = 2 in y, y) + inv(let y = 3 in y) * y",
     "inv(0) + inv(0)",
     "inv(inv(3) - inv(3)) + inv(inv(3) - inv(3))",
     "1/(inv(3)*3 - 1) + 1/(inv(3)*3 - 1)",
@@ -1367,8 +1357,8 @@ class TestSharing:
                                        ["cmp", "--prec", str(prec), "--", left, right]])
 
     def test_each_distinct_subexpression_is_evaluated_once(self, monkeypatch):
-        # inv(3) + 1 occurs three times and is one node; each x is its own
-        # node, and so is each let above one.
+        # inv(3) + 1 occurs three times and is one slot; x + x reads the
+        # slot of 1 twice.
         sums = []
 
         def record(xs, build=reals.real_sum):
@@ -1448,16 +1438,24 @@ class TestChains:
         assert at == prec and lo <= value <= hi and hi - lo <= Fraction(1, 1 << prec)
         assert max(end.denominator.bit_length() - 1 for end in (lo, hi)) <= prec + 3
 
-    def test_parentheses_cost_two_frames(self):
-        def nested(depth):
-            return "(" * depth + "1" + ")" * depth
-
-        # Six frames a level in both descents, two in parse_expr; the
-        # lambda's frame stands in for parse_expr's.
-        descent = recursion_edge(lambda text: oracles.RunDescent(text).parse(), nested)
-        assert descent == recursion_edge(lambda text: oracles.BinaryDescent(text).parse(), nested)
-        edge = recursion_edge(cli.parse_expr, nested)
-        assert 2 * descent <= edge < 1000
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("(" * DEEP + "inv(3) + 1" + ")" * DEEP, "[5726623061/2^32, 11453246123/2^33]@30"),
+            ("-(" * DEEP + "1" + ")" * DEEP, "1"),
+            ("sup(1, " * DEEP + "2" + ")" * DEEP, "2"),
+            ("abs(" * DEEP + "-1" + ")" * DEEP, "1"),
+            ("(let x = 1 in " * DEEP + "x + 1" + ")" * DEEP, "2"),
+        ],
+        ids=["parens", "minus", "sup", "abs", "let"],
+    )
+    def test_deep_nesting_answers(self, text, want, capsys):
+        # The parser keeps the expressions around the one it reads on a
+        # stack, and evaluate runs the program in one loop, so neither
+        # recurses at any depth; parentheses and let build no reals node,
+        # and reals settles each exact -, sup and abs into a leaf pair.
+        assert sys.getrecursionlimit() == 1000
+        assert run_cli(["eval", "--", text], capsys) == (0, want + "\n", "")
 
 
 def syntax_outcome(fn, text):
@@ -1470,49 +1468,66 @@ def syntax_outcome(fn, text):
 
 class TestParser:
     """cli.parse_expr against RunDescent, the descent with one method per
-    precedence level that it replaced: the same tree, or the same error at
-    the same position."""
+    precedence level that its one loop replaced: it parses exactly the
+    texts RunDescent parses, and ends every other text with the same error
+    at the same position.  The program it builds is checked by evaluating
+    it against evaluators that walk RunDescent's trees (TestOneValueType
+    and TestSharing)."""
 
     @given(st.one_of(expr_token_strings, chain_texts))
     @settings(max_examples=600)
     def test_parses_as_run_descent(self, text):
-        assert syntax_outcome(cli.parse_expr, text) == syntax_outcome(
-            lambda t: oracles.RunDescent(t).parse(), text
-        )
+        # Each side's outcome is "parsed", or its error's message and
+        # position; both parsers return a nonempty tuple.
+        def outcome(parse):
+            return syntax_outcome(lambda t: parse(t) and "parsed", text)
+
+        assert outcome(cli.parse_expr) == outcome(lambda t: oracles.RunDescent(t).parse())
 
     def test_each_literal_text_is_parsed_once(self, monkeypatch):
         # One parse_dyadic call per distinct literal text in a parse_expr
-        # call; repeated literals share one node.  A second call parses
+        # call; repeated literals share one slot.  A second call parses
         # again, so nothing is kept between calls.
         texts = []
+        literals = [("num", dy.parse_dyadic(t)) for t in ("3", "1", "0.5")]
 
         def record(text, parse=dy.parse_dyadic):
             texts.append(text)
             return parse(text)
 
         monkeypatch.setattr(dy, "parse_dyadic", record)
-        tree = cli.parse_expr("inv(3) + 1/3 - 3 * inv(3) + 0.5^3")
+        program, _ = cli.parse_expr("inv(3) + 1/3 - 3 * inv(3) + 0.5^3")
         assert texts == ["3", "1", "0.5"]
-        _, ops, terms = tree
-        assert terms[0][2][0] is terms[1][2][1] is terms[2][2][0] is terms[3][2][1]
+        assert [ins for ins in program if ins[0] == "num"] == literals
         cli.parse_expr("3 + 3")
         assert texts[3:] == ["3"]
 
-    def test_equal_subtrees_are_one_node(self):
-        # Nodes are shared by kind, literal text, name or operators and
-        # child identities; a var or let node is never shared, nor is a
-        # node above one, even where the texts are equal.
-        tree = cli.parse_expr("inv(1 + 2) * -(3 ^ 2) + inv(1 + 2) * -(3 ^ 2) - 2 ^ 3")
-        _, _, (left, right, power) = tree
-        assert left is right and power is not left[2][1][1]
-        assert cli.parse_expr("1 + 2")[2] is not cli.parse_expr("1 + 2")[2]
-        tree = cli.parse_expr("(let y = 1 in 2) - (let y = 1 in 2) + x + x")
-        _, _, (a, b, x, y) = tree
-        assert a == b and a is not b and a[1][0][1] is b[1][0][1]
-        assert x[:2] == y[:2] and x is not y
-        tree = cli.parse_expr("inv(x) + inv(x) + (let y = 1 in y) + (let y = 1 in y)")
-        _, _, (a, b, c, d) = tree
-        assert a is not b and a[2][0] is not b[2][0] and c is not d
+    def test_equal_subtrees_are_one_node(self, monkeypatch):
+        # Equal instructions are one slot, also where they read a let name
+        # or sit in different let bodies; an unbound name's instruction is
+        # never shared, nor is any above it.
+        def slots(text):
+            program, result = cli.parse_expr(text)
+            assert result == len(program) - 1
+            return len(program)
+
+        # 1, 2, 1 + 2, inv, 3, 3 ^ 2, neg, *, 2 ^ 3, neg, sum.
+        assert slots("inv(1 + 2) * -(3 ^ 2) + inv(1 + 2) * -(3 ^ 2) - 2 ^ 3") == 11
+        assert slots("(let y = 1 in 2) - (let y = 1 in 2)") == 4
+        assert slots("let x = inv(3) in x*x + x*x") == slots("inv(3)*inv(3) + inv(3)*inv(3)") == 4
+        assert slots("(let x = 1 in x) + (let y = 1 in y + 0) + 1") == 4
+        program, _ = cli.parse_expr("inv(x) + inv(x) + x")
+        assert [ins[0] for ins in program] == ["unbound", "inv", "unbound", "inv", "unbound", "sum"]
+        # So the repeated product reads one value.
+        products = []
+
+        def record(x, y, mul=reals.real_mul):
+            products.append((x, y))
+            return mul(x, y)
+
+        monkeypatch.setattr(reals, "real_mul", record)
+        cli.evaluate("let x = inv(3) in x*x + x*x", 30)
+        assert len(products) == 1
 
     def test_a_bad_literal_reports_its_first_position(self):
         with pytest.raises(ExprSyntaxError) as err:
