@@ -24,11 +24,14 @@ subexpressions are one slot and each distinct literal text is parsed once.
 The evaluator runs the program in one loop into a list of values, so a
 repeated literal, inv(d), x / d, name read or any other repeated
 subexpression is computed once, and neither walk recurses at any depth of
-nesting.  Every value the evaluator builds is a reals.Real, and reals
-alone decides when one is exact: reals.real_tag reads an exact value,
-reals settles every exact result into the leaf pair of its value, and
-real_inv, real_div and real_pow hold the rules of inv, / and ^, so each
-instruction is one call into reals.
+nesting.  A divisor's reciprocal is built once per evaluation too, where
+inv(d) or the first x / d whose quotient is not exact needs it, and every
+such x / d multiplies x by it.  Every value the evaluator builds is a
+reals.Real, and reals alone decides when one is exact: reals.real_tag
+reads an exact value, reals settles every exact result into the leaf pair
+of its value, and real_inv, the exact quotient of real_div and real_pow
+hold the rules of inv, / and ^, so each instruction is a call or two into
+reals.
 
 The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
@@ -266,11 +269,12 @@ def _nat_exponent(value: re.Real) -> int:
 
 def evaluate(text: str, prec: int):
     """Parse, then run the program in one loop into a list of values, one
-    per slot, so each distinct subexpression is computed once.  Every value
-    is a reals.Real; returns the Dyadic when the result is exact, as
-    reals.real_tag decides, and the Real otherwise."""
+    per slot, so each distinct subexpression is computed once, and each
+    divisor's reciprocal at most once.  Every value is a reals.Real;
+    returns the Dyadic when the result is exact, as reals.real_tag
+    decides, and the Real otherwise."""
     program, result = parse_expr(text)
-    values = []
+    values, inverses = [], {}
     for op, payload, *args in program:
         if op == "num":
             values.append(re.real_from_dyadic(payload))
@@ -284,14 +288,21 @@ def evaluate(text: str, prec: int):
             value = re.real_neg(*xs)
         elif op == "*":
             value = re.real_mul(*xs)
-        elif op == "/":
-            value = re.real_div(*xs, prec)
+        elif op == "/" or op == "inv":
+            # x / d is x times d's reciprocal unless the quotient is exact,
+            # and inv(d) is that reciprocal: one per divisor slot, built
+            # where the evaluation first needs it.
+            value = re._exact_quotient(*xs) if op == "/" else None
+            if value is None:
+                value = inverses.get(args[-1])
+                if value is None:
+                    value = inverses[args[-1]] = re.real_inv(xs[-1], prec)
+                if op == "/":
+                    value = re.real_mul(xs[0], value)
         elif op == "^":
             value = re.real_pow(xs[0], _nat_exponent(xs[1]))
         elif op == "abs":
             value = re.real_from_cut(re.real_abs(*xs))
-        elif op == "inv":
-            value = re.real_inv(*xs, prec)
         elif op == "sup":
             value = re.real_sup(xs)
         else:

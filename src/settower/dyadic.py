@@ -9,8 +9,7 @@ Every power of two is a shift: the quotients div_floor, div_ceil and
 exact_div shift the dividend's numerator onto the result's grid and divide
 it only by the divisor's numerator, exact_div by that numerator's odd part,
 so exact_div answers every quotient that is itself a binary fraction.
-div_floor and div_ceil by a divisor of numerator 1, such as the ONE by
-which reals rounds onto a query grid, do not divide at all.
+div_floor and div_ceil by a divisor of numerator 1 do not divide at all.
 
 POW_BIT_LIMIT bounds what that work may allocate.  mul refuses a product
 and dy_pow a power whose mantissa would pass it, by one measure, so d * d
@@ -27,6 +26,19 @@ a quotient, no more bits than the dividend's numerator shifted by at most
 POW_BIT_LIMIT.  compare, and so dy_max and dy_min, shift only
 down and answer at any distance, as do div_floor and div_ceil when the
 result's grid is the coarser one.
+
+The node oracles of reals do not compose these calls.  Private fused steps
+work out each endpoint's exact numerator on one grid and round it onto the
+node's 2^(-p) grid once: _sum_step and _sum_round for a sum, _products for
+a product, _div_bounds for a leaf a/b and for an inverse, _below for a
+tagged leaf, and _difference for a positive part and a signed interval.
+Each applies the measures of the calls it stands for, in their order and
+with their messages: mul's on an endpoint times a repeat count and on a
+product of endpoints, add's on each running sum and difference (the shift
+between canonical exponents, then the canonical result's bits), and the
+shift of div_floor and div_ceil onto the grid.  So each endpoint, and each
+SizeLimit, is what the calls give.  make validates its input and ends in
+_canonical, the one canonicaliser, which the fused steps call directly.
 """
 
 from __future__ import annotations
@@ -133,14 +145,19 @@ def make(man: int, exp: int, sign: int = 1) -> Dyadic:
         _nat(exp, "exponent")
     if sign not in _SIGNS:
         raise ValueError(f"sign must be -1, 0, or 1, got {sign!r}")
-    if man == 0 or sign == 0:
+    return _canonical(man if sign > 0 else -man if sign else 0, exp)
+
+
+def _canonical(num: int, exp: int) -> Dyadic:
+    # The canonical representative of num * 2^(-exp), for ints num and
+    # exp >= 0: trailing zero bits stripped in one shift, stopping at
+    # exponent 0.  The one canonicaliser; make ends here after validating.
+    if not num:
         return ZERO
-    # Strip trailing zero bits in one shift, stopping at exponent 0.
-    shift = (man & -man).bit_length() - 1
+    shift = (num & -num).bit_length() - 1
     if shift > exp:
         shift = exp
-    man >>= shift
-    return Dyadic(man if sign > 0 else -man, exp - shift)
+    return Dyadic(num >> shift, exp - shift)
 
 
 def _signed(num: int, exp: int) -> Dyadic:
@@ -288,6 +305,119 @@ def div_floor(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
 def div_ceil(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
     """Smallest multiple of 2^(-p) that is >= a/b.  Requires b > 0."""
     return _signed(-_floor_quotient(-a._num, a._exp, b, p), p)
+
+
+# Fused steps for the node oracles of reals.  Each step works out an
+# endpoint's exact numerator on one grid with int operations, applies the
+# measures of the public calls it stands for, in their order and with their
+# messages, and canonicalises the endpoint once, with _canonical.  Only near
+# POW_BIT_LIMIT do those measures need a number's canonical form, so below
+# it each costs a comparison.
+
+
+def _plus(snum: int, sexp: int, tnum: int, texp: int):
+    # s + t for s and t given as numerators on the grids 2^(-sexp) and
+    # 2^(-texp): its numerator on the finer grid and that grid's exponent,
+    # refused as add(s, t) refuses it.
+    if sexp > POW_BIT_LIMIT or texp > POW_BIT_LIMIT:
+        # Far out, align the canonical forms, as add does, and refuse to
+        # shift a nonzero one past the budget.
+        s, t = _canonical(snum, sexp), _canonical(tnum, texp)
+        snum, sexp, tnum, texp = s._num, s._exp, t._num, t._exp
+        if sexp - texp > POW_BIT_LIMIT and tnum or texp - sexp > POW_BIT_LIMIT and snum:
+            raise _too_wide("sum")
+    if sexp < texp:
+        snum, sexp = snum << (texp - sexp), texp
+    num = snum + (tnum << (sexp - texp))
+    if (
+        num.bit_length() - 1 > POW_BIT_LIMIT
+        and _canonical(num, sexp)._num.bit_length() - 1 > POW_BIT_LIMIT
+    ):
+        raise _too_wide("sum")
+    return num, sexp
+
+
+def _onto(num: int, exp: int, p: int) -> int:
+    # floor(num * 2^(p - exp)), refused as div_floor(x, ONE, p) refuses
+    # x = num * 2^(-exp): when x's canonical numerator shifts up by more
+    # than POW_BIT_LIMIT.
+    if p > POW_BIT_LIMIT and num and p - _canonical(num, exp)._exp > POW_BIT_LIMIT:
+        raise _too_wide("quotient")
+    return num << (p - exp) if p >= exp else num >> (exp - p)
+
+
+def _sum_step(acc, lo: Dyadic, hi: Dyadic, count: int):
+    """The running endpoint sums of a sum_cuts node, (lo_num, lo_exp,
+    hi_num, hi_exp), after adding lo and hi, each times count, to acc, or
+    starting from them when acc is None.  Refused as mul(lo, make(count,
+    0)) and mul(hi, make(count, 0)), when count > 1, and then add of each
+    running sum and its new term refuse."""
+    ln, le, hn, he = lo._num, lo._exp, hi._num, hi._exp
+    if count > 1:
+        extra = count.bit_length() - 2
+        if ln.bit_length() + extra > POW_BIT_LIMIT or hn.bit_length() + extra > POW_BIT_LIMIT:
+            raise _too_wide("product")
+        ln *= count
+        hn *= count
+    if acc is None:
+        return ln, le, hn, he
+    return _plus(acc[0], acc[1], ln, le) + _plus(acc[2], acc[3], hn, he)
+
+
+def _sum_round(acc, p: int):
+    """div_floor(lo, ONE, p) and div_ceil(hi, ONE, p) of the sums that
+    _sum_step ran up in acc."""
+    ln, le, hn, he = acc
+    return _canonical(_onto(ln, le, p), p), _canonical(-_onto(-hn, he, p), p)
+
+
+def _products(lx: Dyadic, ly: Dyadic, hx: Dyadic, hy: Dyadic, p: int):
+    """div_floor(mul(lx, ly), ONE, p) and div_ceil(mul(hx, hy), ONE, p),
+    refused in that order."""
+    if lx._num.bit_length() + ly._num.bit_length() - 2 > POW_BIT_LIMIT:
+        raise _too_wide("product")
+    lo = _canonical(_onto(lx._num * ly._num, lx._exp + ly._exp, p), p)
+    if hx._num.bit_length() + hy._num.bit_length() - 2 > POW_BIT_LIMIT:
+        raise _too_wide("product")
+    return lo, _canonical(-_onto(-hx._num * hy._num, hx._exp + hy._exp, p), p)
+
+
+def _quotient(a: Dyadic, b: Dyadic, p: int):
+    # floor(a/b * 2^p), and whether a/b * 2^p is no whole number, refused as
+    # _floor_quotient refuses it, for b > 0.
+    k = b._exp + p - a._exp
+    if k < 0:
+        # a's exponent is positive, so its numerator is odd, and a/b * 2^p
+        # is an odd number over 2^(-k) times b's numerator.
+        return (a._num >> -k) // b._num, 1
+    return divmod(_shl(a._num, k, "quotient"), b._num)
+
+
+def _div_bounds(a: Dyadic, b: Dyadic, c: Dyadic, p: int):
+    """div_floor(a, b, p) and div_ceil(a, c, p), refused in that order, for
+    b, c > 0; one division when b is c."""
+    lo, rest = _quotient(a, b, p)
+    hi = lo
+    if c is not b:
+        hi, rest = _quotient(a, c, p)
+    return _canonical(lo, p), _canonical(hi + 1 if rest else hi, p)
+
+
+def _difference(d: Dyadic, e: Dyadic, clamp: bool = False) -> Dyadic:
+    """sub(d, e), refused as sub refuses it, or dy_max(ZERO, sub(d, e))
+    when clamp is true."""
+    num, exp = _plus(d._num, d._exp, -e._num, e._exp)
+    return ZERO if clamp and num <= 0 else _canonical(num, exp)
+
+
+def _below(d: Dyadic, p: int) -> Dyadic:
+    """dy_max(ZERO, sub(d, make(1, p))), or d itself where sub refuses that
+    difference: the lower endpoint on the 2^(-p) grid of a leaf tagged d."""
+    try:
+        num, exp = _plus(d._num, d._exp, -1, p)
+    except SizeLimit:
+        return d
+    return _canonical(num, exp) if num > 0 else ZERO
 
 
 def exact_div(d: Dyadic, e: Dyadic):

@@ -19,7 +19,10 @@ and a node with no tag answers by intervals alone, however large its
 operands' tags or however far apart.  Leaves carry their own tags, and
 inverse of a tagged operand is a leaf.
 
-Guard-bit policy (normative for interoperability):
+Guard-bit policy (normative for interoperability).  Every oracle sums,
+multiplies or divides its operands' endpoints exactly on one grid and
+rounds each result once onto its query grid, through dyadic's fused steps,
+so no intermediate Dyadic is built:
   * sum_cuts is the one addition node.  ZERO_CUT operands are skipped
     and not counted; with none left the sum is ZERO_CUT, and with one left
     it is that operand shifted one bit, n -> y.query(n + 1), with its tag.
@@ -51,7 +54,8 @@ Guard-bit policy (normative for interoperability):
     inverse of a tagged operand and real_inv of an exact value both build
     the reciprocal leaf.  Within one CLI evaluation a repeated inv(d) or
     x / d is one node, evaluated once, so a sum queries its value once
-    however often it repeats;
+    however often it repeats, and inv(d) and every x / d that is not
+    exact share one reciprocal of d;
   * real_sup of k signed values is a balanced tree of two-way maxima,
     each Real(sup_finite([px + ny, py + nx]), nx + ny), so its depth is
     O(log k) and a query at n reaches the values at n + O(log k);
@@ -155,12 +159,8 @@ def _leaf(a: dy.Dyadic, b: dy.Dyadic, tag) -> CutReal:
     def fn(n):
         p = n + 1
         if tag is None or tag.exp > p:
-            return dy.div_floor(a, b, p), dy.div_ceil(a, b, p)
-        try:
-            lo = dy.sub(tag, dy.make(1, p))
-        except SizeLimit:
-            return tag, tag
-        return (dy.ZERO if lo.sign < 0 else lo), tag
+            return dy._div_bounds(a, b, b, p)
+        return dy._below(tag, p), tag
 
     return CutReal(fn, tag)
 
@@ -229,29 +229,24 @@ def sum_cuts(xs) -> CutReal:
     if len(live) <= 1:
         return _shift(live[0]) if live else ZERO_CUT
     guard = (len(live) - 1).bit_length() + 1
-    # Each distinct operand once, with its count as a Dyadic when it is
-    # more than 1; a CutReal hashes by identity.
+    # Each distinct operand once, with its count; a CutReal hashes by
+    # identity.
     counts = {}
     for x in live:
         counts[x] = counts.get(x, 0) + 1
-    terms = []
-    for x, c in counts.items():
-        terms.append((x, None if c == 1 else dy.make(c, 0)))
-    (first, times), rest = terms[0], terms[1:]
+    (first, count), *rest = counts.items()
 
     def fn(n):
+        # The endpoint sums run up exactly on one grid and are rounded
+        # once; the oracle calls each step itself, so no frame sits
+        # between this query and its operands'.
         k = n + guard
         lo, hi = first.query(k)
-        if times is not None:
-            lo, hi = dy.mul(lo, times), dy.mul(hi, times)
+        sums = dy._sum_step(None, lo, hi, count)
         for x, c in rest:
-            lx, hx = x.query(k)
-            if c is not None:
-                lx, hx = dy.mul(lx, c), dy.mul(hx, c)
-            lo = dy.add(lo, lx)
-            hi = dy.add(hi, hx)
-        p = n + 2
-        return dy.div_floor(lo, dy.ONE, p), dy.div_ceil(hi, dy.ONE, p)
+            lo, hi = x.query(k)
+            sums = dy._sum_step(sums, lo, hi, c)
+        return dy._sum_round(sums, n + 2)
 
     return CutReal(fn, _tag(dy.add, live))
 
@@ -279,11 +274,7 @@ def mul(x: CutReal, y: CutReal) -> CutReal:
         k = n + guard[0] + 1
         lx, hx = x.query(k)
         ly, hy = y.query(k)
-        p = n + 2
-        return (
-            dy.div_floor(dy.mul(lx, ly), dy.ONE, p),
-            dy.div_ceil(dy.mul(hx, hy), dy.ONE, p),
-        )
+        return dy._products(lx, ly, hx, hy, n + 2)
 
     return CutReal(fn, _tag(dy.mul, (x, y)))
 
@@ -386,8 +377,7 @@ def inverse(x: CutReal, n0: int) -> CutReal:
     def fn(n):
         k = max(n0, n + 2 * e + 1)
         lk, hk = x.query(k)
-        p = n + 2
-        return dy.div_floor(dy.ONE, hk, p), dy.div_ceil(dy.ONE, lk, p)
+        return dy._div_bounds(dy.ONE, hk, lk, n + 2)
 
     return CutReal(fn)
 
@@ -535,11 +525,16 @@ def real_inv(x: Real, prec: int) -> Real:
 def real_div(x: Real, y: Real, prec: int) -> Real:
     """x / y: the exact quotient when both are exact and dy.exact_div finds
     it, which may refuse it with SizeLimit; otherwise x * real_inv(y, prec)."""
+    exact = _exact_quotient(x, y)
+    return real_mul(x, real_inv(y, prec)) if exact is None else exact
+
+
+def _exact_quotient(x: Real, y: Real):
+    # The leaf pair of x / y when both are exact and dy.exact_div finds
+    # the quotient, which it may refuse with SizeLimit; else None.
     d, e = real_tag(x), real_tag(y)
     exact = None if d is None or e is None else dy.exact_div(d, e)
-    if exact is not None:
-        return real_from_dyadic(exact)
-    return real_mul(x, real_inv(y, prec))
+    return None if exact is None else real_from_dyadic(exact)
 
 
 def real_pow(x: Real, m: int) -> Real:
@@ -593,9 +588,7 @@ def _posdiff(a: CutReal, b: CutReal) -> CutReal:
     def fn(n):
         la, ha = a.query(n + 1)
         lb, hb = b.query(n + 1)
-        lo = dy.dy_max(dy.ZERO, dy.sub(la, hb))
-        hi = dy.dy_max(dy.ZERO, dy.sub(ha, lb))
-        return lo, hi
+        return dy._difference(la, hb, True), dy._difference(ha, lb, True)
 
     tag = _tag(dy.sub, (a, b))
     return CutReal(fn, dy.ZERO if tag is not None and tag.sign < 0 else tag)
@@ -620,7 +613,7 @@ def real_interval(x: Real, n: int):
     """Signed dyadic bounds on pos - neg at precision n (width <= 2^(-n+1))."""
     lp, hp = x.pos.query(n)
     ln, hn = x.neg.query(n)
-    return dy.sub(lp, hn), dy.sub(hp, ln)
+    return dy._difference(lp, hn), dy._difference(hp, ln)
 
 
 def format_interval(c: CutReal, n: int) -> str:

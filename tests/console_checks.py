@@ -138,6 +138,14 @@ CHECKS = [
     check("kdsum", ["eval", " + ".join(
         f"{k}/{d}" for k, d in zip(range(1, 2001), [3, 5, 6, 7, 9, 10, 11] * 300))],
           stdout=["[702791692260017/2^31, 2811166769040069/2^33]@30"]),
+    # Quotients over one divisor share its reciprocal and print what each
+    # term's own reciprocal printed.
+    check("sevenths", ["eval", "1/7 + 2/7 + 3/7"],
+          stdout=["[3681400539/2^32, 7362801079/2^33]@30"]),
+    # A power, a + run and a quotient, rounded onto the 2^-202 grid.
+    check("prec200-mix", ["eval", "--prec", "200", "inv(3)^12 + inv(5) + inv(7) - 5/9"],
+          stdout=["[-1367160590324590099023455407123659175476973640615864433079205/2^202, "
+                  "-5468642361298360396093821628494636701907894562463457732316815/2^204]@200"]),
     check("exponent", ["eval", "(1/2)^(2^14300)"], status=1, stderr=r"error: .*"),
     check("far", ["cmp", "(1/2)^(2^40)", "1"], stdout=["less"]),
     # A value is exact only where dyadic arithmetic finds it: 1/3 times 3

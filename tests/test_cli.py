@@ -174,8 +174,8 @@ class TestEvalCommand:
 
     def test_divisors_share_one_leaf_per_evaluation(self, monkeypatch):
         # One reciprocal leaf, and so one exact check in reals.reciprocal,
-        # per distinct divisor subexpression: a repeated inv(d) or x / d is
-        # one node, evaluated once.
+        # per distinct divisor subexpression: inv(d) and every x / d whose
+        # quotient is not exact share it.
         built, checks = [], []
 
         def record(d, build=reals.reciprocal):
@@ -189,15 +189,52 @@ class TestEvalCommand:
         monkeypatch.setattr(reals, "reciprocal", record)
         text = "inv(3) + 1/3 + inv(3) - 1/3 + inv(-3) + 2/6 + inv(4) + inv(4)"
         value = cli.evaluate(text, 30)
-        assert built == [make(3, 0), make(3, 0), make(3, 0), make(6, 0), make(4, 0)]
+        assert built == [make(3, 0), make(3, 0), make(6, 0), make(4, 0)]
         lo, hi = reals.real_interval(value, 30)
         want = Fraction(2, 3) + Fraction(1, 2)
         assert oracles.to_fraction(lo) <= want <= oracles.to_fraction(hi)
         # The values live for one call: a second evaluation builds its own.
         monkeypatch.setattr(dy, "exact_div", count)
         cli.evaluate("inv(7) - inv(3) + inv(7) - inv(3)", 30)
-        assert built[5:] == [make(7, 0), make(3, 0)]
+        assert built[4:] == [make(7, 0), make(3, 0)]
         assert checks == [(dy.ONE, make(7, 0)), (dy.ONE, make(3, 0))]
+
+    def test_quotients_share_their_divisor_reciprocal(self, capsys, monkeypatch):
+        # 1/7 + ... + 39/7 builds one reciprocal of 7, as 1*inv(7) + ... +
+        # 39*inv(7) does, and prints what each term's own reciprocal gave.
+        built = []
+
+        def record(d, build=reals.reciprocal):
+            built.append(d)
+            return build(d)
+
+        text = " + ".join(f"{k}/7" for k in range(1, 40))
+        line = "[957164140251/2^33, 239291035063/2^31]@30\n"
+        assert run_cli(["eval", text], capsys) == (0, line, "")
+        monkeypatch.setattr(reals, "reciprocal", record)
+        assert run_cli(["eval", text], capsys) == (0, line, "")
+        assert built == [make(7, 0)]
+        # A divisor is inverted only where a quotient is not exact, and
+        # inv(d) reuses a reciprocal built for x / d, and the reverse.
+        built.clear()
+        assert cli.evaluate("6/3 + 0/3", 30) == make(2, 0)
+        assert built == []
+        cli.evaluate("1/3 + inv(3) + 2/3 + inv(5) + 7/5", 30)
+        assert built == [make(3, 0), make(5, 0)]
+
+    @pytest.mark.parametrize(
+        "expr,error",
+        [
+            # The zero divisor is refused at the first quotient that needs
+            # it, as before, and only there.
+            ("4/2 + 0/0", "division by exact zero"),
+            ("1/(1/2)^(2^21) + 5/0", "quotient needs more than 1048576 mantissa bits"),
+            ("0/(1/2)^(2^21) + 1/0", "division by exact zero"),
+            ("0/(1/2)^(2^21) + 3/(1/2)^(2^21)", "quotient needs more than 1048576 mantissa bits"),
+        ],
+    )
+    def test_shared_reciprocals_keep_each_error(self, expr, error, capsys):
+        assert run_cli(["eval", expr], capsys) == (1, "", f"error: {error}\n")
 
     def test_abs_of_interval(self, capsys):
         code, out, _ = run_cli(["eval", "abs(inv(3) - 1)"], capsys)

@@ -696,6 +696,169 @@ class TestDivFloorCeil:
                     directed(ONE, b, p)
 
 
+def answer(f, *args):
+    """f(*args), or the message of the SizeLimit it raises, as a str."""
+    try:
+        return f(*args)
+    except SizeLimit as exc:
+        return str(exc)
+
+
+def composed_sum(terms, p):
+    """The endpoints of a sum_cuts node over terms (lo, hi, count), as it
+    composed them from public calls before its fused steps."""
+    (lo, hi, count), *rest = terms
+    if count > 1:
+        lo, hi = dy.mul(lo, make(count, 0)), dy.mul(hi, make(count, 0))
+    for lx, hx, count in rest:
+        if count > 1:
+            lx, hx = dy.mul(lx, make(count, 0)), dy.mul(hx, make(count, 0))
+        lo, hi = dy.add(lo, lx), dy.add(hi, hx)
+    return dy.div_floor(lo, ONE, p), dy.div_ceil(hi, ONE, p)
+
+
+def fused_sum(terms, p):
+    sums = None
+    for lo, hi, count in terms:
+        sums = dy._sum_step(sums, lo, hi, count)
+    return dy._sum_round(sums, p)
+
+
+def composed_products(lx, ly, hx, hy, p):
+    return dy.div_floor(dy.mul(lx, ly), ONE, p), dy.div_ceil(dy.mul(hx, hy), ONE, p)
+
+
+def composed_div_bounds(a, b, c, p):
+    return dy.div_floor(a, b, p), dy.div_ceil(a, c, p)
+
+
+def composed_below(d, p):
+    """The lower endpoint of a leaf tagged d on the 2^(-p) grid, as the leaf
+    composed it before its fused step."""
+    try:
+        lo = dy.sub(d, make(1, p))
+    except SizeLimit:
+        return d
+    return dy.dy_max(ZERO, lo)
+
+
+# Operands of the fused steps: signed and zero numerators whose bit lengths
+# spread evenly over 0..100, on grids up to 2^-150, so with POW_BIT_LIMIT at
+# SMALL_LIMIT every measure answers, refuses and meets its bound exactly,
+# and precisions on either side of the exponents.
+sized = st.integers(0, 100).flatmap(lambda bits: st.integers(1 << bits >> 1, (1 << bits) - 1))
+fused_operands = st.builds(make, sized, st.integers(0, 150), st.sampled_from([-1, 1]))
+fused_precisions = st.integers(0, 150)
+counts = st.one_of(st.integers(1, 5), sized.filter(bool))
+budgets = pytest.mark.parametrize("limit", [SMALL_LIMIT, LIMIT])
+
+
+class TestFusedSteps:
+    """Each private step that a reals oracle calls gives the endpoints, or
+    the SizeLimit message, of the public calls it stands for, and gives them
+    in canonical form."""
+
+    @staticmethod
+    def assert_same(limit, fused, composed, *args):
+        with mock.patch.object(dy, "POW_BIT_LIMIT", limit):
+            got = answer(fused, *args)
+            assert got == answer(composed, *args)
+        if not isinstance(got, str):
+            for d in got if isinstance(got, tuple) else (got,):
+                assert_canonical(d)
+
+    @budgets
+    @given(
+        st.lists(st.tuples(fused_operands, fused_operands, counts), min_size=1, max_size=5),
+        fused_precisions,
+    )
+    def test_sum(self, limit, terms, p):
+        self.assert_same(limit, fused_sum, composed_sum, terms, p)
+
+    @budgets
+    @given(fused_operands, fused_operands, fused_operands, fused_operands, fused_precisions)
+    def test_products(self, limit, lx, ly, hx, hy, p):
+        self.assert_same(limit, dy._products, composed_products, lx, ly, hx, hy, p)
+
+    @budgets
+    @given(fused_operands, fused_operands, fused_operands, fused_precisions, st.booleans())
+    def test_div_bounds(self, limit, a, b, c, p, one_divisor):
+        b = dy.dy_abs(b) or ONE
+        c = b if one_divisor else dy.dy_abs(c) or ONE
+        self.assert_same(limit, dy._div_bounds, composed_div_bounds, a, b, c, p)
+
+    @budgets
+    @given(fused_operands, fused_operands)
+    def test_difference(self, limit, d, e):
+        self.assert_same(limit, dy._difference, dy.sub, d, e)
+
+        def clamped(d, e):
+            return dy.dy_max(ZERO, dy.sub(d, e))
+
+        self.assert_same(limit, lambda d, e: dy._difference(d, e, True), clamped, d, e)
+
+    @budgets
+    @given(fused_operands, fused_precisions)
+    def test_below(self, limit, d, p):
+        self.assert_same(limit, dy._below, composed_below, d, p)
+
+    @given(far_apart(), st.integers(0, 60), counts)
+    def test_far_apart_exponents(self, pair, p, count):
+        # Exponents more than POW_BIT_LIMIT apart, by up to 2^64: nothing is
+        # shifted that far, and each step answers or refuses as the calls do.
+        d, e = pair
+        positive = dy.dy_abs(e) or ONE
+        for fused, composed, args in (
+            (fused_sum, composed_sum, ([(d, e, count), (e, d, 1)], p)),
+            (fused_sum, composed_sum, ([(d, d, 1), (e, e, count)], p)),
+            (dy._products, composed_products, (d, e, e, d, p)),
+            (dy._div_bounds, composed_div_bounds, (d, positive, positive, p)),
+            (dy._difference, dy.sub, (d, e)),
+            (dy._below, composed_below, (d, p)),
+        ):
+            assert answer(fused, *args) == answer(composed, *args)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_each_measure_at_its_bound(self, extra):
+        # With POW_BIT_LIMIT at 64, each case answers at its bound and is
+        # refused one bit past it, by the steps as by the calls.
+        wide = make((1 << 40) - 1, 3)
+        count = (1 << (25 + extra)) | 1
+        fine = make(1, 64 + extra)
+        cases = [
+            (fused_sum, composed_sum, [(wide, wide, count)], 10),
+            (fused_sum, composed_sum, [(ONE, wide, 1), (ONE, wide, count)], 10),
+            (dy._products, composed_products, ONE, ONE, wide, make(count, 0), 10),
+            (fused_sum, composed_sum, [(fine, fine, 1), (ONE, ONE, 1)], 10),
+            (fused_sum, composed_sum, [(ONE, ONE, 1)], 64 + extra),
+            (dy._difference, dy.sub, fine, ONE),
+            (dy._difference, dy.sub, ONE, fine),
+            (dy._div_bounds, composed_div_bounds, ONE, ONE, ONE, 64 + extra),
+            (dy._below, composed_below, ONE, 64 + extra),
+        ]
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            for fused, composed, *args in cases:
+                got = answer(fused, *args)
+                assert got == answer(composed, *args)
+                refused = got == ONE if fused is dy._below else isinstance(got, str)
+                assert refused == bool(extra)
+
+    def test_sums_are_measured_in_canonical_form(self):
+        # 1 less than 2^70 plus 1, on the grid 2^-100, is 2^-30: 71 bits on
+        # that grid, and 1 in canonical form.
+        wide, one = make((1 << 70) - 1, 100), make(1, 100)
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            terms = [(wide, wide, 1), (one, one, 1)]
+            assert fused_sum(terms, 40) == composed_sum(terms, 40) == (make(1, 30),) * 2
+            assert dy._difference(wide, dy.neg(one)) == dy.sub(wide, dy.neg(one)) == make(1, 30)
+
+    def test_a_cancelled_far_sum_shifts_nothing_far(self):
+        # (1/2)^(2^40) - (1/2)^(2^40) is 0, and adding 1 to it on the finer
+        # of their grids would take 2^40 bits.
+        terms = [(TINY, TINY, 1), (dy.neg(TINY), dy.neg(TINY), 1), (ONE, ONE, 3)]
+        assert fused_sum(terms, 5) == composed_sum(terms, 5) == (make(3, 0), make(3, 0))
+
+
 class TestExactDiv:
     def test_power_of_two_divisors(self):
         assert dy.exact_div(ONE, make(2, 0)) == HALF
