@@ -9,36 +9,39 @@ Every power of two is a shift: the quotients div_floor, div_ceil and
 exact_div shift the dividend's numerator onto the result's grid and divide
 it only by the divisor's numerator, exact_div by that numerator's odd part,
 so exact_div answers every quotient that is itself a binary fraction.
-div_floor and div_ceil by a divisor of numerator 1 do not divide at all.
 
 POW_BIT_LIMIT bounds what that work may allocate.  mul refuses a product
 and dy_pow a power whose mantissa would pass it, by one measure, so d * d
 is refused exactly when d^2 is; and every left shift of a nonzero numerator
-by more than it goes through _shl, which refuses it; all end in SizeLimit
-before that number is built.  So add, sub, exact_div, div_floor, div_ceil
-and between refuse operands whose exponents lie too far apart, and
-format_decimal refuses an exponent past it.  add, sub, exact_div and
-between also refuse a result whose mantissa passes the limit by mul's
-measure, so a sum, a quotient or a witness is refused exactly when it times
-1 would be.  Such a result is built before it is measured, but it holds at
-most one bit more than an operand shifted by at most POW_BIT_LIMIT, or, for
-a quotient, no more bits than the dividend's numerator shifted by at most
-POW_BIT_LIMIT.  compare, and so dy_max and dy_min, shift only
-down and answer at any distance, as do div_floor and div_ceil when the
-result's grid is the coarser one.
+by more than it is refused; all end in SizeLimit before that number is
+built.  So add, sub, exact_div, div_floor, div_ceil and between refuse
+operands whose exponents lie too far apart, and format_decimal refuses an
+exponent past it.  add, sub, exact_div and between also refuse a result
+whose mantissa passes the limit by mul's measure, so a sum, a quotient or a
+witness is refused exactly when it times 1 would be.  Such a result is
+built before it is measured, but it holds at most one bit more than an
+operand shifted by at most POW_BIT_LIMIT, or, for a quotient, no more bits
+than the dividend's numerator shifted by at most POW_BIT_LIMIT.  compare,
+and so dy_max and dy_min, shift only down and answer at any distance, as
+do div_floor and div_ceil when the result's grid is the coarser one.
 
-The node oracles of reals do not compose these calls.  Private fused steps
-work out each endpoint's exact numerator on one grid and round it onto the
-node's 2^(-p) grid once: _sum_step and _sum_round for a sum, _products for
-a product, _div_bounds for a leaf a/b and for an inverse, _below for a
-tagged leaf, and _difference for a positive part and a signed interval.
-Each applies the measures of the calls it stands for, in their order and
-with their messages: mul's on an endpoint times a repeat count and on a
-product of endpoints, add's on each running sum and difference (the shift
-between canonical exponents, then the canonical result's bits), and the
-shift of div_floor and div_ceil onto the grid.  So each endpoint, and each
-SizeLimit, is what the calls give.  make validates its input and ends in
-_canonical, the one canonicaliser, which the fused steps call directly.
+Each measure is written once, in a private primitive on integer numerators
+that the public calls and the fused steps of the reals node oracles share:
+
+    _plus      add and sub, between (d plus 2^(-(u+v+1))), _sum_step,
+               _difference and _below
+    _times     mul, both endpoints of _products, _sum_step's repeat count
+    _quotient  div_floor, div_ceil and _div_bounds
+    _onto      _sum_round and _products: div_floor(x, ONE, p)'s shift
+
+The public calls end in _signed and so in make, which validates its input
+and ends in _canonical, the one canonicaliser.  The fused steps work out
+each endpoint's exact numerator on one grid and round it onto the node's
+2^(-p) grid once, with _canonical: _sum_step and _sum_round for a sum,
+_products for a product, _div_bounds for a leaf a/b and for an inverse,
+_below for a tagged leaf, and _difference for a positive part and a signed
+interval.  So each endpoint, and each SizeLimit, is what the public calls
+composed would give.
 """
 
 from __future__ import annotations
@@ -195,19 +198,36 @@ def compare(d: Dyadic, e: Dyadic) -> int:
     return (d._num > e._num) - (d._num < e._num)
 
 
+def _plus(snum: int, sexp: int, tnum: int, texp: int, what: str = "sum"):
+    """s + t for s and t given as numerators on the grids 2^(-sexp) and
+    2^(-texp): its numerator on the finer grid and that grid's exponent.
+    Refused with SizeLimit, named what, when the coarser of s and t is
+    nonzero and their canonical exponents lie more than POW_BIT_LIMIT
+    apart, and then when the canonical sum's mantissa measures bits - 1 >
+    POW_BIT_LIMIT, mul's measure."""
+    if sexp > POW_BIT_LIMIT or texp > POW_BIT_LIMIT:
+        # Far out, align the canonical forms, and refuse to shift a nonzero
+        # one past the budget.
+        s, t = _canonical(snum, sexp), _canonical(tnum, texp)
+        snum, sexp, tnum, texp = s._num, s._exp, t._num, t._exp
+        if sexp - texp > POW_BIT_LIMIT and tnum or texp - sexp > POW_BIT_LIMIT and snum:
+            raise _too_wide(what)
+    if sexp < texp:
+        snum, sexp = snum << (texp - sexp), texp
+    num = snum + (tnum << (sexp - texp))
+    # Only near POW_BIT_LIMIT does the measure need the canonical form.
+    if (
+        num.bit_length() - 1 > POW_BIT_LIMIT
+        and _canonical(num, sexp)._num.bit_length() - 1 > POW_BIT_LIMIT
+    ):
+        raise _too_wide(what)
+    return num, sexp
+
+
 def add(d: Dyadic, e: Dyadic) -> Dyadic:
-    """d + e, refused with SizeLimit when the canonical result's mantissa
-    measures bits - 1 > POW_BIT_LIMIT, mul's measure, so x + 0 is refused
-    exactly when x * 1 is."""
-    # On the common grid 2^(-max(u, v)): only the coarser operand shifts.
-    shift = d._exp - e._exp
-    if shift >= 0:
-        total = _signed(d._num + _shl(e._num, shift, "sum"), d._exp)
-    else:
-        total = _signed(_shl(d._num, -shift, "sum") + e._num, e._exp)
-    if total._num.bit_length() - 1 > POW_BIT_LIMIT:
-        raise _too_wide("sum")
-    return total
+    """d + e, refused as _plus refuses it, so x + 0 is refused exactly when
+    x * 1 is."""
+    return _signed(*_plus(d._num, d._exp, e._num, e._exp))
 
 
 def neg(d: Dyadic) -> Dyadic:
@@ -220,12 +240,17 @@ def sub(d: Dyadic, e: Dyadic) -> Dyadic:
     return add(d, neg(e))
 
 
-def mul(d: Dyadic, e: Dyadic) -> Dyadic:
-    """d * e, refused with SizeLimit before it is built when
-    (bits(d) - 1) + (bits(e) - 1), dy_pow's measure, passes POW_BIT_LIMIT."""
-    if d._num.bit_length() + e._num.bit_length() - 2 > POW_BIT_LIMIT:
+def _times(m: int, n: int) -> int:
+    """m * n, refused with SizeLimit before it is built when
+    (bits(m) - 1) + (bits(n) - 1), dy_pow's measure, passes POW_BIT_LIMIT."""
+    if m.bit_length() + n.bit_length() - 2 > POW_BIT_LIMIT:
         raise _too_wide("product")
-    return _signed(d._num * e._num, d._exp + e._exp)
+    return m * n
+
+
+def mul(d: Dyadic, e: Dyadic) -> Dyadic:
+    """d * e, refused as _times refuses the product of the numerators."""
+    return _signed(_times(d._num, e._num), d._exp + e._exp)
 
 
 def dy_pow(d: Dyadic, m: int) -> Dyadic:
@@ -270,71 +295,49 @@ def between(d: Dyadic, e: Dyadic) -> Dyadic:
 
     Both endpoints are placed on the grid 2^(-(u+v+1)), where their
     numerators come out even and at least 2 apart; the smallest admissible
-    numerator is then one past d's, which is odd, so the result is already
-    canonical on that grid.  A witness whose mantissa passes POW_BIT_LIMIT
-    by add's measure is refused with SizeLimit.
+    numerator is then one past d's, which is odd: the witness is d plus
+    2^(-(u+v+1)), refused with SizeLimit, named between, where add would
+    refuse that sum.
     """
     if compare(d, e) >= 0:
         raise BadOrder(f"between needs d < e, got {d} >= {e}")
-    shift = e._exp + 1
-    witness = _signed(_shl(d._num, shift, "between") + 1, d._exp + shift)
-    if witness._num.bit_length() - 1 > POW_BIT_LIMIT:
-        raise _too_wide("between")
-    return witness
+    return _signed(*_plus(d._num, d._exp, 1, d._exp + e._exp + 1, "between"))
 
 
-def _floor_quotient(num: int, exp: int, b: Dyadic, p: int) -> int:
-    # floor(num * 2^(-exp) / b * 2^p): num shifted onto the grid 2^(-p)
-    # times b's, where a right shift floors, then one floor division by b's
-    # numerator, skipped when it is 1; floor(floor(x) / n) = floor(x / n)
-    # for n > 0.
+def _quotient(a: Dyadic, b: Dyadic, p: int):
+    """floor(a/b * 2^p), and a value that is true when a/b * 2^p is no
+    whole number.  Refused
+    with NonPositiveDivisor unless b > 0, then as _nat refuses a precision
+    p, then with SizeLimit when a's nonzero numerator shifts up by more than
+    POW_BIT_LIMIT onto the grid 2^(-p) times b's."""
     if b._num <= 0:
         raise NonPositiveDivisor(f"directed division needs b > 0, got {b}")
     if type(p) is not int or p < 0:
         _nat(p, "precision")
-    k = b._exp + p - exp
-    q = _shl(num, k, "quotient") if k >= 0 else num >> -k
-    return q if b._num == 1 else q // b._num
+    k = b._exp + p - a._exp
+    if k < 0:
+        # a's exponent is positive, so its numerator is odd, and a/b * 2^p
+        # is an odd number over 2^(-k) times b's numerator; a right shift
+        # floors, and floor(floor(x) / n) = floor(x / n) for n > 0.
+        return (a._num >> -k) // b._num, 1
+    return divmod(_shl(a._num, k, "quotient"), b._num)
 
 
 def div_floor(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
     """Largest multiple of 2^(-p) that is <= a/b.  Requires b > 0."""
-    return _signed(_floor_quotient(a._num, a._exp, b, p), p)
+    return _signed(_quotient(a, b, p)[0], p)
 
 
 def div_ceil(a: Dyadic, b: Dyadic, p: int) -> Dyadic:
     """Smallest multiple of 2^(-p) that is >= a/b.  Requires b > 0."""
-    return _signed(-_floor_quotient(-a._num, a._exp, b, p), p)
+    q, rest = _quotient(a, b, p)
+    return _signed(q + 1 if rest else q, p)
 
 
 # Fused steps for the node oracles of reals.  Each step works out an
-# endpoint's exact numerator on one grid with int operations, applies the
-# measures of the public calls it stands for, in their order and with their
-# messages, and canonicalises the endpoint once, with _canonical.  Only near
-# POW_BIT_LIMIT do those measures need a number's canonical form, so below
-# it each costs a comparison.
-
-
-def _plus(snum: int, sexp: int, tnum: int, texp: int):
-    # s + t for s and t given as numerators on the grids 2^(-sexp) and
-    # 2^(-texp): its numerator on the finer grid and that grid's exponent,
-    # refused as add(s, t) refuses it.
-    if sexp > POW_BIT_LIMIT or texp > POW_BIT_LIMIT:
-        # Far out, align the canonical forms, as add does, and refuse to
-        # shift a nonzero one past the budget.
-        s, t = _canonical(snum, sexp), _canonical(tnum, texp)
-        snum, sexp, tnum, texp = s._num, s._exp, t._num, t._exp
-        if sexp - texp > POW_BIT_LIMIT and tnum or texp - sexp > POW_BIT_LIMIT and snum:
-            raise _too_wide("sum")
-    if sexp < texp:
-        snum, sexp = snum << (texp - sexp), texp
-    num = snum + (tnum << (sexp - texp))
-    if (
-        num.bit_length() - 1 > POW_BIT_LIMIT
-        and _canonical(num, sexp)._num.bit_length() - 1 > POW_BIT_LIMIT
-    ):
-        raise _too_wide("sum")
-    return num, sexp
+# endpoint's exact numerator on one grid with the primitives of the public
+# calls it stands for, so it refuses as they do, in their order and with
+# their messages, and canonicalises the endpoint once, with _canonical.
 
 
 def _onto(num: int, exp: int, p: int) -> int:
@@ -354,11 +357,7 @@ def _sum_step(acc, lo: Dyadic, hi: Dyadic, count: int):
     running sum and its new term refuse."""
     ln, le, hn, he = lo._num, lo._exp, hi._num, hi._exp
     if count > 1:
-        extra = count.bit_length() - 2
-        if ln.bit_length() + extra > POW_BIT_LIMIT or hn.bit_length() + extra > POW_BIT_LIMIT:
-            raise _too_wide("product")
-        ln *= count
-        hn *= count
+        ln, hn = _times(ln, count), _times(hn, count)
     if acc is None:
         return ln, le, hn, he
     return _plus(acc[0], acc[1], ln, le) + _plus(acc[2], acc[3], hn, he)
@@ -374,23 +373,8 @@ def _sum_round(acc, p: int):
 def _products(lx: Dyadic, ly: Dyadic, hx: Dyadic, hy: Dyadic, p: int):
     """div_floor(mul(lx, ly), ONE, p) and div_ceil(mul(hx, hy), ONE, p),
     refused in that order."""
-    if lx._num.bit_length() + ly._num.bit_length() - 2 > POW_BIT_LIMIT:
-        raise _too_wide("product")
-    lo = _canonical(_onto(lx._num * ly._num, lx._exp + ly._exp, p), p)
-    if hx._num.bit_length() + hy._num.bit_length() - 2 > POW_BIT_LIMIT:
-        raise _too_wide("product")
-    return lo, _canonical(-_onto(-hx._num * hy._num, hx._exp + hy._exp, p), p)
-
-
-def _quotient(a: Dyadic, b: Dyadic, p: int):
-    # floor(a/b * 2^p), and whether a/b * 2^p is no whole number, refused as
-    # _floor_quotient refuses it, for b > 0.
-    k = b._exp + p - a._exp
-    if k < 0:
-        # a's exponent is positive, so its numerator is odd, and a/b * 2^p
-        # is an odd number over 2^(-k) times b's numerator.
-        return (a._num >> -k) // b._num, 1
-    return divmod(_shl(a._num, k, "quotient"), b._num)
+    lo = _canonical(_onto(_times(lx._num, ly._num), lx._exp + ly._exp, p), p)
+    return lo, _canonical(-_onto(-_times(hx._num, hy._num), hx._exp + hy._exp, p), p)
 
 
 def _div_bounds(a: Dyadic, b: Dyadic, c: Dyadic, p: int):

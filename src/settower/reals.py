@@ -331,11 +331,14 @@ def sup_finite(xs) -> CutReal:
     if len(xs) <= 1:
         return xs[0] if xs else ZERO_CUT
 
+    first, *rest = xs
+
     def fn(n):
-        pairs = [x.query(n) for x in xs]
-        lo = pairs[0][0]
-        hi = pairs[0][1]
-        for plo, phi in pairs[1:]:
+        # A plain loop: no comprehension frame sits between this query and
+        # its operands'.
+        lo, hi = first.query(n)
+        for x in rest:
+            plo, phi = x.query(n)
             lo = dy.dy_max(lo, plo)
             hi = dy.dy_max(hi, phi)
         return lo, hi

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import oracles
 from settower import dyadic as dy
@@ -671,6 +671,30 @@ class TestDivFloorCeil:
         # A divisor of numerator 1 makes the quotient a shift alone.
         self.assert_matches_shift_both(a, make(1, u), p)
 
+    @given(small_grid, small_grid, st.integers(0, 150))
+    @example(ONE, ONE, SMALL_LIMIT)
+    @example(ONE, ONE, SMALL_LIMIT + 1)
+    @example(make(3, 7, -1), make(5, 2), SMALL_LIMIT + 5)
+    @example(make(3, 7, -1), make(5, 2), SMALL_LIMIT + 6)
+    @example(ZERO, make(5, 2), 150)
+    def test_directed_quotients_obey_the_shift_measure(self, a, b, p):
+        # Refused exactly when a's nonzero numerator would shift up by more
+        # than the limit onto the grid 2^(-p) times b's; else the Fraction
+        # floor and ceiling.
+        b = dy.dy_abs(b) or ONE
+        with mock.patch.object(dy, "POW_BIT_LIMIT", SMALL_LIMIT):
+            got = [answer(directed, a, b, p) for directed in (dy.div_floor, dy.div_ceil)]
+        if a.sign != 0 and b.exp + p - a.exp > SMALL_LIMIT:
+            assert got == [f"quotient needs more than {SMALL_LIMIT} mantissa bits"] * 2
+        else:
+            exact = oracles.to_fraction(a) / oracles.to_fraction(b) * 2**p
+            assert [oracles.to_fraction(d) * 2**p for d in got] == [
+                math.floor(exact),
+                math.ceil(exact),
+            ]
+            for d in got:
+                assert_canonical(d)
+
     def test_one_third_endpoints(self):
         three = make(3, 0)
         assert dy.div_floor(ONE, three, 4) == make(5, 4)
@@ -678,9 +702,12 @@ class TestDivFloorCeil:
 
     @pytest.mark.parametrize("b", [ZERO, make(3, 1, -1)])
     def test_rejects_non_positive_divisor(self, b):
+        # The divisor is checked first: before the precision, and before a
+        # shift past the limit.
         for directed in (dy.div_floor, dy.div_ceil):
-            with pytest.raises(NonPositiveDivisor):
-                directed(ONE, b, 4)
+            for p in (4, -1, LIMIT + 1):
+                with pytest.raises(NonPositiveDivisor):
+                    directed(ONE, b, p)
         assert issubclass(NonPositiveDivisor, SettowerError)
 
     def test_rejects_negative_precision(self):
@@ -756,7 +783,17 @@ budgets = pytest.mark.parametrize("limit", [SMALL_LIMIT, LIMIT])
 class TestFusedSteps:
     """Each private step that a reals oracle calls gives the endpoints, or
     the SizeLimit message, of the public calls it stands for, and gives them
-    in canonical form."""
+    in canonical form.
+
+    The steps and those calls share their measures: test_sum, test_difference
+    and test_below compare two callers of _plus, test_products and the
+    repeat counts of test_sum two callers of _times, and test_div_bounds two
+    callers of _quotient.  So these tests check how each step composes the
+    primitives, in what order it refuses and that it canonicalises; the
+    measures themselves are checked against Fraction by TestArithmetic's
+    test_sums_obey_the_product_measure, test_products_obey_the_power_measure
+    and test_witnesses_obey_the_sum_measure, and by TestDivFloorCeil's
+    test_directed_quotients_obey_the_shift_measure."""
 
     @staticmethod
     def assert_same(limit, fused, composed, *args):

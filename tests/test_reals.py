@@ -390,6 +390,24 @@ class TestSupFinite:
         oracles.assert_cut_invariants(s, upto=32)
         assert oracles.cut_brackets(s, Fraction(1, 3), 32)
 
+    @pytest.mark.parametrize("node_of", [sup_finite, reals.sum_cuts])
+    def test_operands_are_queried_from_the_oracle(self, node_of):
+        # Exactly two frames lie between the node's query and an operand's:
+        # the node's query and its oracle.  A comprehension in the oracle
+        # would add a third under Python 3.10 and 3.11, and so a frame per
+        # level of a nested query.
+        seen = []
+
+        def probe(n):
+            # Above this oracle and the operand's query.
+            oracle, query = sys._getframe(2), sys._getframe(3)
+            seen.append((oracle.f_code, query.f_code, query.f_locals.get("self")))
+            return ZERO, ONE
+
+        node = node_of([CutReal(probe), CutReal(probe)])
+        node.query(5)
+        assert seen == [(node._fn.__code__, CutReal.query.__code__, node)] * 2
+
 
 def _tagged_leaf(d):
     return real_from_dyadic(d), oracles.to_fraction(d)
