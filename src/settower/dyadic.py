@@ -30,9 +30,11 @@ that the public calls and the fused steps of the reals node oracles share:
 
     _plus      add and sub, between (d plus 2^(-(u+v+1))), _sum_step,
                _difference and _below
-    _times     mul, both endpoints of _products, _sum_step's repeat count
+    _times     mul, both endpoints of _products, _sum_step's repeat count,
+               every step of _powers
     _quotient  div_floor, div_ceil and _div_bounds
-    _onto      _sum_round and _products: div_floor(x, ONE, p)'s shift
+    _onto      _sum_round, _products and _powers: div_floor(x, ONE, p)'s
+               shift
 
 The public calls end in _signed and so in make, which validates its input
 and ends in _canonical, the one canonicaliser.  The fused steps work out
@@ -41,7 +43,11 @@ each endpoint's exact numerator on one grid and round it onto the node's
 _products for a product, _div_bounds for a leaf a/b and for an inverse,
 _below for a tagged leaf, and _difference for a positive part and a signed
 interval.  So each endpoint, and each SizeLimit, is what the public calls
-composed would give.
+composed would give.  _powers, for a power node, is the one step that
+rounds along the way: it squares and multiplies on its operand's grid,
+rounding the lower chain down and the upper chain up after each step, and
+_power_guard sizes that grid from an upper bound that _power_bits raises
+to the power on a 64-bit mantissa.
 """
 
 from __future__ import annotations
@@ -375,6 +381,65 @@ def _products(lx: Dyadic, ly: Dyadic, hx: Dyadic, hy: Dyadic, p: int):
     refused in that order."""
     lo = _canonical(_onto(_times(lx._num, ly._num), lx._exp + ly._exp, p), p)
     return lo, _canonical(-_onto(-_times(hx._num, hy._num), hx._exp + hy._exp, p), p)
+
+
+def _power_bits(d: Dyadic, m: int) -> int:
+    """A natural t with max(1, d)^m <= 2^t, at most about one more than the
+    least: d^m squared and multiplied out on a 64-bit mantissa rounded up
+    at every step, so nothing larger than 128 bits is built."""
+    num, exp = d._num, d._exp
+    if num <= 1 << exp:
+        return 0
+
+    def up(c, s):
+        # c * 2^s rounded up to a mantissa of at most 64 bits.
+        cut = c.bit_length() - 64
+        return ((c >> cut) + 1, s + cut) if cut > 0 else (c, s)
+
+    c, s = up(num, -exp)
+    pc, ps = c, s
+    for bit in bin(m)[3:]:
+        pc, ps = up(pc * pc, 2 * ps)
+        if bit == "1":
+            pc, ps = up(pc * c, ps + s)
+    return ps + pc.bit_length()
+
+
+def _power_guard(lo: Dyadic, hi: Dyadic, m: int) -> int:
+    """The guard g of a power node x^m, m >= 2, whose operand answered
+    [lo, hi] at precision b = bit_length(m).  Queried at k = n + g >= b,
+    x's interval lies in [0, hi] and is at most 2^(-k) wide.  Through the
+    fewer than 2b roundings of _powers onto 2^(-k), each under 2^(-k), the
+    width grows to at most e * m * max(1, hi)^(m-1) * 4b * 2^(-k) before
+    the last step is rounded, and g keeps that within 2^(-n-1).  Refused
+    with SizeLimit, named product, where _powers would refuse it at every
+    n: with lo >= 1/2 the numerator that its first step squares has at
+    least g bits, past _times's measure once 2g - 2 is."""
+    b = m.bit_length()
+    g = b + b.bit_length() + 5 + _power_bits(hi, m - 1)
+    if 2 * g - 2 > POW_BIT_LIMIT and compare(lo, HALF) >= 0:
+        raise _too_wide("product")
+    return g
+
+
+def _powers(lo: Dyadic, hi: Dyadic, m: int, k: int, p: int):
+    """Lower and upper ends of [lo, hi]^m, for 0 <= lo <= hi and m >= 2,
+    squared and multiplied out from the top bit of m on the numerators of
+    the grid 2^(-w), w the finest of k and the endpoints' exponents.  Each
+    product is refused as _times refuses it, the lower chain's first; the
+    lower chain rounds down and the upper chain up onto 2^(-w) after every
+    step but the last, whose products are rounded once onto 2^(-p)."""
+    w = max(k, lo._exp, hi._exp)
+    ln, hn = lo._num << (w - lo._exp), hi._num << (w - hi._exp)
+    la, ha = ln, hn
+    # Each bit of m after the top squares, "0", and a set bit then
+    # multiplies by x, "1"; a step's products lie on the grid 2^(-2w).
+    for i, step in enumerate(bin(m)[3:].replace("1", "01")):
+        if i:
+            la, ha = la >> w, -(-ha >> w)
+        by_x = step == "1"
+        la, ha = _times(la, ln if by_x else la), _times(ha, hn if by_x else ha)
+    return _canonical(_onto(la, 2 * w, p), p), _canonical(-_onto(-ha, 2 * w, p), p)
 
 
 def _div_bounds(a: Dyadic, b: Dyadic, c: Dyadic, p: int):

@@ -12,7 +12,8 @@ the node's oracle, per node on its path.
 
 Tags follow one rule, kept in _tag: a node's tag is its dyadic operation
 folded over its operands' tags (dy.add for sum_cuts, dy.mul for mul,
-dy.dy_max for sup_finite, and dy.sub for _posdiff, clamped at 0), and None
+dy.dy_max for sup_finite, and dy.sub for _posdiff, clamped at 0, and
+dy.dy_pow of the operand's tag for pow_nat), and None
 when an operand has no tag or the operation refuses the result with
 SizeLimit.  So a tag obeys dyadic's POW_BIT_LIMIT like every exact result,
 and a node with no tag answers by intervals alone, however large its
@@ -34,14 +35,26 @@ so no intermediate Dyadic is built:
     follow n, not k.  add is its k = 2 case, and real_sum with a non-exact
     operand is one such node per side, as the CLI's run of + and - operands
     is;
-  * mul queries at n+t+1 where t is the smallest natural with
+  * mul queries at n+t+2 where t is the smallest natural with
     hi_x(0) + hi_y(0) <= 2^t, read from the operands' queries at 0 when
     the node is first queried, multiplies endpoints, and rounds the lower
-    product down and the upper product up to n+2 fractional bits, so the
-    width stays within 2^(-n-1) + 2^(-n-1) and endpoint sizes follow n,
-    not the size of the expression;
-  * pow_nat squares and multiplies, so x^m is a product DAG of depth
-    O(log m);
+    product down and the upper product up to n+3 fractional bits, so the
+    width stays within 2^(-n-2) + 2^(-n-2) and endpoint sizes follow n,
+    not the size of the expression.  That is the grid of the mul node
+    under a one-bit shift that a product of one-signed values was, so
+    such a product prints, and certifies a divisor's sign, as it did;
+  * pow_nat(x, m), m >= 2, is one node that queries x once at
+    b = bit_length(m) for an upper bound H, and at precision n once at
+    n + g, g = b + bit_length(b) + 5 + t where 2^t >= max(1, H)^(m-1).
+    It squares and multiplies the endpoints' numerators, rounding the
+    lower chain down and the upper chain up onto x's grid after every
+    step, so the width 2^(-n-g) of x and the fewer than 2b roundings grow
+    to at most e * m * max(1, H)^(m-1) * 4b * 2^(-n-g) <= 2^(-n-1).  The
+    last step's products are rounded outward onto the 2^(-n-3) grid, the
+    grid of the shifted mul node that topped a power's product DAG.  So
+    x^m costs one node and one query of x per precision, and a power
+    whose first square would pass dyadic's product measure at every
+    precision is refused before x is queried deeply;
   * inverse divides 1 by the swapped endpoints with directed rounding to
     n+2 fractional bits, querying the operand at max(n0, n + 2e + 1) where
     2^(-e) lower-bounds the witness interval's lo;
@@ -64,15 +77,19 @@ so no intermediate Dyadic is built:
     operands at n+1; at precision n its endpoints are
     lo = max(0, lp - hn, ln - hp) and hi = max(hp - ln, hn - lp);
   * exact zeros fold when a node is built.  ZERO_CUT, which from_dyadic(0)
-    returns, is the exact zero: mul with it and _posdiff(ZERO_CUT, b) are
-    ZERO_CUT; _posdiff(a, ZERO_CUT) is a shifted one bit, as a sum with
-    one operand left is; sup_finite skips ZERO_CUT operands, so real_abs
-    of a pair with a ZERO_CUT side is the other side shifted one bit.
-    The general mul and _posdiff, which query every operand, return the
-    same endpoints at every precision, so no answer changes; only a tag
-    None may become the node's exact value.  A zero tag alone does not
-    fold: real_abs of a pair with equal nonzero tags is tagged 0, but its
-    upper endpoints are positive.
+    returns, is the exact zero: mul with it, pow_nat of it and
+    _posdiff(ZERO_CUT, b) are ZERO_CUT; _posdiff(a, ZERO_CUT) is a shifted
+    one bit, as a sum with one operand left is; sup_finite skips ZERO_CUT
+    operands, so real_abs of a pair with a ZERO_CUT side is the other side
+    shifted one bit.  A signed value with a ZERO_CUT side is one-signed:
+    real_mul multiplies each side of the other factor by its other side
+    with one mul node, and real_pow raises that side with one pow_nat
+    node, so neither builds a zero side's product or a shift.  The general
+    mul and _posdiff, which query every operand, return the same endpoints
+    at every precision, so no answer changes; only a tag None may become
+    the node's exact value.  A zero tag alone does not fold: real_abs of a
+    pair with equal nonzero tags is tagged 0, but its upper endpoints are
+    positive.
 
 Signed values are pairs (pos, neg) standing for pos - neg; canonicalize
 shifts the pair so the smaller component is within 2^(-n) of zero at every
@@ -104,7 +121,7 @@ from . import dyadic as dy
 from .errors import (
     DivisionNearZero, EmptyList, NegativeInput, NotBoundedAwayFromZero, SizeLimit
 )
-from .naturals import _nat, square_and_multiply
+from .naturals import _nat
 
 
 class CutReal:
@@ -267,14 +284,14 @@ def mul(x: CutReal, y: CutReal) -> CutReal:
             # of widths then stays within 2^(-n) after querying at n + t.
             s = dy.add(x.query(0)[1], y.query(0)[1])
             guard.append(max(0, (s.man - 1).bit_length() - s.exp) if s.sign else 0)
-        # Endpoint products are within 2^(-n-1) of each other at n + t + 1;
-        # outward rounding onto the 2^(-n-2) grid adds less than 2^(-n-2)
+        # Endpoint products are within 2^(-n-2) of each other at n + t + 2;
+        # outward rounding onto the 2^(-n-3) grid adds less than 2^(-n-3)
         # per side.  A floor of a larger value on a finer grid is never
         # below the floor on a coarser grid, so nesting survives rounding.
-        k = n + guard[0] + 1
+        k = n + guard[0] + 2
         lx, hx = x.query(k)
         ly, hy = y.query(k)
-        return dy._products(lx, ly, hx, hy, n + 2)
+        return dy._products(lx, ly, hx, hy, n + 3)
 
     return CutReal(fn, _tag(dy.mul, (x, y)))
 
@@ -386,11 +403,35 @@ def inverse(x: CutReal, n0: int) -> CutReal:
 
 
 def pow_nat(x: CutReal, m: int) -> CutReal:
-    """x^m by squaring and multiplying with mul; exponent 0 gives ONE_CUT."""
+    """x^m as one node: ONE_CUT for m = 0, and x itself for m = 1 or for
+    ZERO_CUT.  Otherwise the node queries x once at b = bit_length(m) for
+    the guard of dy._power_guard, and at precision n once at n + g; its
+    endpoints are squared and multiplied out by dy._powers, the lower chain
+    rounded down and the upper up at every step, and the last step's
+    products rounded outward onto the 2^(-n-3) grid.  The tag is
+    dy.dy_pow of x's tag, None when x has none or dy_pow refuses it."""
     _nat(m, "exponent")
     if m == 0:
         return ONE_CUT
-    return square_and_multiply(x, m, mul)
+    if m == 1 or x is ZERO_CUT:
+        return x
+    b = m.bit_length()
+    guard = []
+
+    def fn(n):
+        if not guard:
+            guard.append(dy._power_guard(*x.query(b), m))
+        k = n + guard[0]
+        lo, hi = x.query(k)
+        return dy._powers(lo, hi, m, k, n + 3)
+
+    tag = x._tag
+    if tag is not None:
+        try:
+            tag = dy.dy_pow(tag, m)
+        except SizeLimit:
+            tag = None
+    return CutReal(fn, tag)
 
 
 class Real:
@@ -496,14 +537,47 @@ def real_sub(x: Real, y: Real) -> Real:
 def real_mul(x: Real, y: Real) -> Real:
     """x * y.  When both are exact, their exact product: zero when a factor
     is zero, however wide the other, else dy.mul's, which may refuse it
-    with SizeLimit.  Otherwise four mul nodes, which fold ZERO_CUT."""
+    with SizeLimit.  Otherwise a factor of exactly 1 or -1 returns the
+    other, negated for -1.  A one-signed factor, one with a ZERO_CUT side,
+    multiplies with one mul node: two such factors give one node over
+    their other sides, on the negative side when exactly one factor is
+    negative, and one such factor gives one node per side of the other
+    value, the sides swapped when it is negative.  Two values with no
+    ZERO_CUT side give four mul nodes, summed on each side."""
     a, b = real_tag(x), real_tag(y)
     if a is not None and b is not None:
         return real_from_dyadic(dy.mul(a, b) if a and b else dy.ZERO)
+    for d, other in ((a, y), (b, x)):
+        if d is not None and d.man == 1 and d.exp == 0:
+            return other if d.sign > 0 else real_neg(other)
+    sx, sy = _one_side(x), _one_side(y)
+    if sx and sy:
+        return _signed_cut(mul(sx[0], sy[0]), sx[1] is not sy[1])
+    if sx or sy:
+        # Both products carry tags when an exact factor meets a pair whose
+        # difference dy.sub refused, so the result is settled, as the
+        # four-node product is.
+        (c, negative), z = (sx, y) if sx else (sy, x)
+        pos, neg = mul(c, z.pos), mul(c, z.neg)
+        return _settled(neg, pos) if negative else _settled(pos, neg)
     return _settled(
         add(mul(x.pos, y.pos), mul(x.neg, y.neg)),
         add(mul(x.pos, y.neg), mul(x.neg, y.pos)),
     )
+
+
+def _one_side(x: Real):
+    # (c, negative) when x is c or -c for a cut c, that is when a side of x
+    # is ZERO_CUT; None when neither side is.
+    if x._neg is ZERO_CUT:
+        return x._pos, False
+    if x._pos is ZERO_CUT:
+        return x._neg, True
+    return None
+
+
+def _signed_cut(c: CutReal, negative: bool) -> Real:
+    return Real(ZERO_CUT, c) if negative else Real(c, ZERO_CUT)
 
 
 def real_inv(x: Real, prec: int) -> Real:
@@ -542,13 +616,21 @@ def _exact_quotient(x: Real, y: Real):
 
 def real_pow(x: Real, m: int) -> Real:
     """x^m for a natural m: exact 1 for m = 0, dy.dy_pow's power of an exact
-    x, which may refuse it with SizeLimit, and otherwise a square-and-multiply
-    DAG of real_mul nodes."""
+    x, which may refuse it with SizeLimit, and x itself for m = 1.
+    Otherwise one pow_nat node: over x's nonzero side when x is one-signed,
+    on the negative side when x is negative and m odd, and over real_abs(x)
+    when neither side is ZERO_CUT, times x once when m is odd."""
     _nat(m, "exponent")
     d = real_tag(x) if m else dy.ONE
     if d is not None:
         return real_from_dyadic(dy.dy_pow(d, m))
-    return square_and_multiply(x, m, real_mul)
+    if m == 1:
+        return x
+    side = _one_side(x)
+    if side is not None:
+        return _signed_cut(pow_nat(side[0], m), side[1] and m % 2 == 1)
+    power = Real(pow_nat(real_abs(x), m - m % 2), ZERO_CUT)
+    return real_mul(power, x) if m % 2 else power
 
 
 def real_sup(xs) -> Real:

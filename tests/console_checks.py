@@ -141,7 +141,7 @@ CHECKS = [
     # Quotients over one divisor share its reciprocal and print what each
     # term's own reciprocal printed.
     check("sevenths", ["eval", "1/7 + 2/7 + 3/7"],
-          stdout=["[3681400539/2^32, 7362801079/2^33]@30"]),
+          stdout=["[3681400539/2^32, 920350135/2^30]@30"]),
     # A power, a + run and a quotient, rounded onto the 2^-202 grid.
     check("prec200-mix", ["eval", "--prec", "200", "inv(3)^12 + inv(5) + inv(7) - 5/9"],
           stdout=["[-1367160590324590099023455407123659175476973640615864433079205/2^202, "

@@ -34,7 +34,6 @@ from settower.errors import (
 )
 from settower import reals
 from settower.hfset import HFSet
-from settower.naturals import square_and_multiply
 from settower.reals import (
     CutReal,
     Real,
@@ -1001,7 +1000,7 @@ def reciprocal_closure(d):
 
 def pow_chain(x, m, times, one):
     """x^m as the linear product chain one * x * ... * x: the reference
-    for powers by squaring (in reals.pow_nat and the CLI's ^)."""
+    for powers (reals.pow_nat's node and the CLI's ^)."""
     acc = one
     for _ in range(m):
         acc = times(acc, x)
@@ -1042,10 +1041,10 @@ def generic_mul(x, y):
     def fn(n):
         if not guard:
             guard.append(_generic_mul_guard(x, y))
-        k = n + guard[0] + 1
+        k = n + guard[0] + 2
         lx, hx = x.query(k)
         ly, hy = y.query(k)
-        p = n + 2
+        p = n + 3
         return (
             dy.div_floor(dy.mul(lx, ly), dy.ONE, p),
             dy.div_ceil(dy.mul(hx, hy), dy.ONE, p),
@@ -1469,7 +1468,8 @@ class RunDescent:
 # for exact operands and one for the rest.  It is the reference for
 # cli.evaluate: cli.main prints the same bytes with evaluate_two_types in
 # its place.  Its Real operations are looked up in reals when called,
-# so a test can put the generic nodes in their place.
+# so a test can put the generic nodes in their place; a power of a Real is
+# reals.real_pow's node, as it is in the CLI.
 
 
 def _as_real(value):
@@ -1554,7 +1554,7 @@ def _apply_bin(sym, a, b, prec, leaves):
         return dy.dy_pow(a, m)
     if m == 0:
         return dy.ONE
-    return square_and_multiply(a, m, reals.real_mul)
+    return reals.real_pow(a, m)
 
 
 def _apply_call(name, values, prec, leaves):
@@ -1622,8 +1622,9 @@ def evaluate_two_types(text: str, prec: int):
 # leaves dict keyed by the literal's value or by the divisor, with the
 # reciprocal, quotient and power rules in the evaluator.  It is the
 # reference for the slots of cli.evaluate's program and for reals.real_inv,
-# real_div and real_pow: cli.main prints the same bytes with
-# evaluate_with_leaves in place of cli.evaluate.
+# real_div and real_pow's exact rules: cli.main prints the same bytes with
+# evaluate_with_leaves in place of cli.evaluate.  A power of a value that is
+# not exact is reals.real_pow's node.
 
 
 def _leaves_invert(value, prec, leaves):
@@ -1672,7 +1673,7 @@ def _leaves_bin(sym, a, b, prec, leaves):
         return real_from_dyadic(dy.dy_pow(d, m))
     if m == 0:
         return real_from_dyadic(dy.ONE)
-    return square_and_multiply(a, m, reals.real_mul)
+    return reals.real_pow(a, m)
 
 
 def _leaves_call(name, values, prec, leaves):

@@ -149,7 +149,7 @@ class TestEvalCommand:
         "expr,line",
         [
             ("inv(7)", "[153391689/2^30, 613566757/2^32]@30"),
-            ("1/7", "[2454267025/2^34, 2454267027/2^34]@30"),
+            ("1/7", "[153391689/2^30, 613566757/2^32]@30"),
             ("inv(-3)", "[-715827883/2^31, -1431655765/2^32]@30"),
             ("2/6", "[1431655765/2^32, 2863311531/2^33]@30"),
         ],
@@ -409,6 +409,38 @@ class TestPowerSizeGuard:
         assert run_cli(["eval", expr], capsys) == (0, line + "\n", "")
         proc = run_in_a_process(["eval", expr])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, line + "\n", "")
+
+    def test_an_interval_power_past_the_budget_is_refused_at_once(self, capsys):
+        # The power node reads its base once at bit_length(m) bits for its
+        # guard; its first square would pass the product measure at every
+        # precision, so it is refused before the base is queried deeply.
+        want = (1, "", f"error: product needs more than {dy.POW_BIT_LIMIT} mantissa bits\n")
+        argv = ["eval", "(inv(3)+1)^(2^30)"]
+        run_cli(argv, capsys)
+        start = time.perf_counter()
+        got = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.05
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "m,err",
+        [
+            (34334, ""),
+            (34338, "error: result has more than {} decimal digits, the interpreter's "
+                    "limit for printing integers\n".format(DIGIT_LIMIT)),
+            (2**20 + 1, f"error: product needs more than {dy.POW_BIT_LIMIT} mantissa bits\n"),
+        ],
+        ids=["answers", "print-limit", "product"],
+    )
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int->str digit limit")
+    def test_edges_of_an_interval_power(self, m, err, capsys):
+        # (4/3)^m prints while its endpoints' numerators keep 4300 digits,
+        # and past 2^20 its squares pass the product measure.
+        code, out, got = run_cli(["eval", f"(inv(3)+1)^{m}"], capsys)
+        assert (code, got) == ((0, "") if not err else (1, err))
+        if not err:
+            lo, hi, _ = interval_of(out)
+            assert lo <= Fraction(4, 3) ** m <= hi
 
     @pytest.mark.parametrize("expr", ["2^100000000", "2^(2^40)", "(3/2)^(2^40) * 0"])
     def test_oversized_powers_are_refused_before_they_are_built(self, expr, capsys):
@@ -1442,15 +1474,18 @@ class TestChains:
     @pytest.mark.parametrize(
         "text",
         [
-            "*".join(["inv(3)"] * 200),
-            "let x = inv(5) in " + "let x = x * inv(5) in " * 199 + "x",
+            "*".join(["inv(3)"] * 249),
+            "let x = inv(5) in " + "let x = x * inv(5) in " * 248 + "x",
         ],
         ids=["product", "let_product"],
     )
     def test_non_exact_products_answer(self, text, capsys, monkeypatch):
-        # A factor costs four frames: query and the oracle of its Sum and of
-        # its mul node.  generic_mul's guard reads hi(0) through two frames
-        # more, so 200 factors pass the recursion limit.
+        # 249 factors, one past the edge of the mul node under a one-bit
+        # shift that each product of positive factors was: a factor now
+        # costs two frames, query and its mul node's oracle, which reads its
+        # operands' hi(0) through query alone.  generic_mul reads hi(0)
+        # through hi, a third frame per factor, so 249 factors pass the
+        # recursion limit there.
         want = (0, "[0, 1/2^34]@30\n", "")
         assert run_cli(["eval", "--", text], capsys) == want
         proc = run_in_a_process(["eval", "--", text])

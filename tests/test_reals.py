@@ -24,6 +24,7 @@ from settower.errors import (
     NotBoundedAwayFromZero,
     SizeLimit,
 )
+from settower.naturals import square_and_multiply
 from settower.reals import (
     Comparison,
     CutReal,
@@ -339,13 +340,13 @@ class TestMul:
     @settings(max_examples=40)
     def test_rounded_product_invariants(self, man, exp, k):
         # Untagged factors with long endpoints: rounding must keep nesting
-        # and the width bound, and keep every endpoint on the 2^(-n-2) grid.
+        # and the width bound, and keep every endpoint on the 2^(-n-3) grid.
         x = inverse(from_dyadic(make(k, 0)), 0)
         c = mul(from_dyadic(make(man, exp)), x)
         oracles.assert_cut_invariants(c, upto=40)
         assert oracles.cut_brackets(c, Fraction(man, 2**exp) / k, 40)
         for n in (0, 17, 40):
-            assert max(end.exp for end in c.query(n)) <= n + 2
+            assert max(end.exp for end in c.query(n)) <= n + 3
 
     def test_distributes_up_to_tolerance(self):
         x, y, z = inv3(), from_dyadic(HALF), inv3()
@@ -533,7 +534,53 @@ class TestInverse:
         assert oracles.cut_brackets(x, 1 / oracles.to_fraction(d), 28)
 
 
+@st.composite
+def power_bases(draw):
+    """(cut, its exact Fraction value): a leaf, a reciprocal leaf, a sum of
+    two or three of those, or real_abs of their difference."""
+
+    def leaf():
+        if draw(st.booleans()):
+            d = make(draw(st.integers(0, 2**8)), draw(st.integers(0, 8)))
+            return from_dyadic(d), oracles.to_fraction(d)
+        k = draw(st.integers(1, 20))
+        return reals.reciprocal(make(k, 0)), Fraction(1, k)
+
+    kind = draw(st.sampled_from(["leaf", "sum", "abs"]))
+    if kind == "leaf":
+        return leaf()
+    if kind == "sum":
+        terms = [leaf() for _ in range(draw(st.integers(2, 3)))]
+        return reals.sum_cuts([c for c, _ in terms]), sum(v for _, v in terms)
+    (a, va), (b, vb) = leaf(), leaf()
+    return real_abs(Real(a, b)), abs(va - vb)
+
+
 class TestPowNat:
+    @given(power_bases(), st.integers(0, 300))
+    @example((from_dyadic(make(3, 1)), Fraction(3, 2)), 300)
+    @example((reals.reciprocal(make(7, 0)), Fraction(1, 7)), 255)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_square_and_multiply_and_the_chain(self, base, m):
+        # The node against the square-and-multiply DAG of mul nodes it
+        # replaced and the linear chain of mul nodes: the same tag, and at
+        # every n an interval that brackets the power, within 2^(-n) and
+        # nested in the one before.  Each mul of the chain reads its
+        # factors at 0 for its guard, which queries every factor below at
+        # a new precision, so the chain is queried only up to m = 64.
+        x, value = base
+        want = value**m
+        got = pow_nat(x, m)
+        dag = square_and_multiply(x, m, mul) if m else ONE_CUT
+        chain = oracles.pow_chain(x, m, mul, ONE_CUT)
+        assert got.tag == dag.tag == chain.tag
+        oracles.assert_cut_invariants(got, upto=60)
+        for n in range(61):
+            assert oracles.cut_brackets(got, want, n), n
+        for reference in (dag, chain) if m <= 64 else (dag,):
+            assert oracles.cut_brackets(reference, want, 60)
+            assert compare_eps(got, reference, 60) is Comparison.INDISTINGUISHABLE
+
     def test_zeroth_power_is_one(self):
         assert pow_nat(inv3(), 0) is ONE_CUT
 
@@ -573,11 +620,12 @@ class TestPowNat:
         assert compare_eps(got, chain, 40) == Comparison.INDISTINGUISHABLE
 
     def test_endpoints_stay_on_the_query_grid(self):
-        # Rounded products keep endpoint sizes tied to n, not to m.
+        # The power node rounds onto the 2^(-n-3) grid, so endpoint sizes
+        # follow n, not m.
         c = pow_nat(inv3(), 1000)
         for n in (0, 30, 120):
             lo, hi = c.query(n)
-            assert lo.exp <= n + 2 and hi.exp <= n + 2
+            assert lo.exp <= n + 3 and hi.exp <= n + 3
         assert oracles.cut_brackets(c, Fraction(1, 3) ** 1000, 120)
 
 
@@ -845,6 +893,68 @@ class TestInvDivPow:
             reals.real_div(big, real_from_dyadic(make(1, dy.POW_BIT_LIMIT)), 30)
         with pytest.raises(SizeLimit, match="^power needs more than"):
             reals.real_pow(big, 2)
+
+
+class TestOneSignedFactors:
+    """A factor of exactly 1 or -1 is no node; a one-signed factor, one with
+    a ZERO_CUT side, multiplies by one mul node per side of the other
+    factor, with no shift; and a power of a value that is not exact is one
+    pow_nat node, on the side that m's parity and the base's sign pick."""
+
+    @staticmethod
+    def no_shift(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a shift")
+
+        monkeypatch.setattr(reals, "_shift", refuse)
+
+    def test_unit_factors_return_the_other_factor(self):
+        y = Real(inv3(), from_dyadic(HALF))
+        minus_one = real_from_dyadic(make(1, 0, -1))
+        assert real_mul(ONE_REAL, y) is y and real_mul(y, ONE_REAL) is y
+        for got in (real_mul(minus_one, y), real_mul(y, minus_one)):
+            assert (got.pos, got.neg) == (y.neg, y.pos)
+
+    @pytest.mark.parametrize("x_negative", [False, True])
+    @pytest.mark.parametrize("y_negative", [False, True])
+    def test_two_one_signed_factors_make_one_node(self, x_negative, y_negative, monkeypatch):
+        self.no_shift(monkeypatch)
+        a, b = inv3(), inverse(from_dyadic(make(5, 0)), 0)
+        x, y = real_from_cut(a), real_from_cut(b)
+        x, y = real_neg(x) if x_negative else x, real_neg(y) if y_negative else y
+        got = real_mul(x, y)
+        node, zero = (got.neg, got.pos) if x_negative is not y_negative else (got.pos, got.neg)
+        assert zero is ZERO_CUT and node.tag is None
+        reference = oracles.generic_mul(a, b)
+        assert all(node.query(n) == reference.query(n) for n in range(41))
+        _brackets(got, Fraction(1, 15) * (-1) ** (x_negative + y_negative))
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_a_one_signed_factor_makes_one_node_per_side(self, negative, monkeypatch):
+        self.no_shift(monkeypatch)
+        x = real_from_cut(inv3())
+        y = Real(from_dyadic(make(3, 0)), inverse(from_dyadic(make(5, 0)), 0))
+        got = real_mul(real_neg(x) if negative else x, y)
+        pos, neg = (got.neg, got.pos) if negative else (got.pos, got.neg)
+        for side, other in ((pos, y.pos), (neg, y.neg)):
+            reference = oracles.generic_mul(x.pos, other)
+            assert all(side.query(n) == reference.query(n) for n in range(41))
+        _brackets(got, Fraction(14, 15) * (-1 if negative else 1))
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 9])
+    def test_powers_are_one_node(self, m, monkeypatch):
+        self.no_shift(monkeypatch)
+        x = real_from_cut(inv3())
+        for base, value in ((x, Fraction(1, 3)), (real_neg(x), Fraction(-1, 3))):
+            got = reals.real_pow(base, m)
+            positive = value > 0 or m % 2 == 0
+            node, zero = (got.pos, got.neg) if positive else (got.neg, got.pos)
+            assert zero is ZERO_CUT
+            assert all(node.query(n) == pow_nat(x.pos, m).query(n) for n in range(41))
+            _brackets(got, value**m)
+        # Two nonzero sides: the power of real_abs, times the base for odd m.
+        two_sided = Real(from_dyadic(make(3, 0)), inv3())
+        _brackets(reals.real_pow(two_sided, m), Fraction(8, 3) ** m)
 
 
 class TestCanonicalize:
@@ -1223,7 +1333,7 @@ class TestTagRule:
         start = time.perf_counter()
         big = pow_nat(x, 2**30)
         assert big.tag is None
-        assert reals.format_interval(big, 30) == "[0, 1/2^32]@30"
+        assert reals.format_interval(big, 30) == "[0, 1/2^33]@30"
         assert time.perf_counter() - start < 1.0
         oracles.assert_cut_invariants(big, upto=40)
 
