@@ -15,23 +15,34 @@ as ordinary division, and decimals with a finite binary expansion (3.25
 yes, 0.1 no).  Division falls back from exact to interval arithmetic when
 the quotient is not a binary fraction; the divisor's positivity is probed
 at --prec and failure to certify a sign is an error rather than a guess.
-The tokenizer tests for operators and whitespace first.  The parser reads
-the tokens in one loop, keeping the expressions around the one it reads on
-a stack, and emits a program: a list of instructions in post-order, each
-naming its operands by slot, with each let name resolved to the slot of
-its bound expression.  One dict numbers the instructions, so equal
-subexpressions are one slot and each distinct literal text is parsed once.
-The evaluator runs the program in one loop into a list of values, so a
-repeated literal, inv(d), x / d, name read or any other repeated
-subexpression is computed once, and neither walk recurses at any depth of
-nesting.  A divisor's reciprocal is built once per evaluation too, where
-inv(d) or the first x / d whose quotient is not exact needs it, and every
-such x / d multiplies x by it.  Every value the evaluator builds is a
-reals.Real, and reals alone decides when one is exact: reals.real_tag
-reads an exact value, reals settles every exact result into the leaf pair
-of its value, and real_inv, the exact quotient of real_div and real_pow
-hold the rules of inv, / and ^, so each instruction is a call or two into
-reals.
+The parser reads the text by words: str.replace pads each operator
+character with spaces and str.split() cuts the result at whitespace, as
+str.isspace decides, so the text is cut in C.  One loop reads the words,
+taking each word's kind from its text, and takes a word only where it is
+exactly one token: an operator, a literal, a function's or a bound name,
+or a let name of letters and digits that starts with a letter.  A call of
+abs, inv or sup whose argument is one literal or bound name is read in one
+step; any other parenthesis body, call argument or let's bound expression
+keeps the expression around it on a stack.  Words keep no positions, so a
+text the words cannot settle (a word such as 2in, x_1 or ½, an unbound
+name, or any error) is read again by the character pass, which tokenizes
+it with positions, testing for operators and whitespace first, and runs
+the same loop on its tokens.  So every error, and which of two comes
+first, is as the character pass finds it.  The loop emits a program: a
+list of instructions in post-order, each naming its operands by slot, with
+each let name resolved to the slot of its bound expression.  One dict
+numbers the instructions, so equal subexpressions are one slot and each
+distinct literal text is parsed once.  The evaluator runs the program in
+one loop into a list of values, so a repeated literal, inv(d), x / d,
+name read or any other repeated subexpression is computed once, and
+neither walk recurses at any depth of nesting.  A divisor's reciprocal is
+built once per evaluation too, where inv(d) or the first x / d whose
+quotient is not exact needs it, and every such x / d multiplies x by it.
+Every value the evaluator builds is a reals.Real, and reals alone decides
+when one is exact: reals.real_tag reads an exact value, reals settles
+every exact result into the leaf pair of its value, and real_inv, the
+exact quotient of real_div and real_pow hold the rules of inv, / and ^,
+so each instruction is a call or two into reals.
 
 The package imports this module, so ``import settower`` pays for whatever
 it imports at module level.  argparse and json are therefore imported where
@@ -71,15 +82,28 @@ DEFAULT_PRECISION = 30
 
 _KEYWORDS = {"let", "in"}
 _FUNCTIONS = {"abs": (1, 1), "inv": (1, 1), "sup": (1, None), "between": (2, 2)}
+# The functions that take one argument, so that a call whose argument is
+# one literal or bound name is read in one step.
+_ONE_STEP = {name for name, (low, _) in _FUNCTIONS.items() if low == 1}
 _OP_CHARS = set("+-*/^(),=")
+# The token texts that are neither a number nor a name: the operators, the
+# keywords and the end of input.
+_SYMBOLS = _OP_CHARS | _KEYWORDS | {""}
+
+
+class _Unsettled(Exception):
+    """The word pass of parse_expr needs a position, or met a word that may
+    be more or less than one token: the character pass must read the
+    text."""
 
 
 def _tokenize(text: str):
     """(kind, text, position) tokens of an expression, ending with an "end"
-    token at len(text).  Operators and whitespace are tested first, as most
-    characters are one or the other; a number is a run of str.isdigit
-    characters, with one "." inside it, so a non-ASCII digit reaches
-    dy.parse_dyadic and is refused there."""
+    token at len(text): the character pass, which parse_expr runs only for
+    a text its word pass cannot settle.  Operators and whitespace are
+    tested first, as most characters are one or the other; a number is a
+    run of str.isdigit characters, with one "." inside it, so a non-ASCII
+    digit reaches dy.parse_dyadic and is refused there."""
     tokens = []
     push = tokens.append
     end = len(text)
@@ -128,19 +152,67 @@ def parse_expr(text: str):
     text is parsed once; an unbound name's instruction is never shared,
     so no instruction above it is either.
 
+    The text is read by words first: str.replace pads each operator
+    character with spaces and str.split() cuts the result at whitespace,
+    both in C, and _read takes each word as one token.  That holds for
+    every word it accepts: an operator, a literal dy.parse_dyadic reads, a
+    function's or a bound name, and a let name of letters and digits that
+    starts with a letter.  Any other word, an unbound name or an error,
+    since words keep no positions, ends the word pass, and the character
+    pass reads the text again: _tokenize, then _read on its tokens.  So
+    every error, and which of two comes first, is the character pass's,
+    and a text settled by words has the program the character pass would
+    give it."""
+    spaced = text
+    for ch in _OP_CHARS:
+        spaced = spaced.replace(ch, f" {ch} ")
+    words = spaced.split()
+    words.append("")
+    try:
+        return _read(words, None)
+    except (SettowerError, _Unsettled):
+        pass
+    tokens = _tokenize(text)
+    return _read([token[1] for token in tokens], [token[2] for token in tokens])
+
+
+def _read(words, positions):
+    """parse_expr's program of the token texts words, which end with "",
+    each token's kind read from its text.  positions holds each token's
+    position, or is None for the word pass, which raises _Unsettled where
+    it would need one or meets a let name that may not be one token.
+
     One loop reads the input: ^ binds tighter than a prefix - run, which
     binds tighter than * and /, which bind tighter than + and -.  A
     parenthesis body, a call argument and a let's bound expression push
     the state of the expression around them onto a stack, which is popped
-    when they end, so no depth of nesting makes the parser recurse."""
-    tokens = _tokenize(text)
+    when they end, so no depth of nesting makes the parser recurse; a call
+    of one argument that is one literal or bound name, such as inv(3),
+    is read in one step, with no push or pop."""
     program, slots, scope, stack = [], {}, {}, []
+
+    def at(j):
+        if positions is None:
+            raise _Unsettled
+        return positions[j]
 
     def emit(*ins):
         slot = slots.get(ins)
         if slot is None:
             slot = slots[ins] = len(program)
             program.append(ins)
+        return slot
+
+    def literal(word, j):
+        # The slot of the literal word, the j-th token; parsed at its
+        # first use.
+        slot = slots.get(word)
+        if slot is None:
+            try:
+                program.append(("num", dy.parse_dyadic(word)))
+            except ExprSyntaxError as exc:
+                raise ExprSyntaxError(exc.message, at(j)) from None
+            slot = slots[word] = len(program) - 1
         return slot
 
     # The expression being read: the token that ends it ("in", ")", or
@@ -155,52 +227,60 @@ def parse_expr(text: str):
     while True:
         if not terms and factor is None and power is None:
             # The expression starts here, so let clauses may come first.
-            while tokens[i][1] == "let":
-                kind, name, at = tokens[i + 1]
-                if kind != "name":
-                    raise ExprSyntaxError("expected a name after 'let'", at)
-                if tokens[i + 2][1] != "=":
-                    raise ExprSyntaxError("expected '='", tokens[i + 2][2])
+            while words[i] == "let":
+                name = words[i + 1]
+                if name in _SYMBOLS or name[0].isdigit():
+                    raise ExprSyntaxError("expected a name after 'let'", at(i + 1))
+                if positions is None and not (name.isalnum() and name[0].isalpha()):
+                    raise _Unsettled
+                if words[i + 2] != "=":
+                    raise ExprSyntaxError("expected '='", at(i + 2))
                 stack.append((close, info, bound, terms, sign, factor, power, odd))
                 close, info, bound, terms = "in", name, [], []
                 i += 3
         if power is None:
             # Two minus signs cancel, so only an odd run leaves a neg.
-            while tokens[i][1] == "-":
+            while words[i] == "-":
                 odd = not odd
                 i += 1
-        kind, word, at = tokens[i]
+        word = words[i]
         i += 1
-        if kind == "num":
-            node = slots.get(word)
-            if node is None:
-                try:
-                    program.append(("num", dy.parse_dyadic(word)))
-                except ExprSyntaxError as exc:
-                    raise ExprSyntaxError(exc.message, at) from None
-                node = slots[word] = len(program) - 1
-        elif kind == "name" and tokens[i][1] != "(":
+        if word in _SYMBOLS:
+            if word != "(":
+                raise ExprSyntaxError(
+                    f"unexpected {word!r}" if word else "unexpected end of input", at(i - 1)
+                )
+            stack.append((close, info, bound, terms, sign, factor, power, odd))
+            close = ")"
+            bound, terms, sign, factor, power, odd = [], [], "+", None, None, False
+            continue
+        if word[0].isdigit():
+            node = literal(word, i - 1)
+        elif words[i] != "(":
             node = scope.get(word)
             if node is None:
                 node = len(program)
-                program.append(("unbound", word, at))
-        elif word == "(" or kind == "name":
-            stack.append((close, info, bound, terms, sign, factor, power, odd))
-            if word == "(":
-                close = ")"
-            elif word in _FUNCTIONS:
-                close, info, i = "call", (word, at, []), i + 1
-            else:
-                raise ExprSyntaxError(f"unknown function {word!r}", at)
-            bound, terms, sign, factor, power, odd = [], [], "+", None, None, False
-            continue
+                program.append(("unbound", word, at(i - 1)))
+        elif word not in _FUNCTIONS:
+            raise ExprSyntaxError(f"unknown function {word!r}", at(i - 1))
         else:
-            raise ExprSyntaxError(f"unexpected {word!r}" if word else "unexpected end of input", at)
+            arg = words[i + 1]
+            if word in _ONE_STEP and arg and words[i + 2] == ")":
+                node = literal(arg, i + 1) if arg[0].isdigit() else scope.get(arg)
+            else:
+                node = None
+            if node is None:
+                stack.append((close, info, bound, terms, sign, factor, power, odd))
+                close, info, i = "call", (word, i - 1, []), i + 1
+                bound, terms, sign, factor, power, odd = [], [], "+", None, None, False
+                continue
+            node = emit(word, None, node)
+            i += 3
         # node is an operand: close the steps it ends, up to the operator
         # that follows it.  When that ends the expression, its value is an
         # operand of the expression below it on the stack.
         while True:
-            _, sym, at = tokens[i]
+            sym = words[i]
             i += 1
             if sym == "^":
                 power = ("^", None, node if power is None else emit(*power, node))
@@ -226,7 +306,7 @@ def parse_expr(text: str):
                 scope[name] = hidden
             if close is None:
                 if sym:
-                    raise ExprSyntaxError(f"trailing input {sym!r}", at)
+                    raise ExprSyntaxError(f"trailing input {sym!r}", at(i - 1))
                 return program, node
             if close == "call":
                 name, where, args = info
@@ -235,17 +315,17 @@ def parse_expr(text: str):
                     bound, terms, sign = [], [], "+"
                     break
                 if sym != ")":
-                    raise ExprSyntaxError("expected ',' or ')'", at)
+                    raise ExprSyntaxError("expected ',' or ')'", at(i - 1))
                 low, high = _FUNCTIONS[name]
                 if len(args) < low or (high is not None and len(args) > high):
                     raise ExprSyntaxError(
                         f"{name}() takes {low}{'' if high == low else '+'} "
                         f"argument(s), got {len(args)}",
-                        where,
+                        at(where),
                     )
                 node = emit(name, None, *args)
             elif sym != close:
-                raise ExprSyntaxError(f"expected {close!r}", at)
+                raise ExprSyntaxError(f"expected {close!r}", at(i - 1))
             ended, name = close, info
             close, info, bound, terms, sign, factor, power, odd = stack.pop()
             if ended == "in":

@@ -47,7 +47,8 @@ composed would give.  _powers, for a power node, is the one step that
 rounds along the way: it squares and multiplies on its operand's grid,
 rounding the lower chain down and the upper chain up after each step, and
 _power_guard sizes that grid from an upper bound that _power_bits raises
-to the power on a 64-bit mantissa.
+to the power on a 64-bit mantissa, and refuses a power whose lower chain
+would be refused at every precision from the lower bound it raises.
 """
 
 from __future__ import annotations
@@ -383,26 +384,28 @@ def _products(lx: Dyadic, ly: Dyadic, hx: Dyadic, hy: Dyadic, p: int):
     return lo, _canonical(-_onto(-_times(hx._num, hy._num), hx._exp + hy._exp, p), p)
 
 
-def _power_bits(d: Dyadic, m: int) -> int:
+def _power_bits(d: Dyadic, m: int, down: bool = False) -> int:
     """A natural t with max(1, d)^m <= 2^t, at most about one more than the
     least: d^m squared and multiplied out on a 64-bit mantissa rounded up
-    at every step, so nothing larger than 128 bits is built."""
+    at every step, so nothing larger than 128 bits is built.  With down,
+    one with 2^t <= max(1, d)^m, at most about one less than the greatest,
+    from the same steps rounded down."""
     num, exp = d._num, d._exp
     if num <= 1 << exp:
         return 0
 
-    def up(c, s):
-        # c * 2^s rounded up to a mantissa of at most 64 bits.
-        cut = c.bit_length() - 64
-        return ((c >> cut) + 1, s + cut) if cut > 0 else (c, s)
+    def cut(c, s):
+        # c * 2^s rounded to a mantissa of at most 64 bits.
+        k = c.bit_length() - 64
+        return ((c >> k) + (not down), s + k) if k > 0 else (c, s)
 
-    c, s = up(num, -exp)
+    c, s = cut(num, -exp)
     pc, ps = c, s
     for bit in bin(m)[3:]:
-        pc, ps = up(pc * pc, 2 * ps)
+        pc, ps = cut(pc * pc, 2 * ps)
         if bit == "1":
-            pc, ps = up(pc * c, ps + s)
-    return ps + pc.bit_length()
+            pc, ps = cut(pc * c, ps + s)
+    return ps + pc.bit_length() - down
 
 
 def _power_guard(lo: Dyadic, hi: Dyadic, m: int) -> int:
@@ -411,13 +414,22 @@ def _power_guard(lo: Dyadic, hi: Dyadic, m: int) -> int:
     x's interval lies in [0, hi] and is at most 2^(-k) wide.  Through the
     fewer than 2b roundings of _powers onto 2^(-k), each under 2^(-k), the
     width grows to at most e * m * max(1, hi)^(m-1) * 4b * 2^(-k) before
-    the last step is rounded, and g keeps that within 2^(-n-1).  Refused
-    with SizeLimit, named product, where _powers would refuse it at every
-    n: with lo >= 1/2 the numerator that its first step squares has at
-    least g bits, past _times's measure once 2g - 2 is."""
+    the last step is rounded, and g keeps that within 2^(-n-1).
+
+    Refused with SizeLimit, named product, where _powers would refuse it
+    at every n, as a lower bound on the measure of one of its lower
+    chain's steps passes POW_BIT_LIMIT.  That chain works on numerators of
+    at least k >= g bits less one once lo >= 1/2, since x's later
+    intervals nest in [lo, hi], so its first step measures at least 2g - 2.
+    Once lo > 1, its numerators on its grid 2^(-w), w >= k, stay at least
+    2^w, so each rounding down loses under a 2^(-w) share of a step's
+    value.  Compounded over fewer than m steps' worth, as 2m < 2^g, the
+    shares lose under half, so its last step multiplies out at least lo^m
+    * 2^(2w-1) and measures at least t + 2g - 2, where 2^t <= lo^m, as
+    dy_pow's (bits - 1) * m bounds an exact power's."""
     b = m.bit_length()
     g = b + b.bit_length() + 5 + _power_bits(hi, m - 1)
-    if 2 * g - 2 > POW_BIT_LIMIT and compare(lo, HALF) >= 0:
+    if compare(lo, HALF) >= 0 and _power_bits(lo, m, True) + 2 * g - 2 > POW_BIT_LIMIT:
         raise _too_wide("product")
     return g
 

@@ -1007,6 +1007,18 @@ def pow_chain(x, m, times, one):
     return acc
 
 
+def power_guard_first_step(lo, hi, m):
+    """dy._power_guard as it was before it bounded the lower chain's last
+    step: a power is refused only where the first square of dy._powers
+    passes the product measure at every precision.  The reference for the
+    powers the guard answers."""
+    b = m.bit_length()
+    g = b + b.bit_length() + 5 + dy._power_bits(hi, m - 1)
+    if 2 * g - 2 > dy.POW_BIT_LIMIT and dy.compare(lo, dy.HALF) >= 0:
+        raise dy._too_wide("product")
+    return g
+
+
 # The general oracle nodes of settower.reals, without zero folding: every
 # operand is queried, whatever its tag.  Folding in mul, _posdiff and
 # real_abs must reproduce their endpoints at every precision and may only

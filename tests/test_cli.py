@@ -422,6 +422,18 @@ class TestPowerSizeGuard:
         assert time.perf_counter() - start < 0.05
         assert got == want
 
+    def test_a_power_whose_last_step_passes_the_budget_is_refused_at_once(self, capsys):
+        # Here the first square passes the measure at no precision, but a
+        # lower bound on the lower chain's last step, from the base's lower
+        # endpoint at bit_length(m), does at every one.
+        want = (1, "", f"error: product needs more than {dy.POW_BIT_LIMIT} mantissa bits\n")
+        argv = ["eval", "(inv(3)+1)^(2^20)"]
+        run_cli(argv, capsys)
+        start = time.perf_counter()
+        got = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.05
+        assert got == want
+
     @pytest.mark.parametrize(
         "m,err",
         [
@@ -1538,6 +1550,57 @@ def syntax_outcome(fn, text):
         return exc.message, exc.position
 
 
+# Characters the tokenizer must class as str methods do: the grammar's own,
+# whitespace that is not ASCII, digits that are not ASCII (which isdigit
+# takes and parse_dyadic refuses, such as the superscript two), letters and
+# numerals that are not ASCII, and junk.
+TOKEN_CHARS = (
+    "0123456789.+-*/^(),= _xvlet"
+    "\t\n\x0b\x0c\r\x1c\x85\xa0 　"
+    "٣१²①\U0001d7d9"
+    "éλǅ½Ⅷ"
+    "@#$%\x00€\U0001f600﻿"
+)
+
+tokenizer_texts = st.one_of(
+    expr_token_strings,
+    st.text(st.sampled_from(TOKEN_CHARS), max_size=30),
+    # Digit runs around a ".", where a number may or may not go on.
+    st.text(st.sampled_from("019.٣²x "), max_size=10),
+    st.text(max_size=30),
+)
+
+parser_texts = st.one_of(expr_token_strings, chain_texts, tokenizer_texts)
+
+
+def character_pass(text):
+    """parse_expr's program of text as the character pass reads it, for
+    every text the word pass cannot settle."""
+    tokens = cli._tokenize(text)
+    return cli._read([token[1] for token in tokens], [token[2] for token in tokens])
+
+
+# The expression shapes of the benchmark's real_dag and exact_cli workloads.
+WORKLOAD_SHAPES = [
+    "inv(7)^120",
+    " + ".join(f"inv({k % 13 + 2})" for k in range(300)),
+    "(" * 250 + "inv(3) + 1" + ")" * 250,
+    "let x = inv(3) + inv(5) in sup(x * x, abs(x - inv(7))) / (abs(inv(9)) + 4)",
+    "abs(inv(3) - inv(5) * inv(6)) / (2 + sup(inv(7), inv(11)))",
+    "let y = inv(3) * inv(5) in let z = y + inv(6) in z * z - y / 7",
+    "sup(inv(3), inv(5) / 8, abs(inv(6) - inv(7))) + inv(9) * inv(10)",
+    "(inv(3) + inv(5)) * (inv(6) - inv(7)) / (abs(inv(9)) + 3)",
+    "let x = inv(3) in sup(x, inv(5)) * abs(x - inv(6)) + x / 5",
+    "37/2^3000 * 2^3000",
+    "(301/2^17)^400",
+    "2^9000",
+    "1.5 * 3/2^9 + 40.125 - 7",
+    "sup(1.5, 3/2^9, 40.125, 7) * 2^12",
+    "between(3/2^9, 1.5)",
+    "let y = 40.125 in y * y - 3/2^9 / 2^5",
+]
+
+
 class TestParser:
     """cli.parse_expr against RunDescent, the descent with one method per
     precedence level that its one loop replaced: it parses exactly the
@@ -1546,7 +1609,7 @@ class TestParser:
     it against evaluators that walk RunDescent's trees (TestOneValueType
     and TestSharing)."""
 
-    @given(st.one_of(expr_token_strings, chain_texts))
+    @given(parser_texts)
     @settings(max_examples=600)
     def test_parses_as_run_descent(self, text):
         # Each side's outcome is "parsed", or its error's message and
@@ -1555,6 +1618,73 @@ class TestParser:
             return syntax_outcome(lambda t: parse(t) and "parsed", text)
 
         assert outcome(cli.parse_expr) == outcome(lambda t: oracles.RunDescent(t).parse())
+
+    @given(parser_texts)
+    @settings(max_examples=600)
+    def test_words_read_as_the_characters(self, text):
+        # The same program, or the same error at the same position, as the
+        # character pass alone gives.
+        assert syntax_outcome(cli.parse_expr, text) == syntax_outcome(character_pass, text)
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("let y = 2in y", "2"),
+            ("1 + + @", "unexpected character '@' (at position 6)"),
+            ("7" * 5000 + " @", "unexpected character '@' (at position 5001)"),
+            ("inv(3)x", "trailing input 'x' (at position 6)"),
+            ("1 + x_1", "unbound name 'x_1' (at position 4)"),
+            ("1 + between(3)", "between() takes 2 argument(s), got 1 (at position 4)"),
+            ("sup()", "unexpected ')' (at position 4)"),
+            ("let x@ = 1 in x@", "unexpected character '@' (at position 5)"),
+            ("let _x = 1 in _x + ½", "unexpected character '½' (at position 19)"),
+        ],
+        ids=["number-then-in", "junk-after-error", "junk-after-long-literal",
+             "call-then-name", "underscore", "arity", "no-argument", "junk-let-name",
+             "junk-read"],
+    )
+    def test_texts_the_words_cannot_settle(self, text, want):
+        # Each word here is more or less than one token, or the text ends in
+        # an error, so the character pass reads it, and its error comes
+        # first: '@' before the doubled + and before the literal past the
+        # interpreter's digit limit.
+        try:
+            got = str(cli.evaluate(text, 30))
+        except SettowerError as exc:
+            got = str(exc)
+        assert got == want
+        assert syntax_outcome(cli.parse_expr, text) == syntax_outcome(character_pass, text)
+
+    @pytest.mark.parametrize(
+        "text,general",
+        [
+            ("-inv(3)^2", "-inv((3))^2"),
+            ("2^inv(3)", "2^inv((3))"),
+            ("let x = inv(3) in sup(x) + abs(x)", "let x = inv(3) in sup((x)) + abs((x))"),
+            ("inv(3) * inv(3) - abs(0.5)", "inv((3)) * inv((3)) - abs((0.5))"),
+        ],
+    )
+    def test_one_step_calls_build_the_general_program(self, text, general):
+        # An argument in parentheses is no one word, so it is read with the
+        # push and pop of the enclosing expression's state.
+        assert cli.parse_expr(text) == cli.parse_expr(general)
+
+    def test_calls_of_an_unbound_name(self):
+        assert cli.parse_expr("sup(x)") == ([("unbound", "x", 4), ("sup", None, 0)], 1)
+        assert cli.parse_expr("sup(x, 1)")[0][0] == ("unbound", "x", 4)
+
+    def test_valid_texts_never_reach_the_tokenizer(self, fold_answers, monkeypatch):
+        # fold_corpus() and the benchmark's expression shapes: the word pass
+        # settles each, so the answers stay with the tokenizer broken.
+        corpus = fold_corpus()
+        wants = [quiet_main(["eval", "--", text]) for text in WORKLOAD_SHAPES]
+
+        def broken(text):
+            raise AssertionError(f"tokenized {text!r}")
+
+        monkeypatch.setattr(cli, "_tokenize", broken)
+        assert [quiet_main(argv) for argv in corpus] == fold_answers[4]
+        assert [quiet_main(["eval", "--", text]) for text in WORKLOAD_SHAPES] == wants
 
     def test_each_literal_text_is_parsed_once(self, monkeypatch):
         # One parse_dyadic call per distinct literal text in a parse_expr
@@ -1605,27 +1735,6 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as err:
             cli.parse_expr("1 + 0.1 + 0.1")
         assert err.value.position == 4
-
-
-# Characters the tokenizer must class as str methods do: the grammar's own,
-# whitespace that is not ASCII, digits that are not ASCII (which isdigit
-# takes and parse_dyadic refuses, such as the superscript two), letters and
-# numerals that are not ASCII, and junk.
-TOKEN_CHARS = (
-    "0123456789.+-*/^(),= _xvlet"
-    "\t\n\x0b\x0c\r\x1c\x85\xa0 　"
-    "٣१²①\U0001d7d9"
-    "éλǅ½Ⅷ"
-    "@#$%\x00€\U0001f600﻿"
-)
-
-tokenizer_texts = st.one_of(
-    expr_token_strings,
-    st.text(st.sampled_from(TOKEN_CHARS), max_size=30),
-    # Digit runs around a ".", where a number may or may not go on.
-    st.text(st.sampled_from("019.٣²x "), max_size=10),
-    st.text(max_size=30),
-)
 
 
 class TestTokenizer:

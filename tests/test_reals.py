@@ -8,9 +8,10 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
 from settower import dyadic as dy
@@ -627,6 +628,80 @@ class TestPowNat:
             lo, hi = c.query(n)
             assert lo.exp <= n + 3 and hi.exp <= n + 3
         assert oracles.cut_brackets(c, Fraction(1, 3) ** 1000, 120)
+
+
+class TestPowerGuard:
+    """dy._power_guard's lower bound on the last step of the lower chain,
+    under a budget of SMALL bits: it refuses only powers that dy._powers
+    refuses at every precision tried, with the same text, and reads the
+    base at no precision past bit_length(m) to do so; every other power
+    answers or is refused as under the first-step test alone."""
+
+    SMALL = 1 << 12
+
+    @staticmethod
+    def outcomes(x, m, guard):
+        """Each query of x^m at 0, 20 and 60, or its SizeLimit's text,
+        under guard, and the precisions at which x was queried."""
+        seen = []
+
+        def probe(n):
+            seen.append(n)
+            return x.query(n)
+
+        got = []
+        with mock.patch.object(dy, "_power_guard", guard):
+            node = pow_nat(CutReal(probe, x.tag), m)
+            for n in (0, 20, 60):
+                try:
+                    got.append(node.query(n))
+                except SizeLimit as exc:
+                    got.append(str(exc))
+        return got, seen
+
+    @staticmethod
+    def refuses(guard, x, m):
+        """Whether guard refuses x^m from x's interval at bit_length(m)."""
+        try:
+            guard(*x.query(m.bit_length()), m)
+        except SizeLimit:
+            return True
+        return False
+
+    def assert_as_the_chain(self, x, m):
+        """x^m answers and is refused as under the first-step test; returns
+        whether dy._power_guard refused it."""
+        new, seen = self.outcomes(x, m, dy._power_guard)
+        old, _ = self.outcomes(x, m, oracles.power_guard_first_step)
+        assert new == old
+        refused = self.refuses(dy._power_guard, x, m)
+        if refused:
+            assert max(seen) <= m.bit_length()
+        return refused
+
+    @given(power_bases(), st.floats(0.8, 1.2))
+    @settings(max_examples=60, deadline=None)
+    def test_refuses_only_what_the_chain_refuses(self, base, scale):
+        # m near where the chain's last step passes the budget: the base
+        # to the m-th power, times two guards' worth of grid, is SMALL bits.
+        x, value = base
+        edge = self.SMALL / (3 * math.log2(value)) if value > 1 else 50
+        with mock.patch.object(dy, "POW_BIT_LIMIT", self.SMALL):
+            refused = self.assert_as_the_chain(x, max(2, round(edge * scale)))
+        event("refused by the guard" if refused else "not refused by the guard")
+
+    def test_refuses_past_the_first_step_test(self):
+        # 4/3 = inv(3) + 1, as in the CLI, under SMALL bits: the chain's
+        # products pass the budget at precision 0 from m = 3256 on, the
+        # last-step bound refuses from 3259 and the first-step test alone
+        # from 4885.
+        x = reals.add(inv3(), ONE_CUT)
+        first_step = oracles.power_guard_first_step
+        with mock.patch.object(dy, "POW_BIT_LIMIT", self.SMALL):
+            assert [self.refuses(first_step, x, m) for m in (4884, 4885)] == [False, True]
+            for m in (3255, 3256, 3258, 3259, 4000, 4885):
+                assert self.assert_as_the_chain(x, m) == (m >= 3259)
+                assert isinstance(self.outcomes(x, m, dy._power_guard)[0][0], str) == (m >= 3256)
 
 
 class TestSignedReals:
